@@ -568,110 +568,118 @@ class Engine:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, e: ast.Expr, env: dict, frame: _Frame):
-        t = self.tp.types.get(e.node_id)
-        if isinstance(e, ast.IntLit):
-            if isinstance(t, ast.IntType):
-                return terms.mk_int(e.value)
-            return terms.mk_bv(t.width, e.value)
-        if isinstance(e, ast.BoolLit):
-            return terms.mk_bool(e.value)
-        if isinstance(e, ast.UnitLit):
+        handler = self._EVAL.get(type(e))
+        if handler is None:
+            raise AssertionError(f"unhandled node {type(e).__name__}")
+        return handler(self, e, env, frame)
+
+    def _eval_int_lit(self, e: ast.IntLit, env, frame):
+        t = self.tp.types[e.node_id]
+        if isinstance(t, ast.IntType):
+            return terms.mk_int(e.value)
+        return terms.mk_bv(t.width, e.value)
+
+    def _eval_bool_lit(self, e: ast.BoolLit, env, frame):
+        return terms.mk_bool(e.value)
+
+    def _eval_unit_lit(self, e: ast.UnitLit, env, frame):
+        return None
+
+    def _eval_vector_lit(self, e: ast.VectorLit, env, frame):
+        return VecV(tuple(self.eval(x, env, frame) for x in e.items))
+
+    def _eval_record_lit(self, e: ast.RecordLit, env, frame):
+        written = {n: self.eval(v, env, frame) for n, v in e.fields}
+        return RecV(tuple((n, written[n]) for n, _ in self.tp.types[e.node_id].fields))
+
+    def _eval_path(self, e: ast.PathExpr, env, frame):
+        res = self.tp.resolutions[e.node_id]
+        if isinstance(res, LocalRef):
+            v = env[res.name]
+            for name in res.fields:
+                v = v.get(name)
+            return v
+        assert isinstance(res, EnumVariantRef)
+        w = enum_width(len(self.enums[res.enum]))
+        return terms.mk_bv(w, res.index)
+
+    def _eval_field(self, e: ast.FieldAccess, env, frame):
+        return self.eval(e.base, env, frame).get(e.name)
+
+    def _eval_slice(self, e: ast.Slice, env, frame):
+        return terms.mk_extract(e.hi, e.lo, self.eval(e.base, env, frame))
+
+    def _eval_index_update(self, e: ast.IndexUpdate, env, frame):
+        base = self.eval(e.base, env, frame)
+        idx = self.eval(e.index, env, frame)
+        val = self.eval(e.value, env, frame)
+        return self._vector_update(base, idx, val)
+
+    def _eval_slice_update(self, e: ast.SliceUpdate, env, frame):
+        base = self.eval(e.base, env, frame)
+        val = self.eval(e.value, env, frame)
+        items = list(base.items)
+        items[e.lo:e.hi + 1] = list(val.items)
+        return VecV(tuple(items))
+
+    def _eval_unary(self, e: ast.Unary, env, frame):
+        v = self.eval(e.operand, env, frame)
+        return terms.mk_not(v) if e.op == "!" else terms.mk_neg(v)
+
+    def _eval_any(self, e: ast.AnyExpr, env, frame):
+        return self.fresh_tree(e.node_id, self.tp.types[e.node_id])
+
+    def _eval_let(self, e: ast.Let, env, frame):
+        v = self.eval(e.value, env, frame)
+        if __debug__ and self.mode == "conc":
+            # Type preservation: a produced value's runtime shape always
+            # matches its static annotation (conversion raises otherwise).
+            tree_to_concrete(v, self.tp.types[e.value.node_id], self.enums)
+        env[e.name] = v
+        return None
+
+    def _eval_block(self, e: ast.Block, env, frame):
+        inner = dict(env)
+        result = None
+        for item in e.items:
+            result = self.eval(item, inner, frame)
+        return result if e.yields_value else None
+
+    def _eval_assume(self, e: ast.Assume, env, frame):
+        body = self.eval(e.cond, env, frame)
+        if self.mode == "sym":
+            self.assumptions.append((self.guard, body))
             return None
-        if isinstance(e, ast.VectorLit):
-            return VecV(tuple(self.eval(x, env, frame) for x in e.items))
-        if isinstance(e, ast.RecordLit):
-            written = {n: self.eval(v, env, frame) for n, v in e.fields}
-            return RecV(tuple((n, written[n]) for n, _ in t.fields))
-        if isinstance(e, ast.PathExpr):
-            res = self.tp.resolutions[e.node_id]
-            if isinstance(res, LocalRef):
-                v = env[res.name]
-                for name in res.fields:
-                    v = v.get(name)
-                return v
-            assert isinstance(res, EnumVariantRef)
-            w = enum_width(len(self.enums[res.enum]))
-            return terms.mk_bv(w, res.index)
-        if isinstance(e, ast.FieldAccess):
-            return self.eval(e.base, env, frame).get(e.name)
-        if isinstance(e, ast.Index):
-            return self._eval_index(e, env, frame)
-        if isinstance(e, ast.Slice):
-            return terms.mk_extract(e.hi, e.lo, self.eval(e.base, env, frame))
-        if isinstance(e, ast.IndexUpdate):
-            base = self.eval(e.base, env, frame)
-            idx = self.eval(e.index, env, frame)
-            val = self.eval(e.value, env, frame)
-            return self._vector_update(base, idx, val)
-        if isinstance(e, ast.SliceUpdate):
-            base = self.eval(e.base, env, frame)
-            val = self.eval(e.value, env, frame)
-            items = list(base.items)
-            items[e.lo:e.hi + 1] = list(val.items)
-            return VecV(tuple(items))
-        if isinstance(e, ast.Unary):
-            v = self.eval(e.operand, env, frame)
-            return terms.mk_not(v) if e.op == "!" else terms.mk_neg(v)
-        if isinstance(e, ast.Binary):
-            return self._eval_binary(e, env, frame)
-        if isinstance(e, ast.Call):
-            return self._eval_call(e, env, frame)
-        if isinstance(e, ast.Builtin):
-            return self._eval_builtin(e, env, frame)
-        if isinstance(e, ast.AnyExpr):
-            return self.fresh_tree(e.node_id, t)
-        if isinstance(e, ast.Let):
-            v = self.eval(e.value, env, frame)
-            if __debug__ and self.mode == "conc":
-                # Type preservation: a produced value's runtime shape always
-                # matches its static annotation (conversion raises otherwise).
-                tree_to_concrete(v, self.tp.types[e.value.node_id], self.enums)
-            env[e.name] = v
+        if not body.value:
+            raise _Stop(AssumeInfeasible(e.span))
+        return None
+
+    def _eval_assert(self, e: ast.Assert, env, frame):
+        body = self.eval(e.cond, env, frame)
+        if self.mode == "sym":
+            self.obligations.append((self.guard, body, e.span))
             return None
-        if isinstance(e, ast.If):
-            return self._eval_if(e, env, frame)
-        if isinstance(e, ast.Block):
-            inner = dict(env)
-            result = None
-            for i, item in enumerate(e.items):
-                v = self.eval(item, inner, frame)
-                if i == len(e.items) - 1 and e.yields_value:
-                    result = v
-            return result
-        if isinstance(e, ast.Assume):
-            body = self.eval(e.cond, env, frame)
-            if self.mode == "sym":
-                self.assumptions.append((self.guard, body))
-                return None
-            if not body.value:
-                raise _Stop(AssumeInfeasible(e.span))
-            return None
-        if isinstance(e, ast.Assert):
-            body = self.eval(e.cond, env, frame)
-            if self.mode == "sym":
-                self.obligations.append((self.guard, body, e.span))
-                return None
-            if not body.value:
-                msg = ast.expr_source(e.cond)
-                self.events.append({"event": "assert_failed", "at": str(e.span)})
-                raise _Stop(AssertionFailed(e.span, msg))
-            return None
-        if isinstance(e, ast.Printf):
-            holes = [self.eval(h, env, frame) for h in e.holes]
-            if self.mode == "conc":
-                rendered = []
-                for h, v in zip(e.holes, holes):
-                    cv = tree_to_concrete(v, self.tp.types[h.node_id], self.enums)
-                    rendered.append(format_value(cv))
-                pieces = [e.parts[0]]
-                for part, r in zip(e.parts[1:], rendered):
-                    pieces.append(r)
-                    pieces.append(part)
-                text = "".join(pieces)
-                self.transcript.append(text)
-                self.events.append({"event": "printf", "text": text})
-            return None
-        raise AssertionError(f"unhandled node {type(e).__name__}")
+        if not body.value:
+            msg = ast.expr_source(e.cond)
+            self.events.append({"event": "assert_failed", "at": str(e.span)})
+            raise _Stop(AssertionFailed(e.span, msg))
+        return None
+
+    def _eval_printf(self, e: ast.Printf, env, frame):
+        holes = [self.eval(h, env, frame) for h in e.holes]
+        if self.mode == "conc":
+            rendered = []
+            for h, v in zip(e.holes, holes):
+                cv = tree_to_concrete(v, self.tp.types[h.node_id], self.enums)
+                rendered.append(format_value(cv))
+            pieces = [e.parts[0]]
+            for part, r in zip(e.parts[1:], rendered):
+                pieces.append(r)
+                pieces.append(part)
+            text = "".join(pieces)
+            self.transcript.append(text)
+            self.events.append({"event": "printf", "text": text})
+        return None
 
     def _eval_index(self, e: ast.Index, env, frame):
         base = self.eval(e.base, env, frame)
@@ -871,6 +879,32 @@ class Engine:
             else:
                 self.store[cell.path] = self.fresh_array_tree(site, cell)
 
+    # One handler per expression class; `eval` dispatches on the exact class.
+    _EVAL = {
+        ast.IntLit: _eval_int_lit,
+        ast.BoolLit: _eval_bool_lit,
+        ast.UnitLit: _eval_unit_lit,
+        ast.VectorLit: _eval_vector_lit,
+        ast.RecordLit: _eval_record_lit,
+        ast.PathExpr: _eval_path,
+        ast.FieldAccess: _eval_field,
+        ast.Index: _eval_index,
+        ast.Slice: _eval_slice,
+        ast.IndexUpdate: _eval_index_update,
+        ast.SliceUpdate: _eval_slice_update,
+        ast.Unary: _eval_unary,
+        ast.Binary: _eval_binary,
+        ast.Call: _eval_call,
+        ast.Builtin: _eval_builtin,
+        ast.AnyExpr: _eval_any,
+        ast.Let: _eval_let,
+        ast.If: _eval_if,
+        ast.Block: _eval_block,
+        ast.Assume: _eval_assume,
+        ast.Assert: _eval_assert,
+        ast.Printf: _eval_printf,
+    }
+
     # -- entry ------------------------------------------------------------------
 
     def run(self, scenario: str):
@@ -887,7 +921,11 @@ class Engine:
 
 
 def merge_stores(cond: Term, then_store: dict, else_store: dict) -> dict:
-    return {k: tree_ite(cond, then_store[k], else_store[k]) for k in then_store}
+    merged = {}
+    for k, a in then_store.items():
+        b = else_store[k]
+        merged[k] = a if a is b else tree_ite(cond, a, b)
+    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -561,17 +561,23 @@ def _split_format(fmt: Token, filename: str):
     return parts, holes
 
 
+def _parse(p: _Parser, rule):
+    try:
+        return rule()
+    except RecursionError:
+        # Recursive descent nests as deep as the interpreter's stack allows.
+        raise p.error("nesting too deep") from None
+
+
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:
     """Parse a whole program; raises LexError/ParseError with spans."""
-    toks = tokenize(source, filename)
-    p = _Parser(toks, filename)
-    return p.program()
+    p = _Parser(tokenize(source, filename), filename)
+    return _parse(p, p.program)
 
 
 def parse_expr(source: str, filename: str = "<expr>") -> ast.Expr:
-    toks = tokenize(source, filename)
-    p = _Parser(toks, filename)
-    e = p.expr()
+    p = _Parser(tokenize(source, filename), filename)
+    e = _parse(p, p.expr)
     if not p.at_kind(TokKind.EOF):
         raise p.error("unexpected trailing input")
     return e

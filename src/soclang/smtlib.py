@@ -56,26 +56,39 @@ _INT_OPS = {"add": "+", "sub": "-", "mul": "*", "lt": "<", "le": "<="}
 
 
 class _Emitter:
-    """Serializes a term DAG, let-binding every shared compound subterm."""
+    """Serializes a term DAG, let-binding every shared compound subterm.
 
-    def __init__(self) -> None:
-        self.refcount: Dict[int, int] = {}
+    The walk over the DAG is iterative, so term depth has no limit: one
+    post-order pass counts references to each node, orders the nodes
+    children first and notes whether any Int-sorted node is reachable.
+    """
+
+    def __init__(self, root: Term) -> None:
+        self.root = root
+        self.refcount: Dict[int, int] = {id(root): 1}
         self.order: List[Term] = []
+        self.has_int = root.sort == terms.INT_SORT
+        refcount = self.refcount
+        stack = [(root, iter(_children(root)))]
+        while stack:
+            node, kids = stack[-1]
+            for child in kids:
+                key = id(child)
+                if key in refcount:
+                    refcount[key] += 1
+                    continue
+                refcount[key] = 1
+                if child.sort == terms.INT_SORT:
+                    self.has_int = True
+                stack.append((child, iter(_children(child))))
+                break
+            else:
+                stack.pop()
+                self.order.append(node)
 
-    def scan(self, t: Term) -> None:
-        key = id(t)
-        if key in self.refcount:
-            self.refcount[key] += 1
-            return
-        self.refcount[key] = 1
-        for child in _children(t):
-            self.scan(child)
-        self.order.append(t)  # postorder: children first
-
-    def serialize(self, t: Term) -> str:
-        self.scan(t)
+    def serialize(self) -> str:
         names: Dict[int, str] = {}
-        bindings: List[Tuple[str, str]] = []
+        openers: List[str] = []
         for node in self.order:
             atom = _atom_text(node)
             if atom is not None:
@@ -83,15 +96,12 @@ class _Emitter:
                 continue
             body = _node_text(node, names)
             if self.refcount[id(node)] > 1:
-                name = f"t{len(bindings)}"
-                bindings.append((name, body))
+                name = f"t{len(openers)}"
+                openers.append(f"(let (({name} {body}))\n  ")
                 names[id(node)] = name
             else:
                 names[id(node)] = body
-        text = names[id(t)]
-        for name, body in reversed(bindings):
-            text = f"(let (({name} {body}))\n  {text})"
-        return text
+        return "".join(openers) + names[id(self.root)] + ")" * len(openers)
 
 
 def _children(t: Term):
@@ -149,30 +159,20 @@ def _node_text(t: Term, names: Dict[int, str]) -> str:
     raise AssertionError(f"unserializable term {type(t).__name__}")
 
 
-def _uses_int(t: Term, seen: set) -> bool:
-    if id(t) in seen:
-        return False
-    seen.add(id(t))
-    if t.sort == terms.INT_SORT:
-        return True
-    return any(_uses_int(c, seen) for c in _children(t))
-
-
 def emit_smtlib(vc: VerificationCondition, extra_pins: Optional[dict] = None) -> str:
     """Self-contained SMT-LIB v2 text for a verification condition.
 
     extra_pins (choice id -> concrete value) adds equalities pinning choice
     variables to given values; used by the model round-trip check.
     """
-    query = vc.query_term()
-    seen: set = set()
-    has_int = _uses_int(query, seen) or any(
+    emitter = _Emitter(vc.query_term())
+    has_int = emitter.has_int or any(
         isinstance(i.type, ast.IntType) for i in vc.registry.infos)
     lines = [f"(set-logic {'ALL' if has_int else 'QF_ABV'})",
              "(set-option :produce-models true)"]
     for info in vc.registry.infos:
-        lines.append(f"(declare-const c{info.vid} {_sort_text(_info_sort(info))})")
-    body = _Emitter().serialize(query)
+        lines.append(f"(declare-const c{info.vid} {_sort_text(info.sort)})")
+    body = emitter.serialize()
     if extra_pins:
         pins = []
         for cid, value in sorted(extra_pins.items()):
@@ -190,10 +190,6 @@ def emit_smtlib(vc: VerificationCondition, extra_pins: Optional[dict] = None) ->
     return "\n".join(lines) + "\n"
 
 
-def _info_sort(info) -> tuple:
-    return info.sort
-
-
 def _pin_text(info, value) -> Optional[str]:
     name = f"c{info.vid}"
     if isinstance(value, bool):
@@ -201,13 +197,12 @@ def _pin_text(info, value) -> Optional[str]:
     if isinstance(value, BitVec):
         return f"(= {name} (_ bv{value.value} {value.width}))"
     if isinstance(value, EnumVal):
-        sort = _info_sort(info)
-        return f"(= {name} (_ bv{value.index} {sort[1]}))"
+        return f"(= {name} (_ bv{value.index} {info.sort[1]}))"
     if isinstance(value, int):
         v = str(value) if value >= 0 else f"(- {-value})"
         return f"(= {name} {v})"
     if isinstance(value, SparseArray):
-        sort = _info_sort(info)
+        sort = info.sort
         acc = f"((as const {_sort_text(sort)}) {_leaf_text(value.default, sort[2])})"
         for k, v in value.mods:
             acc = f"(store {acc} (_ bv{k} {value.key_width}) {_leaf_text(v, sort[2])})"
@@ -234,7 +229,6 @@ class SolverJob:
     timeout: float
     smtlib: str
     file_path: str
-    raw_output: str = ""
 
 
 @dataclass
@@ -279,7 +273,6 @@ def run_solver(job: SolverJob, registry: Registry):
     except FileNotFoundError:
         return SolverError(127, f"solver executable not found: {argv[0]}")
     out = proc.stdout
-    job.raw_output = out
     # Solvers may emit warnings before the verdict; find the verdict line.
     lines = out.splitlines()
     idx, verdict_line = next(

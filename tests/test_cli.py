@@ -1,6 +1,8 @@
 import json
 import sys
 
+import pytest
+
 from conftest import CORPUS, requires_z3, run_cli
 
 VULN = str(CORPUS / "mini_tx1_vulnerable.soc")
@@ -24,6 +26,18 @@ def test_check_reports_diagnostics_with_location():
 def test_check_missing_file():
     code, _, err = run_cli("check", "no/such/file.soc")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("depth", [100, 500])
+def test_check_deep_parentheses_is_a_located_diagnostic(tmp_path, depth):
+    f = tmp_path / "deep.soc"
+    expr = "(" * depth + "1u8" + ")" * depth
+    f.write_text("module Main {\n  mut fn go() {\n"
+                 f"    let x = {expr};\n    assert(x == 1u8)\n  }}\n}}\n")
+    code, _, err = run_cli("check", str(f))
+    assert code == 1
+    assert f"{f}:3:" in err and "error:" in err
+    assert "Traceback" not in err
 
 
 def test_dump_tree_is_stable():

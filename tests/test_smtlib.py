@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -107,6 +108,63 @@ module Main {
 """)
     text = emit_smtlib(vc)
     assert "(bvult c0 (_ bv3 2))" in text
+
+
+# SHA-256 of the emitted text for every manifest entry. Emission is part of
+# the contract (`--dump-vc`): any change to its bytes must be deliberate.
+GOLDEN_SMTLIB_SHA256 = {
+    ("mini_tx1_vulnerable.soc", "test_secure_area_unchanged"):
+        "3e599b61b998ae8b0004dcae8a19dec39dfffadf77ec45aca2e442fdeba5dd0d",
+    ("mini_tx1_fixed.soc", "test_secure_area_unchanged"):
+        "3d8dcf585ee9c7d6e2c6609c01d1d73b0b328029f4c76f72e9b49261c3effe4b",
+    ("mini_tx1_fixed.soc", "base_case"):
+        "0b92ff8ad3d2914bcf8c0e3f6176d96b9cde9e95a7976bff19ff16c00b6aaf32",
+    ("mini_tx1_fixed.soc", "inductive_step"):
+        "e8217db7daa6f049743e144ca3bae6a11ddaa1eb8eca5925f14554a83984b13f",
+    ("mini_tx1_fixed.soc", "invariant_is_useful"):
+        "661993ffee579b1357d31fde531e1b74080e0410dfee9e860b08322a0f67ed81",
+    ("monitor_read_detect.soc", "read_protection_holds"):
+        "ddb5c2af171d6af91252888ef7df524ac25698e7249e7928a87948889c2193d0",
+    ("monitor_read_detect.soc", "write_protection_holds"):
+        "6ee24af59f2832fdeb77abd382271873b1e00f4450a19074fa3c0e3cd8d9d252",
+    ("assume_assert_invariant.soc", "locked_rows_preserved"):
+        "57a042b334ca63ccc18637ecc382bba2e0e5669a0dd440d0dcb23b0e699d8eeb",
+    ("assume_assert_invariant.soc", "unlocked_write_breaks_rows"):
+        "690454fcd3f0ec760aef54270c5a3467516dd73d2a0ea9ed196700decaf62552",
+}
+
+
+def _manifest_scenarios():
+    from test_corpus import MANIFEST
+    return [(e["file"], e["scenario"], e["verify"]) for e in MANIFEST]
+
+
+@pytest.mark.parametrize("fname,scenario,_verdict", _manifest_scenarios(),
+                         ids=[f"{f}::{s}" for f, s, _ in _manifest_scenarios()])
+def test_emission_matches_golden_digest(fname, scenario, _verdict):
+    tp, tree, layout = load_file(CORPUS / fname)
+    text = emit_smtlib(eng.sym_exec(tp, tree, layout, scenario))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SMTLIB_SHA256[fname, scenario]
+
+
+def unrolled_mini_tx1(variant: str, steps: int) -> str:
+    """mini_tx1 with test_secure_area_unchanged taking `steps` steps."""
+    pair = "    miniTX1.step();\n    miniTX1.step();\n"
+    source = (CORPUS / f"mini_tx1_{variant}.soc").read_text()
+    assert pair in source
+    return source.replace(pair, "    miniTX1.step();\n" * steps, 1)
+
+
+@pytest.mark.parametrize("variant,steps", [("fixed", 512), ("vulnerable", 1024)])
+def test_long_unrolls_emit_without_recursion_limit(variant, steps):
+    tp, tree, layout = load_source(unrolled_mini_tx1(variant, steps))
+    vc = eng.sym_exec(tp, tree, layout, "test_secure_area_unchanged")
+    text = emit_smtlib(vc)
+    assert text.startswith("(set-logic QF_ABV)\n")
+    assert text.count("(declare-const ") == len(vc.registry.infos)
+    for info in vc.registry.infos:
+        assert f"(declare-const c{info.vid} " in text
+    assert text.endswith("(check-sat)\n(get-model)\n")
 
 
 # -- model parsing ---------------------------------------------------------------
@@ -237,11 +295,6 @@ def test_env_var_overrides_default_command(monkeypatch):
 
 
 # -- two independent solvers agree on the whole corpus ---------------------------
-
-
-def _manifest_scenarios():
-    from test_corpus import MANIFEST
-    return [(e["file"], e["scenario"], e["verify"]) for e in MANIFEST]
 
 
 @pytest.mark.parametrize("fname,scenario,expected", _manifest_scenarios(),

@@ -75,6 +75,25 @@ def test_vacuous_violation_solves_unsat(tmp_path):
     assert isinstance(solve_vc(vc, tmpdir=tmp_path), smtlib.Unsat)
 
 
+# -- dispatch -------------------------------------------------------------------
+
+
+def test_every_expression_class_has_an_eval_handler():
+    exprs = {c for c in vars(ast).values()
+             if isinstance(c, type) and issubclass(c, ast.Expr) and c is not ast.Expr}
+    assert set(eng.Engine._EVAL) == exprs
+
+
+def test_expression_without_a_handler_is_an_internal_error():
+    class Stray(ast.Expr):
+        pass
+
+    tp, tree, layout = load_source(MERGE_MODEL)
+    e = eng.Engine(tp, tree, layout, "sym")
+    with pytest.raises(AssertionError, match="unhandled node Stray"):
+        e.eval(Stray(ast.SYNTHETIC), {}, None)
+
+
 # -- choice-id discipline ------------------------------------------------------
 
 
