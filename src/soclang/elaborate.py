@@ -78,7 +78,7 @@ def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
                 node.children[inst.name] = instantiate(
                     tp.modules[ref.name], child_path, inst.span)
             elif isinstance(ref, ast.StatePrim):
-                vt = _resolved(tp, ref.value_type, inst.span)
+                vt = tp.resolve_type(ref.value_type)
                 cell = InstanceNode("State", child_path, "state", value_type=vt,
                                     span=inst.span)
                 node.children[inst.name] = cell
@@ -86,8 +86,8 @@ def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
                 cells.append(Cell(child_path, "state", vt, None, ref.init))
             else:
                 assert isinstance(ref, ast.ArrayPrim)
-                vt = _resolved(tp, ref.value_type, inst.span)
-                kt = _resolved(tp, ref.key_type, inst.span)
+                vt = tp.resolve_type(ref.value_type)
+                kt = tp.resolve_type(ref.key_type)
                 cell = InstanceNode("Array", child_path, "array",
                                     value_type=vt, key_type=kt, span=inst.span)
                 node.children[inst.name] = cell
@@ -102,15 +102,6 @@ def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
     tree = InstanceTree(root, by_path)
     layout = StateLayout(cells, {c.path: c for c in cells})
     return tree, layout
-
-
-def _resolved(tp: TypedProgram, t: ast.TypeExpr, span) -> ast.TypeExpr:
-    from .typecheck import Checker  # local import to reuse the resolver
-
-    chk = Checker(tp.program)
-    chk.aliases = tp.aliases
-    chk.enums = tp.enums
-    return chk.resolve_type(t, span)
 
 
 def _wire(tp: TypedProgram, mod: ast.ModuleDecl, node: InstanceNode) -> None:

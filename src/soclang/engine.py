@@ -16,6 +16,10 @@ Choice ids are (static site id, per-site occurrence counter). Both modes
 issue them identically because a skipped branch arm advances the counters by
 the arm's static consumption ("ghost counting"), making per-expression
 consumption independent of which arms actually execute.
+
+Records and vectors are trees of per-leaf terms. `tree_map` applies a
+function leafwise to trees of one shape, and `tree_of_type` builds a tree
+from a type; every per-shape walk in this module goes through the two.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from . import ast, terms
@@ -54,45 +59,57 @@ class VecV:
     items: tuple
 
 
+def tree_map(fn, tree, *others):
+    """Apply fn leafwise to trees of one shape.
+
+    Records match by field name, not position: types compare fields by name,
+    and an inferred record literal may hold them in another order.
+    """
+    if isinstance(tree, RecV):
+        return RecV(tuple((n, tree_map(fn, v, *(o.get(n) for o in others)))
+                          for n, v in tree.fields))
+    if isinstance(tree, VecV):
+        return VecV(tuple(tree_map(fn, *xs)
+                          for xs in zip(tree.items, *(o.items for o in others))))
+    return fn(tree, *others)
+
+
+def tree_of_type(t: ast.TypeExpr, leaf):
+    """The tree of type t whose leaves are leaf(scalar type), called in
+    field/item order (choice ids and registry vids follow it)."""
+    if isinstance(t, ast.RecordType):
+        return RecV(tuple((n, tree_of_type(ft, leaf)) for n, ft in t.fields))
+    if isinstance(t, ast.VectorType):
+        return VecV(tuple(tree_of_type(t.elem, leaf) for _ in range(t.length)))
+    return leaf(t)
+
+
 def tree_ite(cond: Term, a, b):
     if a is b:
         return a
-    if a is None and b is None:
-        return None
-    if isinstance(a, RecV):
-        return RecV(tuple((n, tree_ite(cond, v, b.get(n))) for n, v in a.fields))
-    if isinstance(a, VecV):
-        return VecV(tuple(tree_ite(cond, x, y) for x, y in zip(a.items, b.items)))
-    return terms.mk_ite(cond, a, b)
+    return tree_map(partial(terms.mk_ite, cond), a, b)
 
 
 def tree_eq(a, b) -> Term:
-    if isinstance(a, RecV):
+    """Leafwise equality of two records or scalars (never vectors: the type
+    checker rejects equality on them), conjoined per record level."""
+    def conj(eqs):
+        if not isinstance(eqs, RecV):
+            return eqs
         acc = terms.TRUE
-        for n, v in a.fields:
-            acc = terms.mk_and(acc, tree_eq(v, b.get(n)))
+        for _, v in eqs.fields:
+            acc = terms.mk_and(acc, conj(v))
         return acc
-    if isinstance(a, VecV):
-        acc = terms.TRUE
-        for x, y in zip(a.items, b.items):
-            acc = terms.mk_and(acc, tree_eq(x, y))
-        return acc
-    return terms.mk_eq(a, b)
 
-
-def leaf_types(t: ast.TypeExpr) -> List[ast.TypeExpr]:
-    if isinstance(t, ast.RecordType):
-        out: List[ast.TypeExpr] = []
-        for _, ft in t.fields:
-            out.extend(leaf_types(ft))
-        return out
-    if isinstance(t, ast.VectorType):
-        return leaf_types(t.elem) * t.length
-    return [t]
+    return conj(tree_map(terms.mk_eq, a, b))
 
 
 def n_leaves(t: ast.TypeExpr) -> int:
-    return len(leaf_types(t))
+    if isinstance(t, ast.RecordType):
+        return sum(n_leaves(ft) for _, ft in t.fields)
+    if isinstance(t, ast.VectorType):
+        return n_leaves(t.elem) * t.length
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,58 +330,25 @@ def concrete_leaf(term: Term, t: ast.TypeExpr, enums):
 
 
 def tree_to_concrete(tree, t: ast.TypeExpr, enums):
-    if isinstance(t, ast.UnitType):
-        return None
-    if isinstance(t, ast.RecordType):
-        return RecordVal(tuple(
-            (n, tree_to_concrete(tree.get(n), ft, enums)) for n, ft in t.fields))
-    if isinstance(t, ast.VectorType):
-        return VectorVal(tuple(
-            tree_to_concrete(x, t.elem, enums) for x in tree.items))
-    if isinstance(t, ast.ArrayType):
-        return _array_tree_to_concrete(tree, t, enums)
-    return concrete_leaf(tree, t, enums)
-
-
-def _array_tree_to_concrete(tree, t: ast.ArrayType, enums):
-    kw = t.key.width
-
-    def conv(leaf_tree, leaf_t):
-        if isinstance(leaf_t, ast.RecordType):
-            return RecordVal(tuple((n, conv(leaf_tree.get(n), ft))
-                                   for n, ft in leaf_t.fields))
-        if isinstance(leaf_t, ast.VectorType):
-            return VectorVal(tuple(conv(x, leaf_t.elem) for x in leaf_tree.items))
-        if not isinstance(leaf_tree, terms.SparseConst):
+    def conv(tree, t, key_width):
+        # key_width is set below an array type: its leaves are SparseConsts.
+        if isinstance(t, ast.UnitType):
+            return None
+        if isinstance(t, ast.RecordType):
+            return RecordVal(tuple((n, conv(tree.get(n), ft, key_width))
+                                   for n, ft in t.fields))
+        if isinstance(t, ast.VectorType):
+            return VectorVal(tuple(conv(x, t.elem, key_width) for x in tree.items))
+        if isinstance(t, ast.ArrayType):
+            return conv(tree, t.value, t.key.width)
+        if key_width is None:
+            return concrete_leaf(tree, t, enums)
+        if not isinstance(tree, terms.SparseConst):
             raise EngineError("internal: symbolic array in a concrete run")
-        default = concrete_leaf(leaf_tree.default, leaf_t, enums)
-        mods = tuple((k, concrete_leaf(v, leaf_t, enums)) for k, v in leaf_tree.mods)
-        return SparseArray(kw, default, mods)
+        return SparseArray(key_width, concrete_leaf(tree.default, t, enums),
+                           tuple((k, concrete_leaf(v, t, enums)) for k, v in tree.mods))
 
-    return conv(tree, t.value)
-
-
-def concrete_to_tree(v, t: ast.TypeExpr, enums):
-    if isinstance(t, ast.RecordType):
-        return RecV(tuple((n, concrete_to_tree(v.get(n), ft, enums))
-                          for n, ft in t.fields))
-    if isinstance(t, ast.VectorType):
-        return VecV(tuple(concrete_to_tree(x, t.elem, enums) for x in v.items))
-    if isinstance(t, ast.ArrayType):
-        kw = t.key.width
-
-        def conv(cv, leaf_t):
-            if isinstance(leaf_t, ast.RecordType):
-                return RecV(tuple((n, conv(cv.get(n), ft)) for n, ft in leaf_t.fields))
-            if isinstance(leaf_t, ast.VectorType):
-                return VecV(tuple(conv(x, leaf_t.elem) for x in cv.items))
-            sc = terms.mk_const_array(kw, const_term(cv.default, leaf_t, enums))
-            for k, mv in cv.mods:
-                sc = sc.write_const(k, const_term(mv, leaf_t, enums))
-            return sc
-
-        return conv(v, t.value)
-    return const_term(v, t, enums)
+    return conv(tree, t, None)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +361,6 @@ class _Consumption:
         self.fn_memo: Dict[Tuple[str, str], Counter] = {}
         self.expr_memo: Dict[int, Counter] = {}
         self.module_memo: Dict[str, int] = {}
-        self._type_memo: Dict[int, ast.TypeExpr] = {}
 
     def module_leaves(self, name: str) -> int:
         if name in self.module_memo:
@@ -388,22 +371,9 @@ class _Consumption:
             if isinstance(ref, ast.ModuleRef):
                 total += self.module_leaves(ref.name)
             else:
-                vt = self._resolve(ref.value_type)
-                total += n_leaves(vt)
+                total += n_leaves(self.tp.resolve_type(ref.value_type))
         self.module_memo[name] = total
         return total
-
-    def _resolve(self, t: ast.TypeExpr) -> ast.TypeExpr:
-        if id(t) in self._type_memo:
-            return self._type_memo[id(t)]
-        from .typecheck import Checker
-
-        chk = Checker(self.tp.program)
-        chk.aliases = self.tp.aliases
-        chk.enums = self.tp.enums
-        resolved = chk.resolve_type(t, ast.SYNTHETIC)
-        self._type_memo[id(t)] = resolved
-        return resolved
 
     def of_fn(self, module: str, fn: str) -> Counter:
         key = (module, fn)
@@ -478,30 +448,15 @@ class Engine:
     def _init_store(self) -> None:
         root_mod = self.tp.modules[self.tp.root_name]
         frame = _Frame(self.tree.root, root_mod, True)
+        enums = self.enums
         for cell in self.layout.cells:
             if cell.kind == "state":
-                self.store[cell.path] = self._eval_init(cell.init, cell.value_type, frame)
+                # Init expressions are closed and pure; they fold to constants.
+                self.store[cell.path] = self.eval(cell.init, {}, frame)
             else:
-                self.store[cell.path] = self._zero_array_tree(cell)
-
-    def _eval_init(self, e: ast.Expr, t: ast.TypeExpr, frame: _Frame):
-        # Init expressions are closed and pure; they fold to constants.
-        return self.eval(e, {}, frame)
-
-    def _zero_array_tree(self, cell):
-        kw = cell.key_type.width
-
-        def build(t: ast.TypeExpr):
-            if isinstance(t, ast.RecordType):
-                return RecV(tuple((n, build(ft)) for n, ft in t.fields))
-            if isinstance(t, ast.VectorType):
-                return VecV(tuple(build(t.elem) for _ in range(t.length)))
-            return terms.mk_const_array(kw, self._zero_leaf_term(t))
-
-        return build(cell.value_type)
-
-    def _zero_leaf_term(self, t: ast.TypeExpr) -> Term:
-        return const_term(zero_scalar(t, self.enums), t, self.enums)
+                kw = cell.key_type.width
+                self.store[cell.path] = tree_of_type(cell.value_type, lambda t: (
+                    terms.mk_const_array(kw, const_term(zero_scalar(t, enums), t, enums))))
 
     def concrete_store(self) -> Dict[str, object]:
         out = {}
@@ -533,33 +488,25 @@ class Engine:
         return var
 
     def fresh_tree(self, site: int, t: ast.TypeExpr):
-        if isinstance(t, ast.RecordType):
-            return RecV(tuple((n, self.fresh_tree(site, ft)) for n, ft in t.fields))
-        if isinstance(t, ast.VectorType):
-            return VecV(tuple(self.fresh_tree(site, t.elem) for _ in range(t.length)))
-        return self.fresh_scalar(site, t)
+        return tree_of_type(t, lambda leaf: self.fresh_scalar(site, leaf))
 
     def fresh_array_tree(self, site: int, cell):
         kw = cell.key_type.width
 
-        def build(t: ast.TypeExpr):
-            if isinstance(t, ast.RecordType):
-                return RecV(tuple((n, build(ft)) for n, ft in t.fields))
-            if isinstance(t, ast.VectorType):
-                return VecV(tuple(build(t.elem) for _ in range(t.length)))
+        def leaf(t: ast.TypeExpr):
             cid = self._issue(site)
             if self.mode == "conc":
                 sa = self.anys.array(cid, kw, t, self.enums)
                 sc = terms.mk_const_array(kw, const_term(sa.default, t, self.enums))
                 for k, v in sa.mods:
-                    sc = sc.write_const(k, const_term(v, t, self.enums))
+                    sc = sc.write(k, const_term(v, t, self.enums))
                 return sc
             sort = terms.arr_sort(kw, scalar_sort(t, self.enums))
             info = self.registry.register(site, cid[1],
                                           ast.ArrayType(cell.key_type, t), sort)
             return terms.Var(sort, info.vid)
 
-        return build(cell.value_type)
+        return tree_of_type(cell.value_type, leaf)
 
     def ghost_skip(self, e: ast.Expr) -> None:
         """Advance choice counters over an unexecuted branch arm."""
@@ -688,14 +635,7 @@ class Engine:
         if isinstance(bt, ast.VectorType):
             return self._vector_select(base, idx)
         # array snapshot: read every leaf array at the key
-        def read(tree):
-            if isinstance(tree, RecV):
-                return RecV(tuple((n, read(v)) for n, v in tree.fields))
-            if isinstance(tree, VecV):
-                return VecV(tuple(read(x) for x in tree.items))
-            return terms.mk_arr_read(tree, idx)
-
-        return read(base)
+        return tree_map(lambda arr: terms.mk_arr_read(arr, idx), base)
 
     def _vector_select(self, base: VecV, idx: Term):
         if isinstance(idx, terms.BVC):
@@ -801,7 +741,7 @@ class Engine:
         if self.mode == "conc":
             arg_text = {}
             for p, v in zip(decl.params, args):
-                pt = self._resolved_type(p.type)
+                pt = self.tp.resolve_type(p.type)
                 arg_text[p.name] = format_value(tree_to_concrete(v, pt, self.enums))
             self.events.append({"event": "call", "fn": fq, "args": arg_text})
         new_env = {p.name: v for p, v in zip(decl.params, args)}
@@ -809,17 +749,12 @@ class Engine:
                            res.module == self.tp.root_name)
         result = self.eval(decl.body, new_env, new_frame)
         if self.mode == "conc":
-            rt = self._resolved_type(decl.ret_type) if decl.ret_type is not None else ast.UNIT
+            rt = self.tp.resolve_type(decl.ret_type)
             self.events.append({
                 "event": "return", "fn": fq,
                 "value": format_value(tree_to_concrete(result, rt, self.enums)),
             })
         return result
-
-    def _resolved_type(self, t: Optional[ast.TypeExpr]) -> ast.TypeExpr:
-        if t is None:
-            return ast.UNIT
-        return self.consumption._resolve(t)
 
     def _prim_call(self, e: ast.Call, res: PrimCall, env, frame: _Frame):
         target = resolve_instance(self.tree, frame.inst, res.inst_path, frame.is_root)
@@ -840,37 +775,17 @@ class Engine:
             self.store[path] = args[0]
             return None
         if op == "array_read":
-            def read(tree):
-                if isinstance(tree, RecV):
-                    return RecV(tuple((n, read(v)) for n, v in tree.fields))
-                if isinstance(tree, VecV):
-                    return VecV(tuple(read(x) for x in tree.items))
-                return terms.mk_arr_read(tree, args[0])
-            return read(self.store[path])
+            return tree_map(lambda arr: terms.mk_arr_read(arr, args[0]), self.store[path])
         if op == "array_write":
-            def write(tree, vtree):
-                if isinstance(tree, RecV):
-                    return RecV(tuple((n, write(v, vtree.get(n))) for n, v in tree.fields))
-                if isinstance(tree, VecV):
-                    return VecV(tuple(write(x, y) for x, y in zip(tree.items, vtree.items)))
-                return terms.mk_arr_write(tree, args[0], vtree)
-            updated = write(self.store[path], args[1])
-            if self.mode == "conc":
-                self._check_capacity(updated, target)
-            self.store[path] = updated
+            def write(arr, v):
+                arr = terms.mk_arr_write(arr, args[0], v)
+                if self.mode == "conc" and len(arr.mods) > self.capacity:
+                    raise CapacityError(target.dotted(), self.capacity)
+                return arr
+
+            self.store[path] = tree_map(write, self.store[path], args[1])
             return None
         raise AssertionError(f"unknown primitive op {op}")
-
-    def _check_capacity(self, tree, target: InstanceNode) -> None:
-        if isinstance(tree, RecV):
-            for _, v in tree.fields:
-                self._check_capacity(v, target)
-        elif isinstance(tree, VecV):
-            for v in tree.items:
-                self._check_capacity(v, target)
-        elif isinstance(tree, terms.SparseConst):
-            if len(tree.mods) > self.capacity:
-                raise CapacityError(target.dotted(), self.capacity)
 
     def _havoc(self, site: int, target: InstanceNode) -> None:
         for cell in self.layout.subtree(target.path):
@@ -930,14 +845,6 @@ def merge_stores(cond: Term, then_store: dict, else_store: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # Public API
-
-
-def init_store(tp: TypedProgram, tree: InstanceTree, layout: StateLayout
-               ) -> Dict[str, object]:
-    """Concrete initial store: scalar cells hold their evaluated init
-    expressions, arrays are empty with an all-zero default."""
-    eng = Engine(tp, tree, layout, "conc", anys=SeededRandom(0))
-    return eng.concrete_store()
 
 
 def run_scenario(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,

@@ -461,10 +461,7 @@ def _parse_array(body, t: ast.ArrayType, aux: Dict[str, list]) -> SparseArray:
         default = _parse_scalar(node[1], leaf)
     else:
         raise ModelParseError(f"unrecognized array value {body!r}")
-    sa = SparseArray(kw, default)
-    for k, v in reversed(mods):
-        sa = sa.write(k, v)
-    return sa
+    return _sparse_array(kw, default, mods)
 
 
 def _array_from_fn(args, body, kw: int, leaf: ast.TypeExpr) -> SparseArray:
@@ -483,7 +480,11 @@ def _array_from_fn(args, body, kw: int, leaf: ast.TypeExpr) -> SparseArray:
             raise ModelParseError(f"bad array key {key_node!r}")
         mods.append((key[0], _parse_scalar(val, leaf)))
         node = rest
-    default = _parse_scalar(node, leaf)
+    return _sparse_array(kw, _parse_scalar(node, leaf), mods)
+
+
+def _sparse_array(kw: int, default, mods: List[Tuple[int, object]]) -> SparseArray:
+    """The array a model describes by its mods, outermost (latest) first."""
     sa = SparseArray(kw, default)
     for k, v in reversed(mods):
         sa = sa.write(k, v)

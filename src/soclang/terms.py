@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from .values import ModList
+
 BOOL_SORT = ("bool",)
 INT_SORT = ("int",)
 
@@ -110,7 +112,7 @@ class ArrWrite(Term):
 
 
 @dataclass(frozen=True, eq=False)
-class SparseConst(Term):
+class SparseConst(Term, ModList):
     """Constant array: a default leaf plus compacted (key, value) updates."""
 
     default: Term
@@ -119,19 +121,6 @@ class SparseConst(Term):
     @property
     def key_width(self) -> int:
         return self.sort[1]
-
-    def read_const(self, key: int) -> Term:
-        for k, v in reversed(self.mods):
-            if k == key:
-                return v
-        return self.default
-
-    def write_const(self, key: int, value: Term) -> "SparseConst":
-        for i, (k, _) in enumerate(self.mods):
-            if k == key:
-                mods = self.mods[:i] + ((key, value),) + self.mods[i + 1:]
-                return SparseConst(self.sort, self.default, mods)
-        return SparseConst(self.sort, self.default, self.mods + ((key, value),))
 
 
 TRUE = BoolC(BOOL_SORT, True)
@@ -284,7 +273,7 @@ def mk_int2bv(width: int, a: Term) -> Term:
 
 def mk_arr_read(arr: Term, key: Term) -> Term:
     if isinstance(arr, SparseConst) and isinstance(key, BVC):
-        return arr.read_const(key.value)
+        return arr.read(key.value)
     if isinstance(arr, ArrWrite) and isinstance(key, BVC) and isinstance(arr.key, BVC):
         if arr.key.value == key.value:
             return arr.value
@@ -294,7 +283,7 @@ def mk_arr_read(arr: Term, key: Term) -> Term:
 
 def mk_arr_write(arr: Term, key: Term, value: Term) -> Term:
     if isinstance(arr, SparseConst) and isinstance(key, BVC) and is_const(value):
-        return arr.write_const(key.value, value)
+        return arr.write(key.value, value)
     return ArrWrite(arr.sort, arr, key, value)
 
 

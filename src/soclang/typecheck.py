@@ -59,6 +59,11 @@ class TypedProgram:
     types: Dict[int, ast.TypeExpr]
     resolutions: Dict[int, object]
     root_name: str
+    resolved: Dict[int, ast.TypeExpr]  # id of a written type -> its resolution
+
+    def resolve_type(self, t: Optional[ast.TypeExpr]) -> ast.TypeExpr:
+        """The resolution of a type written in the program; None is Unit."""
+        return ast.UNIT if t is None else self.resolved[id(t)]
 
     def type_of(self, e: ast.Expr) -> ast.TypeExpr:
         return self.types[e.node_id]
@@ -104,6 +109,7 @@ class Checker:
         self.fns: Dict[Tuple[str, str], ast.FnDecl] = {}
         self.types: Dict[int, ast.TypeExpr] = {}
         self.resolutions: Dict[int, object] = {}
+        self.resolved: Dict[int, ast.TypeExpr] = {}
         self.call_edges: Dict[Tuple[str, str], set] = {}
         self._current_fn: Optional[Tuple[str, str]] = None
 
@@ -127,6 +133,7 @@ class Checker:
             types=self.types,
             resolutions=self.resolutions,
             root_name=self.program.root_name,
+            resolved=self.resolved,
         )
 
     def fail(self, span, message: str) -> TypeCheckError:
@@ -203,8 +210,11 @@ class Checker:
         return t
 
     def resolve_type(self, t: ast.TypeExpr, span) -> ast.TypeExpr:
-        """Expand aliases and enum references in a written type."""
-        return self._resolve_type(t, None, [], span)
+        """Expand aliases and enum references in a written type (memoized)."""
+        resolved = self.resolved.get(id(t))
+        if resolved is None:
+            resolved = self.resolved[id(t)] = self._resolve_type(t, None, [], span)
+        return resolved
 
     # -- modules ----------------------------------------------------------
 
@@ -221,6 +231,9 @@ class Checker:
                 self.check_fn(m, f)
             except TypeCheckError:
                 pass  # recorded; continue with the next function
+            except RecursionError:
+                # Checking recurses once per nested expression.
+                self.fail(f.span, "nesting too deep")
         self._current_fn = None
 
     def check_instance(self, m: ast.ModuleDecl, inst: ast.InstanceDecl) -> None:
@@ -242,6 +255,8 @@ class Checker:
                 self._check_state_value_type(vt, inst.span)
         except TypeCheckError:
             pass
+        except RecursionError:
+            self.fail(inst.span, "nesting too deep")
 
     def _check_state_value_type(self, t: ast.TypeExpr, span) -> None:
         if isinstance(t, ast.ArrayType):

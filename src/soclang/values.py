@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 
@@ -38,43 +38,39 @@ class VectorVal:
     items: Tuple["ConcreteValue", ...]
 
 
-@dataclass(frozen=True)
-class SparseArray:
-    """Bounded modification-list array: later entries shadow earlier ones.
+class ModList:
+    """A default plus a modification list: later entries shadow earlier ones.
 
-    The write path compacts duplicate keys in place, so `mods` holds at most
-    one entry per key; capacity is enforced by the engine, not here.
+    Shared by concrete arrays (`SparseArray`) and constant array terms
+    (`terms.SparseConst`). The write path compacts duplicate keys in place,
+    so `mods` holds at most one entry per key; capacity is enforced by the
+    engine, not here.
     """
 
-    key_width: int
-    default: "ConcreteValue"
-    mods: Tuple[Tuple[int, "ConcreteValue"], ...] = ()
-
-    def read(self, key: int) -> "ConcreteValue":
+    def read(self, key: int):
         for k, v in reversed(self.mods):
             if k == key:
                 return v
         return self.default
 
-    def write(self, key: int, value: "ConcreteValue") -> "SparseArray":
-        for i, (k, _) in enumerate(self.mods):
+    def write(self, key: int, value):
+        mods = self.mods
+        for i, (k, _) in enumerate(mods):
             if k == key:
-                mods = self.mods[:i] + ((key, value),) + self.mods[i + 1:]
-                return SparseArray(self.key_width, self.default, mods)
-        return SparseArray(self.key_width, self.default, self.mods + ((key, value),))
+                return replace(self, mods=mods[:i] + ((key, value),) + mods[i + 1:])
+        return replace(self, mods=mods + ((key, value),))
+
+
+@dataclass(frozen=True)
+class SparseArray(ModList):
+    """Concrete bounded array over `key_width`-bit keys."""
+
+    key_width: int
+    default: "ConcreteValue"
+    mods: Tuple[Tuple[int, "ConcreteValue"], ...] = ()
 
 
 ConcreteValue = object  # bool | int (unbounded Int) | BitVec | EnumVal | RecordVal | VectorVal | SparseArray
-
-
-def sparse_read(a: SparseArray, k: BitVec) -> ConcreteValue:
-    assert k.width == a.key_width
-    return a.read(k.value)
-
-
-def sparse_write(a: SparseArray, k: BitVec, v: ConcreteValue) -> SparseArray:
-    assert k.width == a.key_width
-    return a.write(k.value, v)
 
 
 def format_value(v: ConcreteValue) -> str:

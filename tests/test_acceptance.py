@@ -17,7 +17,7 @@ import time
 
 from soclang import engine as eng
 from soclang import smtlib, terms
-from soclang.values import BitVec, SparseArray, sparse_read, sparse_write
+from soclang.values import BitVec, SparseArray
 
 from conftest import (CORPUS, brute_force_violating, load_source,
                       registry_bits, requires_z3, run_cli, solve_vc)
@@ -189,15 +189,15 @@ def test_criterion_6_sparse_array_oracle():
             key = rng.choice(pool)
             if rng.random() < 0.6:
                 val = BitVec(8, rng.randrange(256))
-                sparse = sparse_write(sparse, BitVec(8, key), val)
+                sparse = sparse.write(key, val)
                 dense[key] = val
                 assert len(sparse.mods) <= 64, "capacity exceeded despite compaction"
             else:
                 expected = dense.get(key, BitVec(8, 0))
-                assert sparse_read(sparse, BitVec(8, key)) == expected
+                assert sparse.read(key) == expected
                 reads_checked += 1
         probe = rng.randrange(256)
-        assert sparse_read(sparse, BitVec(8, probe)) == dense.get(probe, BitVec(8, 0))
+        assert sparse.read(probe) == dense.get(probe, BitVec(8, 0))
         reads_checked += 1
     report(6, "sparse array oracle",
            f"({sequences} sequences, {reads_checked} reads checked)")

@@ -40,6 +40,25 @@ def test_check_deep_parentheses_is_a_located_diagnostic(tmp_path, depth):
     assert "Traceback" not in err
 
 
+# Both parse; the type checker recurses once per nested expression.
+DEEP_FOR_THE_CHECKER = {
+    "negation": "    let x = " + "!" * 300 + "true;\n    assert(x)\n",
+    "else-if": ("    let x = any<Bool>;\n    if x { () }\n"
+                + "    else if x { () }\n" * 499 + "    else { () }\n"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_FOR_THE_CHECKER))
+def test_check_deep_expression_is_a_located_diagnostic(tmp_path, shape):
+    f = tmp_path / "deep.soc"
+    f.write_text("module Main {\n  mut fn go() {\n" + DEEP_FOR_THE_CHECKER[shape]
+                 + "  }\n}\n")
+    code, _, err = run_cli("check", str(f))
+    assert code == 1
+    assert f"{f}:2:" in err and "error: nesting too deep" in err  # at the fn
+    assert "Traceback" not in err
+
+
 def test_dump_tree_is_stable():
     code1, out1, _ = run_cli("dump-tree", VULN)
     code2, out2, _ = run_cli("dump-tree", VULN)

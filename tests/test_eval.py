@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from soclang import engine as eng
 from soclang.diagnostics import CapacityError
-from soclang.values import (BitVec, RecordVal, SparseArray, format_value,
-                            sparse_read, sparse_write)
+from soclang.values import BitVec, RecordVal, SparseArray, format_value
 
 from conftest import CORPUS, load_file, load_source
 
@@ -17,9 +16,9 @@ from conftest import CORPUS, load_file, load_source
 
 def test_sparse_read_after_write():
     a = SparseArray(8, BitVec(8, 0))
-    a = sparse_write(a, BitVec(8, 5), BitVec(8, 9))
-    assert sparse_read(a, BitVec(8, 5)) == BitVec(8, 9)
-    assert sparse_read(a, BitVec(8, 6)) == BitVec(8, 0)
+    a = a.write(5, BitVec(8, 9))
+    assert a.read(5) == BitVec(8, 9)
+    assert a.read(6) == BitVec(8, 0)
 
 
 def test_sparse_random_sequence_matches_dense_oracle():
@@ -30,10 +29,10 @@ def test_sparse_random_sequence_matches_dense_oracle():
         key = rng.randrange(256)
         if rng.random() < 0.5:
             val = BitVec(8, rng.randrange(256))
-            sparse = sparse_write(sparse, BitVec(8, key), val)
+            sparse = sparse.write(key, val)
             dense[key] = val
         else:
-            assert sparse_read(sparse, BitVec(8, key)) == dense.get(key, BitVec(8, 0))
+            assert sparse.read(key) == dense.get(key, BitVec(8, 0))
 
 
 def test_duplicate_keys_compact():
@@ -121,7 +120,7 @@ def test_format_large_values_group_hex_and_carry_width():
 
 def test_init_store_matches_declared_initializers():
     tp, tree, layout = load_file(CORPUS / "mini_tx1_vulnerable.soc")
-    store = eng.init_store(tp, tree, layout)
+    store = eng.Engine(tp, tree, layout, "conc", anys=eng.SeededRandom(0)).concrete_store()
     assert store["miniTX1.cpu.is_secure"] is True
     assert store["miniTX1.asc.region0.START"] == BitVec(64, 0)
     assert store["miniTX1.asc.region3.ATTR"] == BitVec(64, 0)

@@ -66,6 +66,55 @@ def test_assert_of_any_or_true_is_vacuous():
     assert vc.violations_term().value is False
 
 
+FIELD_ORDER_MODEL = """
+type P = { a: BitInt(2), b: Bool };
+module Cells { instance slots: Array<BitInt(1), P>; }
+module Main {
+  instance m: Cells;
+  mut fn s() {
+    let c = any<Bool>;
+    let x = any<BitInt(2)>;
+    let lit = { b: c, a: x };
+    let decl: P = { a: 3u2, b: true };
+    let merged = if c { lit } else { decl };
+    assert((merged == decl) == (!c || x == 3u2));
+    m.slots.write(0u1, lit);
+    assert(m.slots.read(0u1) == lit)
+  }
+}
+"""
+
+
+def _ill_sorted(root):
+    """Ite arms, equality sides and array-write values whose sorts differ."""
+    bad, seen, stack = [], set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if (isinstance(t, terms.Ite) and t.then.sort != t.other.sort
+                or isinstance(t, terms.Bin) and t.op == "eq" and t.left.sort != t.right.sort
+                or isinstance(t, terms.ArrWrite) and t.value.sort != t.arr.sort[2]):
+            bad.append(t)
+        stack.extend(v for v in vars(t).values() if isinstance(v, terms.Term))
+    return bad
+
+
+def test_records_match_by_field_name_not_position():
+    # `lit` is inferred with its fields in written order (b, a); `decl` and
+    # the array cell hold them in declaration order (a, b).
+    tp, tree, layout = load_source(FIELD_ORDER_MODEL)
+    let_lit = tp.fns[("Main", "s")].body.items[2]
+    assert [n for n, _ in tp.type_of(let_lit.value).fields] == ["b", "a"]
+    for seed in range(4):
+        r = eng.run_scenario(tp, tree, layout, "s", eng.SeededRandom(seed))
+        assert isinstance(r.verdict, eng.Passed), seed
+    assert not brute_force_violating(tp, tree, layout, "s")
+    vc = eng.sym_exec(tp, tree, layout, "s")
+    assert _ill_sorted(vc.query_term()) == []
+
+
 @requires_z3
 def test_vacuous_violation_solves_unsat(tmp_path):
     tp, tree, layout = load_source(
