@@ -14,16 +14,18 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from . import engine as eng
-from . import smtlib
 from .diagnostics import CapacityError, EngineError, SocError, TypeErrors
 from .elaborate import InstanceTree, StateLayout, dump_tree, elaborate
 from .parser import parse_program
-from .smtlib import ModelParseError, Sat, SolverError, Unknown, Unsat
 from .typecheck import TypedProgram, check_program
+
+# `check` and `dump-tree` run the front end only. The engine and the SMT-LIB
+# layer (with `subprocess` and `tempfile`) are imported by the commands that
+# use them, so those two start without loading them.
+if TYPE_CHECKING:
+    from .engine import RunResult
 
 _INDUCTION_NOTE = (
     "note: an induction triple (base case, inductive step, invariant usefulness) "
@@ -69,7 +71,9 @@ def cmd_dump_tree(args) -> int:
     return 0
 
 
-def _report_run(result: eng.RunResult, trace_json: bool) -> int:
+def _report_run(result: RunResult, trace_json: bool) -> int:
+    from . import engine as eng
+
     for line in result.transcript:
         sys.stdout.write(line if line.endswith("\n") else line + "\n")
     if trace_json:
@@ -87,6 +91,8 @@ def _report_run(result: eng.RunResult, trace_json: bool) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import engine as eng
+
     try:
         tp, tree, layout = load(args.file)
         result = eng.run_scenario(tp, tree, layout, args.scenario,
@@ -100,6 +106,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import tempfile
+
+    from . import engine as eng
+    from . import smtlib
+    from .smtlib import Sat, SolverError, Unknown, Unsat
+
     try:
         tp, tree, layout = load(args.file)
         vc = eng.sym_exec(tp, tree, layout, args.scenario)
@@ -156,10 +168,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import engine as eng
+    from . import smtlib
+    from .smtlib import ModelParseError
+
     try:
         tp, tree, layout = load(args.file)
-        vc = eng.sym_exec(tp, tree, layout, args.scenario)
-        model = smtlib.load_model_file(args.model, vc.registry)
+        # Only the registry is needed; the query DAG is freed before replay.
+        registry = eng.sym_exec(tp, tree, layout, args.scenario).registry
+        model = smtlib.load_model_file(args.model, registry)
         result = eng.replay(tp, tree, layout, args.scenario, model, args.capacity)
     except (SocError, TypeErrors) as err:
         return _diag(err)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .ast import SourceSpan
 from .diagnostics import LexError
@@ -46,44 +47,26 @@ class Token:
         return f"Token({self.kind.name}, {self.lexeme!r})"
 
 
-class _Cursor:
-    def __init__(self, source: str, filename: str) -> None:
-        self.src = source
-        self.file = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+# One alternative per token class, tried at each position in this order.
+# Trivia is the only token that can hold a newline, so line numbers are
+# counted over it alone. Anything no class matches (including the start of
+# an unterminated comment or string) falls to `bad`, which reports it.
+_TOKEN = re.compile(r"""
+    (?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>(?P<digits>(?P<hex>0[xX][0-9a-fA-F][0-9a-fA-F_]*)|(?!0[xX])[0-9][0-9_]*)
+        (?:u(?P<width>[0-9]+))?)
+  | (?P<string>"(?:[^"\\\n]|\\[nt"\\{}])*")
+  | (?P<punct>""" + "|".join(re.escape(p) for p in PUNCT) + r""")
+  | (?P<bad>(?s:.))
+""", re.VERBOSE)
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.src)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.src[i] if i < len(self.src) else ""
-
-    def advance(self) -> str:
-        ch = self.src[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def mark(self):
-        return self.line, self.col
-
-    def span_from(self, mark) -> SourceSpan:
-        return SourceSpan(self.file, mark[0], mark[1], self.line, self.col)
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# The braces keep their backslash so the printf hole scanner can tell
+# escaped braces from holes.
+_STRING_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "{": "\\{", "}": "\\}"}
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
@@ -92,128 +75,79 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     Raises LexError for bad characters, unterminated comments/strings, and
     literals that exceed their declared width.
     """
-    cur = _Cursor(source, filename)
     toks: List[Token] = []
-    while True:
-        _skip_trivia(cur)
-        if cur.eof():
-            toks.append(Token(TokKind.EOF, "", cur.span_from(cur.mark())))
-            return toks
-        mark = cur.mark()
-        ch = cur.peek()
-        if _is_ident_start(ch):
-            start = cur.pos
-            while not cur.eof() and _is_ident(cur.peek()):
-                cur.advance()
-            word = cur.src[start:cur.pos]
-            kind = TokKind.KEYWORD if word in KEYWORDS else TokKind.IDENT
-            toks.append(Token(kind, word, cur.span_from(mark)))
-        elif ch.isdigit():
-            toks.append(_lex_number(cur, mark))
-        elif ch == '"':
-            toks.append(_lex_string(cur, mark))
+    append = toks.append
+    line, line_start = 1, 0  # line_start: offset of the current line's first char
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start, end = m.span()
+        if kind == "trivia":
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", start, end) + 1
+            continue
+        span = SourceSpan(filename, line, start - line_start + 1, line, end - line_start + 1)
+        if kind == "punct":
+            append(Token(TokKind.PUNCT, m.group(), span))
+        elif kind == "ident":
+            word = m.group()
+            append(Token(TokKind.KEYWORD if word in KEYWORDS else TokKind.IDENT, word, span))
+        elif kind == "number":
+            append(_number(m, span, source))
+        elif kind == "string":
+            lexeme = m.group()
+            text = lexeme[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], text)
+            append(Token(TokKind.STRING, lexeme, span, text=text))
         else:
-            for p in PUNCT:
-                if cur.src.startswith(p, cur.pos):
-                    for _ in p:
-                        cur.advance()
-                    toks.append(Token(TokKind.PUNCT, p, cur.span_from(mark)))
-                    break
-            else:
-                cur.advance()
-                raise LexError(cur.span_from(mark), f"unexpected character {ch!r}")
+            _bad(source, start, filename, line, start - line_start + 1)
+    n = len(source)
+    col = n - line_start + 1
+    append(Token(TokKind.EOF, "", SourceSpan(filename, line, col, line, col)))
+    return toks
 
 
-def _skip_trivia(cur: _Cursor) -> None:
-    while not cur.eof():
-        ch = cur.peek()
-        if ch in " \t\r\n":
-            cur.advance()
-        elif ch == "/" and cur.peek(1) == "/":
-            while not cur.eof() and cur.peek() != "\n":
-                cur.advance()
-        elif ch == "/" and cur.peek(1) == "*":
-            mark = cur.mark()
-            cur.advance()
-            cur.advance()
-            while True:
-                if cur.eof():
-                    raise LexError(cur.span_from(mark), "unterminated comment")
-                if cur.peek() == "*" and cur.peek(1) == "/":
-                    cur.advance()
-                    cur.advance()
-                    break
-                cur.advance()
-        else:
-            return
-
-
-def _lex_number(cur: _Cursor, mark) -> Token:
-    start = cur.pos
-    is_hex = False
-    if cur.peek() == "0" and cur.peek(1) in ("x", "X"):
-        is_hex = True
-        cur.advance()
-        cur.advance()
-        digits = "0123456789abcdefABCDEF_"
-        if cur.peek() not in digits or cur.peek() == "_":
-            raise LexError(cur.span_from(mark), "expected hex digits after 0x")
-        while not cur.eof() and cur.peek() in digits:
-            cur.advance()
-    else:
-        while not cur.eof() and (cur.peek().isdigit() or cur.peek() == "_"):
-            cur.advance()
-    body = cur.src[start:cur.pos]
-    value = int(body.replace("_", ""), 16 if is_hex else 10)
-
+def _number(m: re.Match, span: SourceSpan, source: str) -> Token:
+    body = m.group("digits")
+    value = int(body.replace("_", ""), 16 if m.group("hex") else 10)
     width: Optional[int] = None
     # A u<width> suffix binds to the literal: 0x1f_ffffu31
-    if cur.peek() == "u" and cur.peek(1).isdigit():
-        cur.advance()
-        wstart = cur.pos
-        while not cur.eof() and cur.peek().isdigit():
-            cur.advance()
-        width = int(cur.src[wstart:cur.pos])
+    if m.group("width") is not None:
+        width = int(m.group("width"))
         if width < 1:
-            raise LexError(cur.span_from(mark), "bit width must be at least 1")
+            raise LexError(span, "bit width must be at least 1")
         if value >= (1 << width):
-            raise LexError(
-                cur.span_from(mark),
-                f"literal {body} does not fit in {width} bits",
-            )
-    if _is_ident_start(cur.peek()):
-        raise LexError(cur.span_from(mark), f"malformed number literal {body!r}")
-    lexeme = cur.src[start:cur.pos]
-    return Token(TokKind.INT, lexeme, cur.span_from(mark),
-                 value=value, width=width, is_hex=is_hex)
+            raise LexError(span, f"literal {body} does not fit in {width} bits")
+    if source[m.end():m.end() + 1] in _IDENT_START:
+        raise LexError(span, f"malformed number literal {body!r}")
+    return Token(TokKind.INT, m.group(), span, value=value, width=width,
+                 is_hex=m.group("hex") is not None)
 
 
-_STRING_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "{": "{", "}": "}"}
+def _bad(source: str, pos: int, filename: str, line: int, col: int) -> NoReturn:
+    """Raise the LexError for input at `pos` (at `line`:`col`) that starts
+    no token; the error span ends where the offending input ends."""
+    def error(end: int, message: str) -> LexError:
+        newlines = source.count("\n", pos, end)
+        end_col = end - source.rfind("\n", 0, end) if newlines else col + end - pos
+        return LexError(SourceSpan(filename, line, col, line + newlines, end_col), message)
 
-
-def _lex_string(cur: _Cursor, mark) -> Token:
-    cur.advance()  # opening quote
-    out: List[str] = []
-    raw_start = cur.pos
-    while True:
-        if cur.eof() or cur.peek() == "\n":
-            raise LexError(cur.span_from(mark), "unterminated string literal")
-        ch = cur.advance()
-        if ch == '"':
-            break
-        if ch == "\\":
-            if cur.eof():
-                raise LexError(cur.span_from(mark), "unterminated string literal")
-            esc = cur.advance()
-            if esc not in _STRING_ESCAPES:
-                raise LexError(cur.span_from(mark), f"unknown escape \\{esc}")
-            if esc in ("{", "}"):
-                # Keep the backslash so the printf hole scanner can tell
-                # escaped braces from holes.
-                out.append("\\" + esc)
-            else:
-                out.append(_STRING_ESCAPES[esc])
-        else:
-            out.append(ch)
-    lexeme = cur.src[raw_start - 1:cur.pos]
-    return Token(TokKind.STRING, lexeme, cur.span_from(mark), text="".join(out))
+    if source.startswith("/*", pos):
+        raise error(len(source), "unterminated comment")
+    if source.startswith(("0x", "0X"), pos):
+        raise error(pos + 2, "expected hex digits after 0x")
+    if source[pos] == '"':
+        # The string pattern failed: find the first character it could not take.
+        i = pos + 1
+        while i < len(source) and source[i] not in '"\n':
+            if source[i] == "\\":
+                if i + 1 == len(source):
+                    raise error(i + 1, "unterminated string literal")
+                if source[i + 1] not in _STRING_ESCAPES:
+                    raise error(i + 2, f"unknown escape \\{source[i + 1]}")
+                i += 1
+            i += 1
+        raise error(i, "unterminated string literal")
+    raise error(pos + 1, f"unexpected character {source[pos]!r}")

@@ -16,6 +16,12 @@ from .lexer import Token, TokKind, tokenize
 # Built-ins taking a <width> argument; `to_int` takes none.
 _WIDTH_BUILTINS = {"zero_extend", "truncate", "from_int"}
 
+# Binding strength of each binary operator; a higher level binds tighter.
+_BINARY_LEVEL = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6,
+}
+
 
 class _Parser:
     def __init__(self, tokens: List[Token], filename: str) -> None:
@@ -25,13 +31,15 @@ class _Parser:
 
     # -- token plumbing -------------------------------------------------
 
+    # The token list ends in EOF and `advance` never moves past it, so the
+    # current token always exists; `peek(ahead)` is only asked past a token
+    # that is not EOF.
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+        return self.toks[self.pos + ahead]
 
     def at(self, lexeme: str) -> bool:
-        t = self.peek()
-        return t.kind in (TokKind.PUNCT, TokKind.KEYWORD) and t.lexeme == lexeme
+        # Punctuation and keyword lexemes belong to no other token kind.
+        return self.toks[self.pos].lexeme == lexeme
 
     def at_kind(self, kind: TokKind) -> bool:
         return self.peek().kind == kind
@@ -304,35 +312,18 @@ class _Parser:
             return ast.Let(self.span_from(start), name.lexeme, annot, value)
         return self.expr()
 
-    def expr(self) -> ast.Expr:
-        return self.or_expr()
-
-    def _binary_chain(self, sub, ops) -> ast.Expr:
+    def expr(self, min_level: int = 1) -> ast.Expr:
+        """Binary operators by precedence climbing; all are left-associative."""
         start = self.peek()
-        left = sub()
-        while any(self.at(op) for op in ops):
-            op = self.advance().lexeme
-            right = sub()
+        left = self.unary_expr()
+        while True:
+            op = self.toks[self.pos].lexeme
+            level = _BINARY_LEVEL.get(op, 0)
+            if level < min_level:
+                return left
+            self.pos += 1
+            right = self.expr(level + 1)
             left = ast.Binary(self.span_from(start), op, left, right)
-        return left
-
-    def or_expr(self) -> ast.Expr:
-        return self._binary_chain(self.and_expr, ("||",))
-
-    def and_expr(self) -> ast.Expr:
-        return self._binary_chain(self.eq_expr, ("&&",))
-
-    def eq_expr(self) -> ast.Expr:
-        return self._binary_chain(self.cmp_expr, ("==", "!="))
-
-    def cmp_expr(self) -> ast.Expr:
-        return self._binary_chain(self.add_expr, ("<", "<=", ">", ">="))
-
-    def add_expr(self) -> ast.Expr:
-        return self._binary_chain(self.mul_expr, ("+", "-"))
-
-    def mul_expr(self) -> ast.Expr:
-        return self._binary_chain(self.unary_expr, ("*",))
 
     def unary_expr(self) -> ast.Expr:
         if self.at("!") or self.at("-"):

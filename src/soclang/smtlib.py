@@ -7,7 +7,7 @@ import os
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ast, terms
 from .engine import ChoiceId, Registry, VerificationCondition
@@ -87,21 +87,29 @@ class _Emitter:
                 self.order.append(node)
 
     def serialize(self) -> str:
-        names: Dict[int, str] = {}
+        names: Dict[int, str] = {}   # atoms and let-bound names
+        # The text of a compound used once: its one parent takes it out, so
+        # each text is held only until it is copied into its parent's.
+        single: Dict[int, str] = {}
         openers: List[str] = []
+
+        def text(x: Term) -> str:
+            key = id(x)
+            return single.pop(key) if key in single else names[key]
+
         for node in self.order:
             atom = _atom_text(node)
             if atom is not None:
                 names[id(node)] = atom
                 continue
-            body = _node_text(node, names)
+            body = _node_text(node, text)
             if self.refcount[id(node)] > 1:
                 name = f"t{len(openers)}"
                 openers.append(f"(let (({name} {body}))\n  ")
                 names[id(node)] = name
             else:
-                names[id(node)] = body
-        return "".join(openers) + names[id(self.root)] + ")" * len(openers)
+                single[id(node)] = body
+        return "".join(openers) + text(self.root) + ")" * len(openers)
 
 
 def _children(t: Term):
@@ -122,10 +130,8 @@ def _children(t: Term):
     return ()
 
 
-def _node_text(t: Term, names: Dict[int, str]) -> str:
-    def n(x: Term) -> str:
-        return names[id(x)]
-
+def _node_text(t: Term, n: Callable[[Term], str]) -> str:
+    """Text of compound `t`, taking each child's text from `n(child)`."""
     if isinstance(t, terms.Not):
         return f"(not {n(t.arg)})"
     if isinstance(t, terms.Bin):

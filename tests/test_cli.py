@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 
 import pytest
@@ -28,16 +29,61 @@ def test_check_missing_file():
     assert code == 1 and "error" in err
 
 
-@pytest.mark.parametrize("depth", [100, 500])
-def test_check_deep_parentheses_is_a_located_diagnostic(tmp_path, depth):
+def _deep_parentheses(tmp_path, depth):
     f = tmp_path / "deep.soc"
     expr = "(" * depth + "1u8" + ")" * depth
     f.write_text("module Main {\n  mut fn go() {\n"
                  f"    let x = {expr};\n    assert(x == 1u8)\n  }}\n}}\n")
+    return f
+
+
+def test_deep_parentheses_within_the_stack_pass_check_and_run(tmp_path):
+    f = _deep_parentheses(tmp_path, 100)
+    assert run_cli("check", str(f)) == (0, "", "")
+    code, out, err = run_cli("run", str(f), "--scenario", "go")
+    assert (code, out.strip(), err) == (0, "passed", "")
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_check_deep_parentheses_is_a_located_diagnostic(tmp_path, depth):
+    f = _deep_parentheses(tmp_path, depth)
     code, _, err = run_cli("check", str(f))
     assert code == 1
     assert f"{f}:3:" in err and "error:" in err
     assert "Traceback" not in err
+
+
+# Identifiers and digits are ASCII: other characters, and a literal cut off
+# after `0x`, are located errors and never a traceback.
+BAD_NUMBERS = {
+    "non-ASCII digit": ("module Main {\n  fn f() {\n    let x = \u00b2;\n  }\n}\n",
+                        ":3:13: error: unexpected character"),
+    "0x at end of file": ("module Main {\n  fn f() {\n    0x", ":3:5: error: expected hex digits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_check_bad_number_is_a_located_diagnostic(tmp_path, case):
+    source, where = BAD_NUMBERS[case]
+    f = tmp_path / "bad.soc"
+    f.write_text(source, encoding="utf-8")
+    code, _, err = run_cli("check", str(f))
+    assert code == 1
+    assert f"{f}{where}" in err
+    assert "Traceback" not in err
+
+
+# The front end alone serves these commands; the engine and SMT-LIB layers
+# must not load, since every `check` would pay for their import.
+@pytest.mark.parametrize("command", ["check", "dump-tree"])
+def test_front_end_commands_do_not_import_the_engine(command):
+    probe = ("import sys\n"
+             "from soclang import cli\n"
+             f"code = cli.main([{command!r}, {VULN!r}])\n"
+             "heavy = ['soclang.engine', 'soclang.smtlib', 'soclang.terms', 'soclang.values']\n"
+             "print(code, [m for m in heavy if m in sys.modules], file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stderr.strip() == "0 []"
 
 
 # Both parse; the type checker recurses once per nested expression.

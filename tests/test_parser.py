@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soclang import ast
-from soclang.diagnostics import ParseError
+from soclang.diagnostics import ParseError, SocError
 from soclang.parser import parse_expr, parse_program
 
 from conftest import CORPUS
@@ -247,3 +249,42 @@ def test_random_expr_roundtrip(e):
     printed = ast.expr_source(e)
     reparsed = parse_expr(printed)
     assert reparsed == e, f"round trip failed for {printed!r}"
+
+
+# -- parity pin ----------------------------------------------------------------
+# Recorded from the parser with one method per precedence level that the
+# precedence-climbing loop replaced. Unlike `==`, the dump includes every
+# span and the order in which nodes were created (node ids relative to the
+# first id the parse allocates).
+
+CORPUS_ASTS_SHA256 = "0d20c15e8fefed5cc532970170fdc7cf10f4ebb0993e3135cadf520c3189d4a4"
+
+
+def _dump(node, base: int) -> str:
+    if dataclasses.is_dataclass(node):
+        parts = [type(node).__name__]
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            text = str(value - base) if f.name == "node_id" else _dump(value, base)
+            parts.append(f"{f.name}={text}")
+        return "(" + " ".join(parts) + ")"
+    if isinstance(node, (list, tuple)):
+        return "[" + ", ".join(_dump(x, base) for x in node) + "]"
+    return repr(node)
+
+
+def test_corpus_asts_with_spans_are_pinned():
+    digest = hashlib.sha256()
+    paths = sorted(CORPUS.rglob("*.soc"))
+    for path in paths:
+        name = path.relative_to(CORPUS).as_posix()
+        digest.update(f"file {name}\n".encode())
+        base = ast.fresh_node_id()
+        try:
+            program = parse_program(path.read_text(encoding="utf-8"), name)
+        except SocError as err:
+            digest.update(f"{type(err).__name__} {err.report()}\n".encode())
+            continue
+        digest.update(_dump(program, base).encode() + b"\n")
+    assert len(paths) == 29
+    assert digest.hexdigest() == CORPUS_ASTS_SHA256
