@@ -34,11 +34,6 @@ class SourceSpan:
 SYNTHETIC = SourceSpan("<synthetic>", 0, 0, 0, 0, synthetic=True)
 
 
-def span_of(node) -> SourceSpan:
-    """Source span of any AST node (synthetic nodes carry a flagged span)."""
-    return node.span
-
-
 # ---------------------------------------------------------------------------
 # Types
 

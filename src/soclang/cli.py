@@ -151,10 +151,9 @@ def cmd_verify(args) -> int:
     model_path = args.dump_model or f"{args.scenario}.model.smt2"
     with open(model_path, "w") as f:
         f.write(verdict.raw_model + "\n")
-    model = {info.cid: verdict.model[info.cid]
-             for info in vc.registry.infos if info.cid in verdict.model}
     try:
-        result = eng.replay(tp, tree, layout, args.scenario, model, args.capacity)
+        result = eng.replay(tp, tree, layout, args.scenario, verdict.model,
+                            args.capacity)
     except (EngineError, CapacityError) as err:
         print(f"error during replay: {err}", file=sys.stderr)
         return 1

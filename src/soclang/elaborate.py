@@ -52,7 +52,6 @@ class InstanceTree:
 @dataclass
 class StateLayout:
     cells: List[Cell]
-    by_path: Dict[Tuple[str, ...], Cell]
 
     def subtree(self, prefix: Tuple[str, ...]) -> List[Cell]:
         return [c for c in self.cells if c.path[:len(prefix)] == prefix]
@@ -100,7 +99,7 @@ def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
     root = instantiate(root_mod, (), root_mod.span)
     _check_callees_bound(tp, root)
     tree = InstanceTree(root, by_path)
-    layout = StateLayout(cells, {c.path: c for c in cells})
+    layout = StateLayout(cells)
     return tree, layout
 
 

@@ -2,15 +2,17 @@
 
 One traversal serves two modes:
 
-* symbolic mode: every `if` whose condition is not a constant executes both
-  arms and merges stores with ite terms; `any`/`havoc` register fresh choice
-  variables; assume/assert are recorded under the current guard. The result
-  is a VerificationCondition.
+* symbolic mode (no AnySource): every `if` whose condition is not a
+  constant executes both arms and merges stores with ite terms; `any`/`havoc`
+  register fresh choice variables; assume/assert are recorded under the
+  current guard. The result is a VerificationCondition.
 
 * concrete mode (interpreter and counterexample replayer): every fresh
-  variable is immediately replaced by a value from an AnySource, so terms
-  constant-fold, every branch condition is concrete, exactly one path runs,
-  printf fires, and the first failing assume/assert stops the run.
+  variable is immediately replaced by a constant term from an AnySource, so
+  terms constant-fold, every branch condition is concrete, exactly one path
+  runs, printf fires, and the first failing assume/assert stops the run.
+  Constant terms are the only value model: a run's store, a solver model and
+  a run result are trees of them.
 
 Choice ids are (static site id, per-site occurrence counter). Both modes
 issue them identically because a skipped branch arm advances the counters by
@@ -19,7 +21,8 @@ consumption independent of which arms actually execute.
 
 Records and vectors are trees of per-leaf terms. `tree_map` applies a
 function leafwise to trees of one shape, and `tree_of_type` builds a tree
-from a type; every per-shape walk in this module goes through the two.
+from a type; every per-shape walk in this module goes through the two,
+except `format_value`, which reads a tree together with its type.
 """
 
 from __future__ import annotations
@@ -36,14 +39,13 @@ from .elaborate import InstanceNode, InstanceTree, StateLayout, resolve_instance
 from .terms import Term
 from .typecheck import (EnumVariantRef, LocalRef, PrimCall, TypedProgram,
                         UserCall, enum_width)
-from .values import (BitVec, EnumVal, RecordVal, SparseArray, VectorVal,
-                     format_value)
 
 # ---------------------------------------------------------------------------
-# Value trees: records/vectors explode into per-leaf terms
+# Value trees: records/vectors explode into per-leaf terms. Trees compare by
+# value, as their constant leaves do.
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RecV:
     fields: tuple  # tuple[tuple[str, tree], ...]
 
@@ -54,7 +56,7 @@ class RecV:
         raise KeyError(name)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VecV:
     items: tuple
 
@@ -134,17 +136,16 @@ class ChoiceInfo:
 @dataclass
 class Registry:
     infos: List[ChoiceInfo] = field(default_factory=list)
-    by_cid: Dict[ChoiceId, ChoiceInfo] = field(default_factory=dict)
 
     def register(self, site: int, occ: int, t: ast.TypeExpr, sort: tuple) -> ChoiceInfo:
         info = ChoiceInfo(len(self.infos), site, occ, t, sort)
         self.infos.append(info)
-        self.by_cid[(site, occ)] = info
         return info
 
 
 class AnySource:
-    """Pluggable source of values for `any` and `havoc` in concrete runs."""
+    """Pluggable source of constant terms for `any` and `havoc` in concrete
+    runs: `scalar` gives a leaf of the scalar type, `array` a SparseConst."""
 
     def scalar(self, cid: ChoiceId, t: ast.TypeExpr, enums):
         raise NotImplementedError
@@ -159,66 +160,63 @@ class SeededRandom(AnySource):
 
     def scalar(self, cid, t, enums):
         if isinstance(t, ast.BoolType):
-            return self.rng.random() < 0.5
+            return terms.mk_bool(self.rng.random() < 0.5)
         if isinstance(t, ast.BitIntType):
-            return BitVec(t.width, self.rng.randrange(1 << t.width))
+            return terms.mk_bv(t.width, self.rng.randrange(1 << t.width))
         if isinstance(t, ast.IntType):
-            return self.rng.randint(-(1 << 31), 1 << 31)
+            return terms.mk_int(self.rng.randint(-(1 << 31), 1 << 31))
         if isinstance(t, ast.EnumRef):
-            variants = enums[t.name]
-            i = self.rng.randrange(len(variants))
-            return EnumVal(t.name, variants[i], i)
+            n = len(enums[t.name])
+            return terms.mk_bv(enum_width(n), self.rng.randrange(n))
         raise AssertionError(f"cannot draw {t}")
 
     def array(self, cid, key_width, leaf, enums):
         # A uniformly random huge array is not representable; draw a random
         # fill value and no modifications.
-        return SparseArray(key_width, self.scalar(cid, leaf, enums))
+        return terms.mk_const_array(key_width, self.scalar(cid, leaf, enums))
 
 
-def zero_scalar(t: ast.TypeExpr, enums):
-    if isinstance(t, ast.BoolType):
-        return False
-    if isinstance(t, ast.BitIntType):
-        return BitVec(t.width, 0)
-    if isinstance(t, ast.IntType):
-        return 0
-    if isinstance(t, ast.EnumRef):
-        return EnumVal(t.name, enums[t.name][0], 0)
-    raise AssertionError(f"no zero for {t}")
+def zero_scalar(t: ast.TypeExpr, enums) -> Term:
+    sort = scalar_sort(t, enums)
+    if sort == terms.BOOL_SORT:
+        return terms.FALSE
+    if sort == terms.INT_SORT:
+        return terms.mk_int(0)
+    return terms.mk_bv(sort[1], 0)
 
 
 class ModelOracle(AnySource):
-    """Replays a solver model; absent choice ids default to zero."""
+    """Replays a solver model; absent choice ids default to zero.
 
-    def __init__(self, values: Dict[ChoiceId, object]) -> None:
+    Each model value must be a constant of the choice's sort, and an enum
+    value must name a variant.
+    """
+
+    def __init__(self, values: Dict[ChoiceId, Term]) -> None:
         self.values = values
 
     def scalar(self, cid, t, enums):
         if cid not in self.values:
             return zero_scalar(t, enums)
         v = self.values[cid]
-        if isinstance(t, ast.BoolType) and isinstance(v, bool):
+        if v.sort == scalar_sort(t, enums) and \
+                not (isinstance(t, ast.EnumRef) and v.value >= len(enums[t.name])):
             return v
-        if isinstance(t, ast.BitIntType) and isinstance(v, BitVec) and v.width == t.width:
-            return v
-        if isinstance(t, ast.IntType) and isinstance(v, int) and not isinstance(v, bool):
-            return v
-        if isinstance(t, ast.EnumRef):
-            if isinstance(v, EnumVal) and v.enum == t.name:
-                return v
-            if isinstance(v, BitVec) and v.value < len(enums[t.name]):
-                return EnumVal(t.name, enums[t.name][v.value], v.value)
         raise EngineError(f"model value for choice {cid} has the wrong type "
-                          f"(expected {t}, got {format_value(v)})")
+                          f"(expected {t}, got {_leaf_text(v, None, enums)})")
 
     def array(self, cid, key_width, leaf, enums):
         if cid not in self.values:
-            return SparseArray(key_width, zero_scalar(leaf, enums))
+            return terms.mk_const_array(key_width, zero_scalar(leaf, enums))
         v = self.values[cid]
-        if not isinstance(v, SparseArray) or v.key_width != key_width:
+        if not isinstance(v, terms.SparseConst) or \
+                v.sort != terms.arr_sort(key_width, scalar_sort(leaf, enums)):
             raise EngineError(f"model value for choice {cid} is not an array "
                               f"of the expected sort")
+        if isinstance(leaf, ast.EnumRef):
+            for x in (v.default, *(x for _, x in v.mods)):
+                if x.value >= len(enums[leaf.name]):
+                    raise EngineError(f"enum value {x.value} out of range for {leaf.name}")
         return v
 
 
@@ -247,7 +245,7 @@ class RunResult:
     verdict: object
     transcript: List[str]
     events: List[dict]
-    store: Dict[str, object]  # dotted cell path -> ConcreteValue
+    store: Dict[str, object]  # dotted cell path -> tree of constant terms
 
 
 @dataclass
@@ -294,61 +292,60 @@ def scalar_sort(t: ast.TypeExpr, enums) -> tuple:
     raise AssertionError(f"no scalar sort for {t}")
 
 
-def const_term(v, t: ast.TypeExpr, enums) -> Term:
-    if isinstance(t, ast.BoolType):
-        return terms.mk_bool(v)
-    if isinstance(t, ast.BitIntType):
-        return terms.mk_bv(t.width, v.value if isinstance(v, BitVec) else v)
-    if isinstance(t, ast.IntType):
-        return terms.mk_int(v)
-    if isinstance(t, ast.EnumRef):
-        w = enum_width(len(enums[t.name]))
-        if isinstance(v, EnumVal):
-            return terms.mk_bv(w, v.index)
-        raw = v.value if isinstance(v, BitVec) else int(v)
-        if raw >= len(enums[t.name]):
-            raise EngineError(f"enum value {raw} out of range for {t.name}")
-        return terms.mk_bv(w, raw)
-    raise AssertionError(f"not a scalar type: {t}")
+def format_value(tree, t: ast.TypeExpr, enums, in_array: bool = False) -> str:
+    """Render a constant value tree of type t the way traces print it.
+
+    Records print their fields in declaration order, an array as its updates
+    and its default. A symbolic leaf, a symbolic array or an enum value out
+    of range is an EngineError: the concrete engine checks with this walk
+    that a value matches its static type.
+    """
+    if isinstance(t, ast.UnitType):
+        return "()"
+    if isinstance(t, ast.RecordType):
+        inner = ", ".join(f"{n}: {format_value(tree.get(n), ft, enums, in_array)}"
+                          for n, ft in t.fields)
+        return "{ " + inner + " }"
+    if isinstance(t, ast.VectorType):
+        return "[" + ", ".join(format_value(x, t.elem, enums, in_array)
+                               for x in tree.items) + "]"
+    if isinstance(t, ast.ArrayType):
+        return format_value(tree, t.value, enums, True)
+    if in_array and not isinstance(tree, terms.SparseConst):
+        raise EngineError("internal: symbolic array in a concrete run")
+    if not in_array and isinstance(tree, terms.SparseConst):
+        raise EngineError(f"internal: array value for {t} in a concrete run")
+    return _leaf_text(tree, t, enums)
 
 
-def concrete_leaf(term: Term, t: ast.TypeExpr, enums):
-    if not terms.is_const(term):
+def _leaf_text(v: Term, t: Optional[ast.TypeExpr], enums) -> str:
+    """Text of a constant leaf; t, if given, names the variants of an enum.
+
+    Small bitvector values print in decimal; larger ones print as grouped
+    hex with a u<width> suffix.
+    """
+    if isinstance(v, terms.SparseConst):
+        mods = ", ".join(f"{k}: {_leaf_text(x, t, enums)}" for k, x in v.mods)
+        return "array{" + mods + ("; " if mods else "") + \
+            f"default {_leaf_text(v.default, t, enums)}" + "}"
+    if isinstance(v, terms.BoolC):
+        return "true" if v.value else "false"
+    if isinstance(v, terms.IntC):
+        return str(v.value)
+    if not isinstance(v, terms.BVC):
         raise EngineError("internal: symbolic value in a concrete run")
-    if isinstance(t, ast.BoolType):
-        return term.value
-    if isinstance(t, ast.BitIntType):
-        return BitVec(t.width, term.value)
-    if isinstance(t, ast.IntType):
-        return term.value
     if isinstance(t, ast.EnumRef):
         variants = enums[t.name]
-        if term.value >= len(variants):
-            raise EngineError(f"enum value {term.value} out of range for {t.name}")
-        return EnumVal(t.name, variants[term.value], term.value)
-    raise AssertionError(f"not a scalar type: {t}")
-
-
-def tree_to_concrete(tree, t: ast.TypeExpr, enums):
-    def conv(tree, t, key_width):
-        # key_width is set below an array type: its leaves are SparseConsts.
-        if isinstance(t, ast.UnitType):
-            return None
-        if isinstance(t, ast.RecordType):
-            return RecordVal(tuple((n, conv(tree.get(n), ft, key_width))
-                                   for n, ft in t.fields))
-        if isinstance(t, ast.VectorType):
-            return VectorVal(tuple(conv(x, t.elem, key_width) for x in tree.items))
-        if isinstance(t, ast.ArrayType):
-            return conv(tree, t.value, t.key.width)
-        if key_width is None:
-            return concrete_leaf(tree, t, enums)
-        if not isinstance(tree, terms.SparseConst):
-            raise EngineError("internal: symbolic array in a concrete run")
-        return SparseArray(key_width, concrete_leaf(tree.default, t, enums),
-                           tuple((k, concrete_leaf(v, t, enums)) for k, v in tree.mods))
-
-    return conv(tree, t, None)
+        if v.value >= len(variants):
+            raise EngineError(f"enum value {v.value} out of range for {t.name}")
+        return variants[v.value]
+    if v.value < 256:
+        return str(v.value)
+    digits = f"{v.value:x}"
+    rem = len(digits) % 4
+    groups = ([digits[:rem]] if rem else []) + \
+             [digits[i:i + 4] for i in range(rem, len(digits), 4)]
+    return "0x" + "_".join(groups) + f"u{v.sort[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +413,17 @@ class _Consumption:
 @dataclass
 class _Frame:
     inst: InstanceNode
-    module: ast.ModuleDecl
     is_root: bool
 
 
 class Engine:
+    """Runs concretely exactly when `anys` is given, symbolically otherwise."""
+
     def __init__(self, tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
-                 mode: str, anys: Optional[AnySource] = None,
-                 capacity: int = 64) -> None:
-        assert mode in ("sym", "conc")
+                 anys: Optional[AnySource] = None, capacity: int = 64) -> None:
         self.tp = tp
         self.tree = tree
         self.layout = layout
-        self.mode = mode
         self.anys = anys
         self.capacity = capacity
         self.enums = tp.enums
@@ -446,8 +441,7 @@ class Engine:
     # -- store -------------------------------------------------------------
 
     def _init_store(self) -> None:
-        root_mod = self.tp.modules[self.tp.root_name]
-        frame = _Frame(self.tree.root, root_mod, True)
+        frame = _Frame(self.tree.root, True)
         enums = self.enums
         for cell in self.layout.cells:
             if cell.kind == "state":
@@ -456,15 +450,10 @@ class Engine:
             else:
                 kw = cell.key_type.width
                 self.store[cell.path] = tree_of_type(cell.value_type, lambda t: (
-                    terms.mk_const_array(kw, const_term(zero_scalar(t, enums), t, enums))))
+                    terms.mk_const_array(kw, zero_scalar(t, enums))))
 
     def concrete_store(self) -> Dict[str, object]:
-        out = {}
-        for cell in self.layout.cells:
-            t = cell.value_type if cell.kind == "state" else \
-                ast.ArrayType(cell.key_type, cell.value_type)
-            out[cell.dotted()] = tree_to_concrete(self.store[cell.path], t, self.enums)
-        return out
+        return {cell.dotted(): self.store[cell.path] for cell in self.layout.cells}
 
     # -- choices ------------------------------------------------------------
 
@@ -475,9 +464,8 @@ class Engine:
 
     def fresh_scalar(self, site: int, t: ast.TypeExpr) -> Term:
         cid = self._issue(site)
-        if self.mode == "conc":
-            v = self.anys.scalar(cid, t, self.enums)
-            return const_term(v, t, self.enums)
+        if self.anys is not None:
+            return self.anys.scalar(cid, t, self.enums)
         info = self.registry.register(site, cid[1], t, scalar_sort(t, self.enums))
         var = terms.Var(scalar_sort(t, self.enums), info.vid)
         if isinstance(t, ast.EnumRef):
@@ -495,12 +483,8 @@ class Engine:
 
         def leaf(t: ast.TypeExpr):
             cid = self._issue(site)
-            if self.mode == "conc":
-                sa = self.anys.array(cid, kw, t, self.enums)
-                sc = terms.mk_const_array(kw, const_term(sa.default, t, self.enums))
-                for k, v in sa.mods:
-                    sc = sc.write(k, const_term(v, t, self.enums))
-                return sc
+            if self.anys is not None:
+                return self.anys.array(cid, kw, t, self.enums)
             sort = terms.arr_sort(kw, scalar_sort(t, self.enums))
             info = self.registry.register(site, cid[1],
                                           ast.ArrayType(cell.key_type, t), sort)
@@ -578,10 +562,10 @@ class Engine:
 
     def _eval_let(self, e: ast.Let, env, frame):
         v = self.eval(e.value, env, frame)
-        if __debug__ and self.mode == "conc":
+        if __debug__ and self.anys is not None:
             # Type preservation: a produced value's runtime shape always
-            # matches its static annotation (conversion raises otherwise).
-            tree_to_concrete(v, self.tp.types[e.value.node_id], self.enums)
+            # matches its static annotation (formatting raises otherwise).
+            format_value(v, self.tp.types[e.value.node_id], self.enums)
         env[e.name] = v
         return None
 
@@ -594,7 +578,7 @@ class Engine:
 
     def _eval_assume(self, e: ast.Assume, env, frame):
         body = self.eval(e.cond, env, frame)
-        if self.mode == "sym":
+        if self.anys is None:
             self.assumptions.append((self.guard, body))
             return None
         if not body.value:
@@ -603,7 +587,7 @@ class Engine:
 
     def _eval_assert(self, e: ast.Assert, env, frame):
         body = self.eval(e.cond, env, frame)
-        if self.mode == "sym":
+        if self.anys is None:
             self.obligations.append((self.guard, body, e.span))
             return None
         if not body.value:
@@ -614,11 +598,9 @@ class Engine:
 
     def _eval_printf(self, e: ast.Printf, env, frame):
         holes = [self.eval(h, env, frame) for h in e.holes]
-        if self.mode == "conc":
-            rendered = []
-            for h, v in zip(e.holes, holes):
-                cv = tree_to_concrete(v, self.tp.types[h.node_id], self.enums)
-                rendered.append(format_value(cv))
+        if self.anys is not None:
+            rendered = [format_value(v, self.tp.types[h.node_id], self.enums)
+                        for h, v in zip(e.holes, holes)]
             pieces = [e.parts[0]]
             for part, r in zip(e.parts[1:], rendered):
                 pieces.append(r)
@@ -712,7 +694,7 @@ class Engine:
             if e.orelse is not None:
                 return self.eval(e.orelse, env, frame)
             return None
-        assert self.mode == "sym"
+        assert self.anys is None
         saved_store = dict(self.store)
         saved_guard = self.guard
         self.guard = terms.mk_and(saved_guard, cond)
@@ -738,22 +720,17 @@ class Engine:
         args = [self.eval(a, env, frame) for a in e.args]
         decl = self.tp.fns[(res.module, res.fn)]
         fq = ".".join(target.path + (res.fn,)) if target.path else res.fn
-        if self.mode == "conc":
-            arg_text = {}
-            for p, v in zip(decl.params, args):
-                pt = self.tp.resolve_type(p.type)
-                arg_text[p.name] = format_value(tree_to_concrete(v, pt, self.enums))
+        if self.anys is not None:
+            arg_text = {p.name: format_value(v, self.tp.resolve_type(p.type), self.enums)
+                        for p, v in zip(decl.params, args)}
             self.events.append({"event": "call", "fn": fq, "args": arg_text})
         new_env = {p.name: v for p, v in zip(decl.params, args)}
-        new_frame = _Frame(target, self.tp.modules[res.module],
-                           res.module == self.tp.root_name)
+        new_frame = _Frame(target, res.module == self.tp.root_name)
         result = self.eval(decl.body, new_env, new_frame)
-        if self.mode == "conc":
+        if self.anys is not None:
             rt = self.tp.resolve_type(decl.ret_type)
-            self.events.append({
-                "event": "return", "fn": fq,
-                "value": format_value(tree_to_concrete(result, rt, self.enums)),
-            })
+            self.events.append({"event": "return", "fn": fq,
+                                "value": format_value(result, rt, self.enums)})
         return result
 
     def _prim_call(self, e: ast.Call, res: PrimCall, env, frame: _Frame):
@@ -779,7 +756,7 @@ class Engine:
         if op == "array_write":
             def write(arr, v):
                 arr = terms.mk_arr_write(arr, args[0], v)
-                if self.mode == "conc" and len(arr.mods) > self.capacity:
+                if self.anys is not None and len(arr.mods) > self.capacity:
                     raise CapacityError(target.dotted(), self.capacity)
                 return arr
 
@@ -831,7 +808,7 @@ class Engine:
                               f"{self.tp.root_name}; available: {names}")
         if not decl.is_mut or decl.params:
             raise EngineError(f"scenario {scenario!r} must be a zero-parameter mut fn")
-        frame = _Frame(self.tree.root, root_mod, True)
+        frame = _Frame(self.tree.root, True)
         return self.eval(decl.body, {}, frame)
 
 
@@ -849,7 +826,7 @@ def merge_stores(cond: Term, then_store: dict, else_store: dict) -> dict:
 
 def run_scenario(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
                  scenario: str, anys: AnySource, capacity: int = 64) -> RunResult:
-    eng = Engine(tp, tree, layout, "conc", anys=anys, capacity=capacity)
+    eng = Engine(tp, tree, layout, anys=anys, capacity=capacity)
     verdict: object = Passed()
     try:
         eng.run(scenario)
@@ -860,13 +837,13 @@ def run_scenario(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
 
 def sym_exec(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
              scenario: str) -> VerificationCondition:
-    eng = Engine(tp, tree, layout, "sym")
+    eng = Engine(tp, tree, layout)
     eng.run(scenario)
     return VerificationCondition(eng.registry, eng.assumptions, eng.obligations)
 
 
 def replay(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
-           scenario: str, model: Dict[ChoiceId, object],
+           scenario: str, model: Dict[ChoiceId, Term],
            capacity: int = 64) -> RunResult:
     """Replay a solver model: the symbolic engine with immediate concretization."""
     return run_scenario(tp, tree, layout, scenario, ModelOracle(model), capacity)

@@ -12,7 +12,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import ast, terms
 from .engine import ChoiceId, Registry, VerificationCondition
 from .terms import Term
-from .values import BitVec, EnumVal, SparseArray
 
 DEFAULT_SOLVER = "z3 -smt2 {file}"
 SOLVER_ENV_VAR = "SOC_SOLVER"
@@ -165,12 +164,8 @@ def _node_text(t: Term, n: Callable[[Term], str]) -> str:
     raise AssertionError(f"unserializable term {type(t).__name__}")
 
 
-def emit_smtlib(vc: VerificationCondition, extra_pins: Optional[dict] = None) -> str:
-    """Self-contained SMT-LIB v2 text for a verification condition.
-
-    extra_pins (choice id -> concrete value) adds equalities pinning choice
-    variables to given values; used by the model round-trip check.
-    """
+def emit_smtlib(vc: VerificationCondition) -> str:
+    """Self-contained SMT-LIB v2 text for a verification condition."""
     emitter = _Emitter(vc.query_term())
     has_int = emitter.has_int or any(
         isinstance(i.type, ast.IntType) for i in vc.registry.infos)
@@ -178,51 +173,10 @@ def emit_smtlib(vc: VerificationCondition, extra_pins: Optional[dict] = None) ->
              "(set-option :produce-models true)"]
     for info in vc.registry.infos:
         lines.append(f"(declare-const c{info.vid} {_sort_text(info.sort)})")
-    body = emitter.serialize()
-    if extra_pins:
-        pins = []
-        for cid, value in sorted(extra_pins.items()):
-            info = vc.registry.by_cid.get(cid)
-            if info is None:
-                continue
-            pin = _pin_text(info, value)
-            if pin is not None:
-                pins.append(pin)
-        for p in pins:
-            lines.append(f"(assert {p})")
-    lines.append(f"(assert {body})")
+    lines.append(f"(assert {emitter.serialize()})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
-
-
-def _pin_text(info, value) -> Optional[str]:
-    name = f"c{info.vid}"
-    if isinstance(value, bool):
-        return f"(= {name} {'true' if value else 'false'})"
-    if isinstance(value, BitVec):
-        return f"(= {name} (_ bv{value.value} {value.width}))"
-    if isinstance(value, EnumVal):
-        return f"(= {name} (_ bv{value.index} {info.sort[1]}))"
-    if isinstance(value, int):
-        v = str(value) if value >= 0 else f"(- {-value})"
-        return f"(= {name} {v})"
-    if isinstance(value, SparseArray):
-        sort = info.sort
-        acc = f"((as const {_sort_text(sort)}) {_leaf_text(value.default, sort[2])})"
-        for k, v in value.mods:
-            acc = f"(store {acc} (_ bv{k} {value.key_width}) {_leaf_text(v, sort[2])})"
-        return f"(= {name} {acc})"
-    return None
-
-
-def _leaf_text(v, sort) -> str:
-    if sort == terms.BOOL_SORT:
-        return "true" if v else "false"
-    if sort == terms.INT_SORT:
-        return str(v) if v >= 0 else f"(- {-v})"
-    raw = v.value if isinstance(v, BitVec) else (v.index if isinstance(v, EnumVal) else v)
-    return f"(_ bv{raw} {sort[1]})"
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +198,7 @@ class Unsat:
 
 @dataclass
 class Sat:
-    model: Dict[ChoiceId, object]
+    model: Dict[ChoiceId, Term]
     raw_model: str
 
 
@@ -348,12 +302,13 @@ def parse_sexprs(text: str) -> list:
     return stack[0]
 
 
-def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, object]:
-    """Parse solver `get-model` output into choice-id -> concrete value.
+def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, Term]:
+    """Parse solver `get-model` output into choice-id -> constant term.
 
-    Handles bitvector literals (#b, #x, (_ bvN w)), booleans, integers, and
-    array values given as store chains over ((as const ...) v), as-array
-    references to auxiliary definitions, or index/value ite lambdas.
+    Each value is read by its variable's registered sort. Handles bitvector
+    literals (#b, #x, (_ bvN w)) of exactly the sort's width, booleans,
+    integers, and array values given as store chains over ((as const ...) v),
+    as-array references to auxiliary definitions, or index/value ite lambdas.
     """
     sexprs = parse_sexprs(output)
     defs: List[list] = []
@@ -378,7 +333,7 @@ def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, object]:
             mains.append(d)
         else:
             aux[name] = d
-    model: Dict[ChoiceId, object] = {}
+    model: Dict[ChoiceId, Term] = {}
     by_vid = {i.vid: i for i in registry.infos}
     for d in mains:
         name, args, body = d[1], d[2], d[4]
@@ -388,40 +343,45 @@ def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, object]:
             raise ModelParseError(f"model defines unregistered variable {name}")
         if args:
             raise ModelParseError(f"unexpected arguments on {name}")
-        model[(info.site, info.occ)] = _value_of(body, info.type, aux)
+        try:
+            model[info.cid] = _value_of(body, info.sort, aux)
+        except ModelParseError as err:
+            raise ModelParseError(f"model value of {name}: {err}") from None
     return model
 
 
-def _parse_scalar(node, t: ast.TypeExpr):
-    if isinstance(t, ast.BoolType):
+def _parse_scalar(node, sort: tuple) -> Term:
+    if sort == terms.BOOL_SORT:
         if node == "true":
-            return True
+            return terms.TRUE
         if node == "false":
-            return False
+            return terms.FALSE
         raise ModelParseError(f"expected Bool, got {node!r}")
-    if isinstance(t, (ast.BitIntType, ast.EnumRef)):
-        raw = _parse_bv(node)
-        if raw is None:
-            raise ModelParseError(f"expected bitvector, got {node!r}")
-        value, _width = raw
-        if isinstance(t, ast.BitIntType):
-            return BitVec(t.width, value)
-        return BitVec(_width, value)  # enum index; engine re-types it
-    if isinstance(t, ast.IntType):
-        return _parse_int(node)
-    raise ModelParseError(f"unsupported scalar sort for {t}")
+    if sort == terms.INT_SORT:
+        return terms.mk_int(_parse_int(node))
+    return terms.mk_bv(sort[1], _parse_bv(node, sort[1]))
 
 
-def _parse_bv(node) -> Optional[Tuple[int, int]]:
-    if isinstance(node, str):
-        if node.startswith("#b"):
-            return int(node[2:], 2), len(node) - 2
-        if node.startswith("#x"):
-            return int(node[2:], 16), (len(node) - 2) * 4
-    if isinstance(node, list) and len(node) == 3 and node[0] == "_" \
-            and isinstance(node[1], str) and node[1].startswith("bv"):
-        return int(node[1][2:]), int(node[2])
-    return None
+def _parse_bv(node, width: int) -> int:
+    """The value of a bitvector literal that has exactly `width` bits."""
+    lit = None
+    try:
+        if isinstance(node, str) and node.startswith("#b"):
+            lit = int(node[2:], 2), len(node) - 2
+        elif isinstance(node, str) and node.startswith("#x"):
+            lit = int(node[2:], 16), (len(node) - 2) * 4
+        elif isinstance(node, list) and len(node) == 3 and node[0] == "_" \
+                and isinstance(node[1], str) and node[1].startswith("bv"):
+            lit = int(node[1][2:]), int(node[2])
+    except (TypeError, ValueError):
+        pass
+    if lit is None:
+        raise ModelParseError(f"expected bitvector, got {node!r}")
+    value, w = lit
+    if w != width or value >> width:
+        raise ModelParseError(f"bitvector literal {node!r} is not a "
+                              f"(_ BitVec {width}) value")
+    return value
 
 
 def _parse_int(node) -> int:
@@ -435,15 +395,13 @@ def _parse_int(node) -> int:
     raise ModelParseError(f"expected integer, got {node!r}")
 
 
-def _value_of(body, t: ast.TypeExpr, aux: Dict[str, list]):
-    if isinstance(t, ast.ArrayType):
-        return _parse_array(body, t, aux)
-    return _parse_scalar(body, t)
+def _value_of(body, sort: tuple, aux: Dict[str, list]) -> Term:
+    if sort[0] == "arr":
+        return _parse_array(body, sort, aux)
+    return _parse_scalar(body, sort)
 
 
-def _parse_array(body, t: ast.ArrayType, aux: Dict[str, list]) -> SparseArray:
-    kw = t.key.width
-    leaf = t.value
+def _parse_array(body, sort: tuple, aux: Dict[str, list]) -> terms.SparseConst:
     # (_ as-array k!N): value lives in an auxiliary definition
     if isinstance(body, list) and len(body) == 3 and body[0] == "_" \
             and body[1] == "as-array":
@@ -451,56 +409,51 @@ def _parse_array(body, t: ast.ArrayType, aux: Dict[str, list]) -> SparseArray:
         if d is None:
             raise ModelParseError(f"as-array references unknown {body[2]!r}")
         args, fn_body = d[2], d[4]
-        return _array_from_fn(args, fn_body, kw, leaf)
-    if isinstance(body, list) and body and body[0] == "lambda":
-        return _array_from_fn(body[1], body[2], kw, leaf)
-    mods: List[Tuple[int, object]] = []
+        return _array_from_fn(args, fn_body, sort)
+    if isinstance(body, list) and len(body) == 3 and body[0] == "lambda":
+        return _array_from_fn(body[1], body[2], sort)
+    mods: List[Tuple[int, Term]] = []
     node = body
     while isinstance(node, list) and len(node) == 4 and node[0] == "store":
-        key = _parse_bv(node[2])
-        if key is None:
-            raise ModelParseError(f"bad store key {node[2]!r}")
-        mods.append((key[0], _parse_scalar(node[3], leaf)))
+        mods.append((_parse_bv(node[2], sort[1]), _parse_scalar(node[3], sort[2])))
         node = node[1]
     if isinstance(node, list) and len(node) == 2 and isinstance(node[0], list) \
             and node[0][:2] == ["as", "const"]:
-        default = _parse_scalar(node[1], leaf)
+        default = _parse_scalar(node[1], sort[2])
     else:
         raise ModelParseError(f"unrecognized array value {body!r}")
-    return _sparse_array(kw, default, mods)
+    return _sparse_array(sort, default, mods)
 
 
-def _array_from_fn(args, body, kw: int, leaf: ast.TypeExpr) -> SparseArray:
-    if not (isinstance(args, list) and len(args) == 1):
+def _array_from_fn(args, body, sort: tuple) -> terms.SparseConst:
+    if not (isinstance(args, list) and len(args) == 1 and args[0]):
         raise ModelParseError("array function must take one argument")
     var = args[0][0]
-    mods: List[Tuple[int, object]] = []
+    mods: List[Tuple[int, Term]] = []
     node = body
     while isinstance(node, list) and len(node) == 4 and node[0] == "ite":
         cond, val, rest = node[1], node[2], node[3]
         if not (isinstance(cond, list) and len(cond) == 3 and cond[0] == "="):
             raise ModelParseError(f"unsupported array ite condition {cond!r}")
         key_node = cond[2] if cond[1] == var else cond[1]
-        key = _parse_bv(key_node)
-        if key is None:
-            raise ModelParseError(f"bad array key {key_node!r}")
-        mods.append((key[0], _parse_scalar(val, leaf)))
+        mods.append((_parse_bv(key_node, sort[1]), _parse_scalar(val, sort[2])))
         node = rest
-    return _sparse_array(kw, _parse_scalar(node, leaf), mods)
+    return _sparse_array(sort, _parse_scalar(node, sort[2]), mods)
 
 
-def _sparse_array(kw: int, default, mods: List[Tuple[int, object]]) -> SparseArray:
+def _sparse_array(sort: tuple, default: Term,
+                  mods: List[Tuple[int, Term]]) -> terms.SparseConst:
     """The array a model describes by its mods, outermost (latest) first."""
-    sa = SparseArray(kw, default)
+    sc = terms.SparseConst(sort, default)
     for k, v in reversed(mods):
-        sa = sa.write(k, v)
-    return sa
+        sc = sc.write(k, v)
+    return sc
 
 
 # ---------------------------------------------------------------------------
 # Model files (cache written by verify, consumed by trace)
 
 
-def load_model_file(path: str, registry: Registry) -> Dict[ChoiceId, object]:
+def load_model_file(path: str, registry: Registry) -> Dict[ChoiceId, Term]:
     with open(path) as f:
         return parse_model(f.read(), registry)

@@ -5,16 +5,16 @@ which is exactly what makes replay (concrete) mode a special case of the
 symbolic executor. Ite additionally folds equal arms and constant conditions;
 everything else is left to the solver.
 
-Terms compare by identity (eq=False): large merged states share subterms as a
-DAG, and deep structural equality would be quadratic.
+Constants (`BoolC`, `BVC`, `IntC`, `SparseConst`) are the values of concrete
+runs, solver models and run results, so they compare and hash by value. Every
+other term compares by identity (eq=False): large merged states share
+subterms as a DAG, and deep structural equality would be quadratic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
-
-from .values import ModList
 
 BOOL_SORT = ("bool",)
 INT_SORT = ("int",)
@@ -33,17 +33,17 @@ class Term:
     sort: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BoolC(Term):
     value: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BVC(Term):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IntC(Term):
     value: int
 
@@ -111,9 +111,10 @@ class ArrWrite(Term):
     value: Term
 
 
-@dataclass(frozen=True, eq=False)
-class SparseConst(Term, ModList):
-    """Constant array: a default leaf plus compacted (key, value) updates."""
+@dataclass(frozen=True)
+class SparseConst(Term):
+    """Constant array: a default leaf plus (key, value) updates, at most one
+    per key; capacity is enforced by the engine, not here."""
 
     default: Term
     mods: Tuple[Tuple[int, Term], ...] = ()
@@ -121,6 +122,19 @@ class SparseConst(Term, ModList):
     @property
     def key_width(self) -> int:
         return self.sort[1]
+
+    def read(self, key: int) -> Term:
+        for k, v in self.mods:
+            if k == key:
+                return v
+        return self.default
+
+    def write(self, key: int, value: Term) -> "SparseConst":
+        mods = self.mods
+        for i, (k, _) in enumerate(mods):
+            if k == key:
+                return replace(self, mods=mods[:i] + ((key, value),) + mods[i + 1:])
+        return replace(self, mods=mods + ((key, value),))
 
 
 TRUE = BoolC(BOOL_SORT, True)

@@ -65,12 +65,6 @@ class TypedProgram:
         """The resolution of a type written in the program; None is Unit."""
         return ast.UNIT if t is None else self.resolved[id(t)]
 
-    def type_of(self, e: ast.Expr) -> ast.TypeExpr:
-        return self.types[e.node_id]
-
-    def resolution_of(self, e: ast.Expr):
-        return self.resolutions[e.node_id]
-
     def scenarios(self) -> List[str]:
         root = self.modules[self.root_name]
         return [f.name for f in root.fns if f.is_mut and not f.params]

@@ -62,19 +62,19 @@ def solve_vc(vc, timeout: float = 120.0, command: str | None = None,
 
 def enumerate_assignments(registry, enums):
     """All total assignments to a registry's choice variables (scalars only)."""
-    from soclang import ast
-    from soclang.values import BitVec, EnumVal
+    from soclang import ast, terms
+    from soclang.typecheck import enum_width
 
     domains = []
     for info in registry.infos:
         t = info.type
         if isinstance(t, ast.BoolType):
-            domains.append([False, True])
+            domains.append([terms.FALSE, terms.TRUE])
         elif isinstance(t, ast.BitIntType):
-            domains.append([BitVec(t.width, v) for v in range(1 << t.width)])
+            domains.append([terms.mk_bv(t.width, v) for v in range(1 << t.width)])
         elif isinstance(t, ast.EnumRef):
-            variants = enums[t.name]
-            domains.append([EnumVal(t.name, v, i) for i, v in enumerate(variants)])
+            n = len(enums[t.name])
+            domains.append([terms.mk_bv(enum_width(n), i) for i in range(n)])
         else:
             raise AssertionError(f"cannot enumerate {t}")
     for combo in itertools.product(*domains):

@@ -17,7 +17,7 @@ import time
 
 from soclang import engine as eng
 from soclang import smtlib, terms
-from soclang.values import BitVec, SparseArray
+from soclang.terms import mk_bv, mk_const_array
 
 from conftest import (CORPUS, brute_force_violating, load_source,
                       registry_bits, requires_z3, run_cli, solve_vc)
@@ -183,21 +183,21 @@ def test_criterion_6_sparse_array_oracle():
     reads_checked = 0
     for _ in range(sequences):
         pool = rng.sample(range(256), rng.randint(1, 48))
-        sparse = SparseArray(8, BitVec(8, 0))
+        sparse = mk_const_array(8, mk_bv(8, 0))
         dense = {}
         for _ in range(rng.randint(2, 12)):
             key = rng.choice(pool)
             if rng.random() < 0.6:
-                val = BitVec(8, rng.randrange(256))
+                val = mk_bv(8, rng.randrange(256))
                 sparse = sparse.write(key, val)
                 dense[key] = val
                 assert len(sparse.mods) <= 64, "capacity exceeded despite compaction"
             else:
-                expected = dense.get(key, BitVec(8, 0))
+                expected = dense.get(key, mk_bv(8, 0))
                 assert sparse.read(key) == expected
                 reads_checked += 1
         probe = rng.randrange(256)
-        assert sparse.read(probe) == dense.get(probe, BitVec(8, 0))
+        assert sparse.read(probe) == dense.get(probe, mk_bv(8, 0))
         reads_checked += 1
     report(6, "sparse array oracle",
            f"({sequences} sequences, {reads_checked} reads checked)")

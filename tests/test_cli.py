@@ -80,7 +80,7 @@ def test_front_end_commands_do_not_import_the_engine(command):
     probe = ("import sys\n"
              "from soclang import cli\n"
              f"code = cli.main([{command!r}, {VULN!r}])\n"
-             "heavy = ['soclang.engine', 'soclang.smtlib', 'soclang.terms', 'soclang.values']\n"
+             "heavy = ['soclang.engine', 'soclang.smtlib', 'soclang.terms']\n"
              "print(code, [m for m in heavy if m in sys.modules], file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.stderr.strip() == "0 []"
@@ -245,6 +245,16 @@ def test_trace_model_with_wrong_sort_exits_1(tmp_path):
                            "--model", str(bad))
     assert code == 1
     assert "expected Bool" in err
+
+
+def test_trace_model_literal_of_another_width_exits_1(tmp_path):
+    # c1 is the first step's BitInt(48) address; #x01 has 8 bits, not 48.
+    bad = tmp_path / "narrow.smt2"
+    bad.write_text("((define-fun c1 () (_ BitVec 48) #x01))\n")
+    code, _, err = run_cli("trace", VULN, "--scenario", "test_secure_area_unchanged",
+                           "--model", str(bad))
+    assert code == 1
+    assert "c1" in err and "(_ BitVec 48)" in err
 
 
 def test_trace_corrupt_model_file_exits_1(tmp_path):

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclang import ast, terms
 from soclang import engine as eng
-from soclang.diagnostics import CapacityError
-from soclang.values import BitVec, RecordVal, SparseArray, format_value
+from soclang.diagnostics import CapacityError, EngineError
+from soclang.engine import RecV, VecV, format_value
+from soclang.terms import bv_sort, mk_bv, mk_const_array
 
 from conftest import CORPUS, load_file, load_source
 
@@ -15,31 +17,41 @@ from conftest import CORPUS, load_file, load_source
 
 
 def test_sparse_read_after_write():
-    a = SparseArray(8, BitVec(8, 0))
-    a = a.write(5, BitVec(8, 9))
-    assert a.read(5) == BitVec(8, 9)
-    assert a.read(6) == BitVec(8, 0)
+    a = mk_const_array(8, mk_bv(8, 0))
+    a = a.write(5, mk_bv(8, 9))
+    assert a.read(5) == mk_bv(8, 9)
+    assert a.read(6) == mk_bv(8, 0)
 
 
 def test_sparse_random_sequence_matches_dense_oracle():
     rng = random.Random(42)
-    sparse = SparseArray(8, BitVec(8, 0))
+    sparse = mk_const_array(8, mk_bv(8, 0))
     dense = {}
     for _ in range(200):
         key = rng.randrange(256)
         if rng.random() < 0.5:
-            val = BitVec(8, rng.randrange(256))
+            val = mk_bv(8, rng.randrange(256))
             sparse = sparse.write(key, val)
             dense[key] = val
         else:
-            assert sparse.read(key) == dense.get(key, BitVec(8, 0))
+            assert sparse.read(key) == dense.get(key, mk_bv(8, 0))
 
 
 def test_duplicate_keys_compact():
-    a = SparseArray(4, BitVec(8, 0))
-    a = a.write(1, BitVec(8, 10)).write(2, BitVec(8, 20)).write(1, BitVec(8, 30))
+    a = mk_const_array(4, mk_bv(8, 0))
+    a = a.write(1, mk_bv(8, 10)).write(2, mk_bv(8, 20)).write(1, mk_bv(8, 30))
     assert len(a.mods) == 2
-    assert a.read(1) == BitVec(8, 30)
+    assert a.read(1) == mk_bv(8, 30)
+
+
+def test_constants_compare_and_hash_by_value():
+    assert mk_bv(8, 5) == mk_bv(8, 5) != mk_bv(16, 5)
+    assert hash(mk_bv(8, 5)) == hash(mk_bv(8, 5))
+    assert mk_const_array(4, mk_bv(8, 0)).write(1, mk_bv(8, 2)) == \
+        mk_const_array(4, mk_bv(8, 0)).write(1, mk_bv(8, 2))
+    # Every other term keeps identity equality.
+    x = terms.Var(bv_sort(8), 0)
+    assert terms.mk_add(x, mk_bv(8, 1)) != terms.mk_add(x, mk_bv(8, 1))
 
 
 CAPACITY_MODEL = """
@@ -92,27 +104,60 @@ def test_snapshots_are_isolated_from_later_writes():
 # -- formatting --------------------------------------------------------------
 
 
+ENUMS = {"Mode": ["Off", "On", "Standby"]}
+
+
+def fmt(value, t):
+    return format_value(value, t, ENUMS)
+
+
 def test_format_request_record_like_attack_trace():
-    rec = RecordVal((
-        ("is_write", True),
-        ("is_secure", False),
-        ("address", BitVec(48, 0x8000_0000_0070)),
-        ("value", BitVec(64, 1)),
+    t = ast.RecordType((("is_write", ast.BoolType()), ("is_secure", ast.BoolType()),
+                        ("address", ast.BitIntType(48)), ("value", ast.BitIntType(64))))
+    rec = RecV((
+        ("is_write", terms.TRUE),
+        ("is_secure", terms.FALSE),
+        ("address", mk_bv(48, 0x8000_0000_0070)),
+        ("value", mk_bv(64, 1)),
     ))
-    assert format_value(rec) == ("{ is_write: true, is_secure: false, "
-                                 "address: 0x8000_0000_0070u48, value: 1 }")
+    assert fmt(rec, t) == ("{ is_write: true, is_secure: false, "
+                           "address: 0x8000_0000_0070u48, value: 1 }")
 
 
 def test_format_bool_and_small_bitvecs():
-    assert format_value(True) == "true"
-    assert format_value(BitVec(2, 3)) == "3"
-    assert format_value(BitVec(64, 255)) == "255"
+    assert fmt(terms.TRUE, ast.BoolType()) == "true"
+    assert fmt(mk_bv(2, 3), ast.BitIntType(2)) == "3"
+    assert fmt(mk_bv(64, 255), ast.BitIntType(64)) == "255"
 
 
 def test_format_large_values_group_hex_and_carry_width():
-    assert format_value(BitVec(64, 0x48AD_C33C_FDC9_99D4)) == "0x48ad_c33c_fdc9_99d4u64"
-    assert format_value(BitVec(31, 0x1FFFFF)) == "0x1f_ffffu31"
-    assert format_value(BitVec(16, 256)) == "0x100u16"
+    assert fmt(mk_bv(64, 0x48AD_C33C_FDC9_99D4), ast.BitIntType(64)) == \
+        "0x48ad_c33c_fdc9_99d4u64"
+    assert fmt(mk_bv(31, 0x1FFFFF), ast.BitIntType(31)) == "0x1f_ffffu31"
+    assert fmt(mk_bv(16, 256), ast.BitIntType(16)) == "0x100u16"
+
+
+def test_format_enum_vector_unit_and_record_array():
+    assert fmt(mk_bv(2, 2), ast.EnumRef("Mode")) == "Standby"
+    assert fmt(VecV((mk_bv(12, 5), mk_bv(12, 300))),
+               ast.VectorType(ast.BitIntType(12), 2)) == "[5, 0x12cu12]"
+    assert fmt(None, ast.UNIT) == "()"
+    slots = RecV((("tag", mk_const_array(3, mk_bv(4, 0)).write(1, mk_bv(4, 3))),
+                  ("val", mk_const_array(3, mk_bv(8, 0)).write(1, mk_bv(8, 9))
+                   .write(6, mk_bv(8, 255)))))
+    entry = ast.RecordType((("tag", ast.BitIntType(4)), ("val", ast.BitIntType(8))))
+    assert fmt(slots, ast.ArrayType(ast.BitIntType(3), entry)) == \
+        "{ tag: array{1: 3; default 0}, val: array{1: 9, 6: 255; default 0} }"
+
+
+def test_format_rejects_values_that_do_not_match_their_type():
+    with pytest.raises(EngineError, match="symbolic value"):
+        fmt(terms.Var(bv_sort(8), 0), ast.BitIntType(8))
+    with pytest.raises(EngineError, match="symbolic array"):
+        fmt(terms.Var(terms.arr_sort(3, bv_sort(8)), 0),
+            ast.ArrayType(ast.BitIntType(3), ast.BitIntType(8)))
+    with pytest.raises(EngineError, match="out of range"):
+        fmt(mk_bv(2, 3), ast.EnumRef("Mode"))
 
 
 # -- init store --------------------------------------------------------------
@@ -120,13 +165,13 @@ def test_format_large_values_group_hex_and_carry_width():
 
 def test_init_store_matches_declared_initializers():
     tp, tree, layout = load_file(CORPUS / "mini_tx1_vulnerable.soc")
-    store = eng.Engine(tp, tree, layout, "conc", anys=eng.SeededRandom(0)).concrete_store()
-    assert store["miniTX1.cpu.is_secure"] is True
-    assert store["miniTX1.asc.region0.START"] == BitVec(64, 0)
-    assert store["miniTX1.asc.region3.ATTR"] == BitVec(64, 0)
+    store = eng.Engine(tp, tree, layout, anys=eng.SeededRandom(0)).concrete_store()
+    assert store["miniTX1.cpu.is_secure"] is terms.TRUE
+    assert store["miniTX1.asc.region0.START"] == mk_bv(64, 0)
+    assert store["miniTX1.asc.region3.ATTR"] == mk_bv(64, 0)
     dram = store["miniTX1.dram.storage"]
-    assert isinstance(dram, SparseArray)
-    assert dram.default == BitVec(64, 0) and dram.mods == ()
+    assert isinstance(dram, terms.SparseConst) and dram.key_width == 31
+    assert dram.default == mk_bv(64, 0) and dram.mods == ()
 
 
 # -- scenario runs -----------------------------------------------------------
@@ -192,13 +237,13 @@ def test_replaying_published_attack_values_reproduces_the_trace():
                      "Bool", "BitInt(48)", "BitInt(64)", "BitInt(64)",
                      "BitInt(31)"]
     model = {
-        infos[0].cid: True,
-        infos[1].cid: BitVec(48, 0x8000_0000_0070),
-        infos[2].cid: BitVec(64, 1),
-        infos[4].cid: True,
-        infos[5].cid: BitVec(48, 0),
-        infos[6].cid: BitVec(64, 0x48AD_C33C_FDC9_99D4),
-        infos[8].cid: BitVec(31, 0),
+        infos[0].cid: terms.TRUE,
+        infos[1].cid: mk_bv(48, 0x8000_0000_0070),
+        infos[2].cid: mk_bv(64, 1),
+        infos[4].cid: terms.TRUE,
+        infos[5].cid: mk_bv(48, 0),
+        infos[6].cid: mk_bv(64, 0x48AD_C33C_FDC9_99D4),
+        infos[8].cid: mk_bv(31, 0),
     }
     r = eng.replay(tp, tree, layout, "test_secure_area_unchanged", model)
     assert isinstance(r.verdict, eng.AssertionFailed)
@@ -269,9 +314,10 @@ def test_arrays_of_records_read_write_snapshot():
     r = eng.run_scenario(tp, tree, layout, "s", eng.SeededRandom(0))
     assert isinstance(r.verdict, eng.Passed)
     slots = r.store["t.slots"]
-    assert isinstance(slots, RecordVal)
+    assert isinstance(slots, RecV)
     tag_arr = slots.get("tag")
-    assert isinstance(tag_arr, SparseArray) and tag_arr.read(1) == BitVec(4, 0)
+    assert isinstance(tag_arr, terms.SparseConst) and tag_arr.key_width == 3
+    assert tag_arr.read(1) == mk_bv(4, 0)
 
 
 # -- slice laws --------------------------------------------------------------
@@ -333,6 +379,7 @@ module Main {
     (line,) = r.transcript
     assert line.startswith("mode ")
     store_vec = r.store["log"]
+    assert isinstance(store_vec, VecV)
     assert len(store_vec.items) == 2
     for item in store_vec.items:
-        assert isinstance(item, BitVec) and item.width == 12
+        assert isinstance(item, terms.BVC) and item.sort == bv_sort(12)

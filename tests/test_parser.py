@@ -166,7 +166,7 @@ def test_spans_cover_declarations_and_nest():
     p = parse_program(
         "module F { }\n" + src.replace("f(", "noop("), "spans.soc")
     mod = p.modules[1]
-    span = ast.span_of(mod)
+    span = mod.span
     assert (span.line, span.file) == (2, "spans.soc")
     assert not span.synthetic
     call = mod.fns[0].body.items[0]
@@ -175,7 +175,7 @@ def test_spans_cover_declarations_and_nest():
     # Nested slice span sits inside its enclosing call's span.
     assert call.span.line <= sl.span.line
     assert sl.span.col >= call.span.col
-    assert ast.span_of(ast.Program([], [], [])).synthetic
+    assert ast.Program([], [], []).span.synthetic
 
 
 # -- round trips -------------------------------------------------------------

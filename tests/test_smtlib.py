@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 
@@ -5,12 +6,12 @@ import pytest
 
 from soclang import ast
 from soclang import engine as eng
-from soclang import smtlib
+from soclang import smtlib, terms
 from soclang.engine import Registry
 from soclang.smtlib import (ModelParseError, Sat, SolverError, SolverJob,
                             Unknown, Unsat, emit_smtlib, parse_model,
                             run_solver)
-from soclang.values import BitVec, SparseArray
+from soclang.terms import mk_bv
 
 from conftest import CORPUS, load_file, load_source, requires_z3, solve_vc
 
@@ -183,7 +184,7 @@ def test_parse_hex_bitvector_definition():
         reg.register(100 + len(reg.infos), 0, ast.BitIntType(64), ("bv", 64))
     model = parse_model(
         "((define-fun c3 () (_ BitVec 64) #x0000000000000001))", reg)
-    assert model[(103, 0)] == BitVec(64, 1)
+    assert model[(103, 0)] == mk_bv(64, 1)
 
 
 def test_parse_binary_and_bv_literals_and_bools():
@@ -198,9 +199,9 @@ def test_parse_binary_and_bv_literals_and_bools():
 )
 """
     model = parse_model(out, reg)
-    assert model[(100, 0)] == BitVec(5, 6)
-    assert model[(101, 0)] is True
-    assert model[(102, 0)] == BitVec(31, 5)
+    assert model[(100, 0)] == mk_bv(5, 6)
+    assert model[(101, 0)] is terms.TRUE
+    assert model[(102, 0)] == mk_bv(31, 5)
 
 
 def test_parse_store_chain_array_value():
@@ -213,10 +214,10 @@ def test_parse_store_chain_array_value():
 """
     model = parse_model(out, reg)
     arr = model[(100, 0)]
-    assert isinstance(arr, SparseArray)
-    assert arr.default == BitVec(64, 0)
-    assert arr.read(7) == BitVec(64, 9)
-    assert arr.read(8) == BitVec(64, 0)
+    assert isinstance(arr, terms.SparseConst) and arr.key_width == 31
+    assert arr.default == mk_bv(64, 0)
+    assert arr.read(7) == mk_bv(64, 9)
+    assert arr.read(8) == mk_bv(64, 0)
 
 
 def test_parse_as_array_with_ite_lambda():
@@ -230,8 +231,9 @@ def test_parse_as_array_with_ite_lambda():
 )
 """
     arr = parse_model(out, reg)[(100, 0)]
-    assert arr.read(3) == BitVec(8, 255)
-    assert arr.read(0) == BitVec(8, 1)
+    assert isinstance(arr, terms.SparseConst) and arr.key_width == 4
+    assert arr.read(3) == mk_bv(8, 255)
+    assert arr.read(0) == mk_bv(8, 1)
 
 
 def test_unregistered_model_name_is_an_error():
@@ -243,7 +245,57 @@ def test_unregistered_model_name_is_an_error():
 def test_model_wrapped_in_model_keyword():
     reg = _registry((ast.BoolType(), ("bool",)))
     model = parse_model("(model (define-fun c0 () Bool false))", reg)
-    assert model[(100, 0)] is False
+    assert model[(100, 0)] is terms.FALSE
+
+
+# A literal must have exactly its variable's width; none is masked to fit.
+@pytest.mark.parametrize("literal", ["#x0100", "(_ bv300 8)", "#b1", "(_ bv1 16)"])
+def test_bitvector_literal_of_another_width_is_an_error(literal):
+    reg = _registry((ast.BitIntType(8), ("bv", 8)))
+    with pytest.raises(ModelParseError, match="c0"):
+        parse_model(f"((define-fun c0 () (_ BitVec 8) {literal}))", reg)
+
+
+ARRAY_4_8 = (ast.ArrayType(ast.BitIntType(4), ast.BitIntType(8)), ("arr", 4, ("bv", 8)))
+
+
+@pytest.mark.parametrize("key,leaf", [("(_ bv99 4)", "#x01"), ("#x10", "#x01"),
+                                      ("#x1", "#x001"), ("#x1", "(_ bv256 8)")])
+def test_array_key_or_leaf_outside_its_sort_is_an_error(key, leaf):
+    reg = _registry(ARRAY_4_8)
+    sort = "(Array (_ BitVec 4) (_ BitVec 8))"
+    store = f"(store ((as const {sort}) #x00) {key} {leaf})"
+    with pytest.raises(ModelParseError, match="c0"):
+        parse_model(f"((define-fun c0 () {sort} {store}))", reg)
+    lam = f"(lambda ((x (_ BitVec 4))) (ite (= x {key}) {leaf} #x00))"
+    with pytest.raises(ModelParseError, match="c0"):
+        parse_model(f"((define-fun c0 () {sort} {lam}))", reg)
+
+
+def test_enum_literal_has_the_backend_width():
+    # Three variants take two bits.
+    reg = _registry((ast.EnumRef("Mode"), ("bv", 2)))
+    assert parse_model("((define-fun c0 () (_ BitVec 2) #b10))", reg)[(100, 0)] \
+        == mk_bv(2, 2)
+    with pytest.raises(ModelParseError, match="c0"):
+        parse_model("((define-fun c0 () (_ BitVec 1) #b1))", reg)
+
+
+@pytest.mark.parametrize("value", ["(lambda)", "(lambda (()) #x00)",
+                                   "(lambda () #x00)", "(_ as-array k!0)"])
+def test_malformed_array_function_is_an_error(value):
+    reg = _registry(ARRAY_4_8)
+    aux = "(define-fun k!0 (()) (_ BitVec 8) #x00)"
+    with pytest.raises(ModelParseError, match="c0"):
+        parse_model(f"((define-fun c0 () (Array (_ BitVec 4) (_ BitVec 8)) {value}) "
+                    f"{aux})", reg)
+
+
+def test_malformed_bitvector_literal_is_an_error():
+    reg = _registry((ast.BitIntType(8), ("bv", 8)))
+    for literal in ["#b102", "#x", "(_ bvx 8)", "(_ bv1 (8))"]:
+        with pytest.raises(ModelParseError, match="expected bitvector"):
+            parse_model(f"((define-fun c0 () (_ BitVec 8) {literal}))", reg)
 
 
 # -- solver driving ----------------------------------------------------------------
@@ -257,7 +309,10 @@ def test_sat_model_roundtrip_pins_stay_sat(tmp_path):
     vc = eng.sym_exec(tp, tree, layout, "test_secure_area_unchanged")
     verdict = solve_vc(vc, tmpdir=tmp_path)
     assert isinstance(verdict, Sat)
-    pinned = emit_smtlib(vc, extra_pins=verdict.model)
+    pins = [(terms.TRUE, terms.mk_eq(terms.Var(info.sort, info.vid),
+                                     verdict.model[info.cid]))
+            for info in vc.registry.infos if info.cid in verdict.model]
+    pinned = emit_smtlib(dataclasses.replace(vc, assumptions=vc.assumptions + pins))
     job = SolverJob(smtlib.DEFAULT_SOLVER, 120, pinned, str(tmp_path / "pin.smt2"))
     assert isinstance(run_solver(job, vc.registry), Sat)
 

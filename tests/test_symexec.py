@@ -3,7 +3,7 @@ import pytest
 from soclang import ast
 from soclang import engine as eng
 from soclang import terms
-from soclang.values import BitVec
+from soclang.terms import mk_bv
 
 from conftest import (CORPUS, brute_force_violating, load_file, load_source,
                       requires_z3, solve_vc)
@@ -31,7 +31,7 @@ module Main {
 
 def test_untouched_cell_is_not_wrapped_in_ite():
     tp, tree, layout = load_source(MERGE_MODEL)
-    e = eng.Engine(tp, tree, layout, "sym")
+    e = eng.Engine(tp, tree, layout)
     before = e.store[("untouched",)]
     e.run("s")
     assert e.store[("untouched",)] is before
@@ -106,7 +106,7 @@ def test_records_match_by_field_name_not_position():
     # the array cell hold them in declaration order (a, b).
     tp, tree, layout = load_source(FIELD_ORDER_MODEL)
     let_lit = tp.fns[("Main", "s")].body.items[2]
-    assert [n for n, _ in tp.type_of(let_lit.value).fields] == ["b", "a"]
+    assert [n for n, _ in tp.types[let_lit.value.node_id].fields] == ["b", "a"]
     for seed in range(4):
         r = eng.run_scenario(tp, tree, layout, "s", eng.SeededRandom(seed))
         assert isinstance(r.verdict, eng.Passed), seed
@@ -138,7 +138,7 @@ def test_expression_without_a_handler_is_an_internal_error():
         pass
 
     tp, tree, layout = load_source(MERGE_MODEL)
-    e = eng.Engine(tp, tree, layout, "sym")
+    e = eng.Engine(tp, tree, layout)
     with pytest.raises(AssertionError, match="unhandled node Stray"):
         e.eval(Stray(ast.SYNTHETIC), {}, None)
 
@@ -186,12 +186,12 @@ module Main {
         "Bool", "BitInt(4)", "BitInt(4)", "BitInt(4)"]
     w_info = infos[3]
     # Violate via the then-arm: v = 1, w = 8.
-    model = {infos[0].cid: True, w_info.cid: BitVec(4, 8)}
+    model = {infos[0].cid: terms.TRUE, w_info.cid: mk_bv(4, 8)}
     r = eng.replay(tp, tree, layout, "s", model)
     assert isinstance(r.verdict, eng.AssertionFailed)
     # And via the else-arm: 2 + 3 + 4 = 9.
-    model = {infos[0].cid: False, infos[1].cid: BitVec(4, 2),
-             infos[2].cid: BitVec(4, 3), w_info.cid: BitVec(4, 4)}
+    model = {infos[0].cid: terms.FALSE, infos[1].cid: mk_bv(4, 2),
+             infos[2].cid: mk_bv(4, 3), w_info.cid: mk_bv(4, 4)}
     r = eng.replay(tp, tree, layout, "s", model)
     assert isinstance(r.verdict, eng.AssertionFailed)
 
@@ -268,7 +268,7 @@ def _eval_term(t, vc, model):
         v = model.get(info.cid)
         if v is None:
             return 0 if t.sort[0] == "bv" else False
-        return v.value if isinstance(v, BitVec) else v
+        return v.value
     if isinstance(t, terms.Not):
         return not _eval_term(t.arg, vc, model)
     if isinstance(t, terms.Bin):

@@ -61,9 +61,9 @@ def test_request_handler_is_well_typed_and_slices_have_exact_widths():
     program = parse_program(REQUEST_HANDLER, "h.soc")
     tp = check_program(program)
     sl = find_expr(program, lambda n: isinstance(n, ast.Slice) and n.hi == 6)
-    assert tp.type_of(sl) == ast.BitIntType(2)
+    assert tp.types[sl.node_id] == ast.BitIntType(2)
     word = find_expr(program, lambda n: isinstance(n, ast.Slice) and n.hi == 33)
-    assert tp.type_of(word) == ast.BitIntType(31)
+    assert tp.types[word.node_id] == ast.BitIntType(31)
 
 
 def test_width_mismatch_reports_both_types():
@@ -108,7 +108,7 @@ module Main {
 """)
     tp = check_program(program)
     anynode = find_expr(program, lambda n: isinstance(n, ast.AnyExpr))
-    assert tp.type_of(anynode) == ast.BitIntType(48)
+    assert tp.types[anynode.node_id] == ast.BitIntType(48)
 
 
 def test_if_checked_against_width_propagates_to_both_arms():
@@ -124,8 +124,8 @@ module Main {
     tp = check_program(program)
     one = find_expr(program, lambda n: isinstance(n, ast.IntLit) and n.value == 1)
     zero = find_expr(program, lambda n: isinstance(n, ast.IntLit) and n.value == 0)
-    assert tp.type_of(one) == ast.BitIntType(64)
-    assert tp.type_of(zero) == ast.BitIntType(64)
+    assert tp.types[one.node_id] == ast.BitIntType(64)
+    assert tp.types[zero.node_id] == ast.BitIntType(64)
 
 
 def test_bare_literal_without_context_cannot_infer_width():
@@ -170,8 +170,8 @@ def test_operands_widths_always_equal_on_corpus():
                 for node in ast.walk(fn.body):
                     if isinstance(node, ast.Binary) and node.op in (
                             "+", "-", "*", "<", "<=", ">", ">=", "==", "!="):
-                        lt = tp.type_of(node.left)
-                        rt = tp.type_of(node.right)
+                        lt = tp.types[node.left.node_id]
+                        rt = tp.types[node.right.node_id]
                         assert type_equal(lt, rt), (path.name, node.op, lt, rt)
 
 
