@@ -16,7 +16,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .diagnostics import CapacityError, EngineError, SocError, TypeErrors
+from .diagnostics import SocError, ToolError, TypeErrors
 from .elaborate import InstanceTree, StateLayout, dump_tree, elaborate
 from .parser import parse_program
 from .typecheck import TypedProgram, check_program
@@ -43,30 +43,13 @@ def load(path: str) -> Tuple[TypedProgram, InstanceTree, StateLayout]:
     return tp, tree, layout
 
 
-def _diag(err) -> int:
-    print(err.report() if hasattr(err, "report") else str(err), file=sys.stderr)
-    return 1
-
-
 def cmd_check(args) -> int:
-    try:
-        load(args.file)
-    except (SocError, TypeErrors) as err:
-        return _diag(err)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    load(args.file)
     return 0
 
 
 def cmd_dump_tree(args) -> int:
-    try:
-        tp, tree, _ = load(args.file)
-    except (SocError, TypeErrors) as err:
-        return _diag(err)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    tp, tree, _ = load(args.file)
     sys.stdout.write(dump_tree(tp, tree))
     return 0
 
@@ -93,15 +76,9 @@ def _report_run(result: RunResult, trace_json: bool) -> int:
 def cmd_run(args) -> int:
     from . import engine as eng
 
-    try:
-        tp, tree, layout = load(args.file)
-        result = eng.run_scenario(tp, tree, layout, args.scenario,
-                                  eng.SeededRandom(args.seed), args.capacity)
-    except (SocError, TypeErrors) as err:
-        return _diag(err)
-    except (OSError, EngineError, CapacityError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    tp, tree, layout = load(args.file)
+    result = eng.run_scenario(tp, tree, layout, args.scenario,
+                              eng.SeededRandom(args.seed), args.capacity)
     return _report_run(result, args.trace_json)
 
 
@@ -112,14 +89,8 @@ def cmd_verify(args) -> int:
     from . import smtlib
     from .smtlib import Sat, SolverError, Unknown, Unsat
 
-    try:
-        tp, tree, layout = load(args.file)
-        vc = eng.sym_exec(tp, tree, layout, args.scenario)
-    except (SocError, TypeErrors) as err:
-        return _diag(err)
-    except (OSError, EngineError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    tp, tree, layout = load(args.file)
+    vc = eng.sym_exec(tp, tree, layout, args.scenario)
     text = smtlib.emit_smtlib(vc)
     if args.dump_vc:
         sys.stdout.write(text)
@@ -151,12 +122,8 @@ def cmd_verify(args) -> int:
     model_path = args.dump_model or f"{args.scenario}.model.smt2"
     with open(model_path, "w") as f:
         f.write(verdict.raw_model + "\n")
-    try:
-        result = eng.replay(tp, tree, layout, args.scenario, verdict.model,
-                            args.capacity)
-    except (EngineError, CapacityError) as err:
-        print(f"error during replay: {err}", file=sys.stderr)
-        return 1
+    result = eng.replay(tp, tree, layout, args.scenario, verdict.model,
+                        args.capacity)
     code = _report_run(result, args.trace_json)
     if code != 2:
         print("error: solver reported sat but the replay did not fail an "
@@ -169,19 +136,12 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     from . import engine as eng
     from . import smtlib
-    from .smtlib import ModelParseError
 
-    try:
-        tp, tree, layout = load(args.file)
-        # Only the registry is needed; the query DAG is freed before replay.
-        registry = eng.sym_exec(tp, tree, layout, args.scenario).registry
-        model = smtlib.load_model_file(args.model, registry)
-        result = eng.replay(tp, tree, layout, args.scenario, model, args.capacity)
-    except (SocError, TypeErrors) as err:
-        return _diag(err)
-    except (OSError, EngineError, CapacityError, ModelParseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    tp, tree, layout = load(args.file)
+    # Only the registry is needed; the query DAG is freed before replay.
+    registry = eng.sym_exec(tp, tree, layout, args.scenario).registry
+    model = smtlib.load_model_file(args.model, registry)
+    result = eng.replay(tp, tree, layout, args.scenario, model, args.capacity)
     return _report_run(result, args.trace_json)
 
 
@@ -232,8 +192,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one command. Its failures are reported on stderr and exit 1."""
     args = build_arg_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (SocError, TypeErrors) as err:
+        print(err.report(), file=sys.stderr)
+    except (OSError, ToolError) as err:
+        print(f"error: {err}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

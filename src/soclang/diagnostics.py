@@ -1,6 +1,6 @@
-"""Located errors shared by all phases.
+"""Errors shared by all phases.
 
-The report format is one line per diagnostic: `file:line:col: error: <message>`.
+A located error reports one line per diagnostic: `file:line:col: error: <message>`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,11 @@ class ElabError(SocError):
     pass
 
 
-class CapacityError(Exception):
+class ToolError(Exception):
+    """Base for toolchain errors without a source location: `error: <message>`."""
+
+
+class CapacityError(ToolError):
     """Sparse-array modification budget exceeded (a resource error, not a verdict)."""
 
     def __init__(self, path: str, capacity: int) -> None:
@@ -58,5 +62,5 @@ class CapacityError(Exception):
         self.capacity = capacity
 
 
-class EngineError(Exception):
+class EngineError(ToolError):
     """Internal execution failure (corrupt model values, resource limits)."""

@@ -60,20 +60,26 @@ class StateLayout:
 def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
     """Build the instance tree and the cell layout; resolves all wirings.
 
-    Raises ElabError for unbound callees, wirings to nonexistent instances,
-    module mismatches, and duplicate wirings.
+    Raises ElabError for instance cycles, unbound callees, wirings to
+    nonexistent instances, module mismatches, and duplicate wirings.
     """
     by_path: Dict[Tuple[str, ...], InstanceNode] = {}
     cells: List[Cell] = []
+    active: Dict[str, None] = {}  # modules being instantiated, outermost first
 
     def instantiate(mod: ast.ModuleDecl, path: Tuple[str, ...],
                     span: ast.SourceSpan) -> InstanceNode:
         node = InstanceNode(mod.name, path, "module", span=span)
         by_path[path] = node
+        active[mod.name] = None
         for inst in mod.instances:
             child_path = path + (inst.name,)
             ref = inst.ref
             if isinstance(ref, ast.ModuleRef):
+                if ref.name in active:
+                    names = list(active)
+                    cycle = names[names.index(ref.name):] + [ref.name]
+                    raise ElabError(inst.span, "instance cycle: " + " -> ".join(cycle))
                 node.children[inst.name] = instantiate(
                     tp.modules[ref.name], child_path, inst.span)
             elif isinstance(ref, ast.StatePrim):
@@ -93,11 +99,16 @@ def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
                 by_path[child_path] = cell
                 cells.append(Cell(child_path, "array", vt, kt, None))
         _wire(tp, mod, node)
+        del active[mod.name]
         return node
 
     root_mod = tp.modules[tp.root_name]
-    root = instantiate(root_mod, (), root_mod.span)
-    _check_callees_bound(tp, root)
+    try:
+        root = instantiate(root_mod, (), root_mod.span)
+        _check_callees_bound(tp, root)
+    except RecursionError:
+        # Both walks recurse once per level of instance nesting.
+        raise ElabError(root_mod.span, "instance nesting too deep") from None
     tree = InstanceTree(root, by_path)
     layout = StateLayout(cells)
     return tree, layout

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ast, terms
+from .diagnostics import ToolError
 from .engine import ChoiceId, Registry, VerificationCondition
 from .terms import Term
 
@@ -17,7 +18,7 @@ DEFAULT_SOLVER = "z3 -smt2 {file}"
 SOLVER_ENV_VAR = "SOC_SOLVER"
 
 
-class ModelParseError(Exception):
+class ModelParseError(ToolError):
     pass
 
 
@@ -326,21 +327,25 @@ def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, Term]:
     aux: Dict[str, list] = {}
     mains: List[list] = []
     for d in defs:
-        if len(d) < 5 or d[0] != "define-fun":
+        if len(d) < 2 or d[0] != "define-fun":
             continue
         name = d[1]
         if isinstance(name, str) and name.startswith("c") and name[1:].isdigit():
             mains.append(d)
-        else:
+        elif len(d) >= 5:
             aux[name] = d
     model: Dict[ChoiceId, Term] = {}
     by_vid = {i.vid: i for i in registry.infos}
     for d in mains:
-        name, args, body = d[1], d[2], d[4]
-        vid = int(name[1:])
-        info = by_vid.get(vid)
+        name = d[1]
+        if len(d) < 5:
+            raise ModelParseError(f"malformed definition of {name}")
+        args, body = d[2], d[4]
+        info = by_vid.get(int(name[1:]))
         if info is None:
             raise ModelParseError(f"model defines unregistered variable {name}")
+        if info.cid in model:
+            raise ModelParseError(f"model defines {name} twice")
         if args:
             raise ModelParseError(f"unexpected arguments on {name}")
         try:

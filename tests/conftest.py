@@ -48,6 +48,24 @@ def load_file(path):
     return load_source(Path(path).read_text(), str(path))
 
 
+def _instance_chain(depth: int) -> str:
+    """Main instances M0, which instances M1, ... down to M<depth-1>."""
+    mods = [f"module M{i} {{ instance x: M{i + 1}; }}\n" for i in range(depth - 1)]
+    return "".join(mods) + f"module M{depth - 1} {{ }}\nmodule Main {{ instance x: M0; }}\n"
+
+
+# Sources that elaboration rejects, each with the location and message of its
+# one diagnostic: the instance declaration that closes a cycle, or the root
+# module when the nesting is too deep for the stack.
+INSTANCE_NESTING = {
+    "self": ("module Main {\n  instance m: Main;\n}\n",
+             ":2:3: error: instance cycle: Main -> Main"),
+    "two modules": ("module Main {\n  instance a: A;\n}\nmodule A {\n  instance m: Main;\n}\n",
+                    ":5:3: error: instance cycle: Main -> A -> Main"),
+    "1,500-level chain": (_instance_chain(1500), ":1501:1: error: instance nesting too deep"),
+}
+
+
 def solve_vc(vc, timeout: float = 120.0, command: str | None = None,
              tmpdir: Path | None = None):
     """Emit, run the external solver, return its verdict."""

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, requires_z3, run_cli
+from conftest import CORPUS, INSTANCE_NESTING, requires_z3, run_cli
 
 VULN = str(CORPUS / "mini_tx1_vulnerable.soc")
 FIXED = str(CORPUS / "mini_tx1_fixed.soc")
@@ -103,6 +103,17 @@ def test_check_deep_expression_is_a_located_diagnostic(tmp_path, shape):
     assert code == 1
     assert f"{f}:2:" in err and "error: nesting too deep" in err  # at the fn
     assert "Traceback" not in err
+
+
+# Instance cycles and instance chains deeper than the stack are located errors
+# from every front-end command, never a traceback.
+@pytest.mark.parametrize("command", ["check", "dump-tree"])
+@pytest.mark.parametrize("case", list(INSTANCE_NESTING))
+def test_instance_cycle_is_a_located_diagnostic(tmp_path, command, case):
+    source, where = INSTANCE_NESTING[case]
+    f = tmp_path / "cyc.soc"
+    f.write_text(source)
+    assert run_cli(command, str(f)) == (1, "", f"{f}{where}\n")
 
 
 def test_dump_tree_is_stable():
@@ -263,3 +274,51 @@ def test_trace_corrupt_model_file_exits_1(tmp_path):
     code, _, err = run_cli("trace", VULN, "--scenario", "test_secure_area_unchanged",
                            "--model", str(bad))
     assert code == 1
+
+
+def test_trace_model_defining_a_choice_twice_exits_1(tmp_path):
+    bad = tmp_path / "dup.smt2"
+    bad.write_text("((define-fun c0 () Bool true) (define-fun c0 () Bool false))\n")
+    code, out, err = run_cli("trace", VULN, "--scenario", "test_secure_area_unchanged",
+                             "--model", str(bad))
+    assert (code, out, err) == (1, "", "error: model defines c0 twice\n")
+
+
+def _sat_with(model: str) -> str:
+    """A stand-in solver that answers `sat` with the given model."""
+    return f"sh -c \"echo sat; echo '{model}'\""
+
+
+# Failures outside the model source: each is one `error:` line and exit 1.
+# `{tmp}` is the test's directory; `{file}` is the query file, which is not
+# executable.
+VERIFY_FAILURES = {
+    "malformed model": ["--solver", _sat_with("((define-fun c0 () Bool #x01))")],
+    "model path in a missing directory": ["--solver", _sat_with("()"),
+                                          "--dump-model", "{tmp}/missing/m.smt2"],
+    "query path in a missing directory": ["--solver", "sh -c 'echo unknown'",
+                                          "--dump-smt", "{tmp}/missing/q.smt2"],
+    "solver not executable": ["--solver", "{file}"],
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_FAILURES))
+def test_verify_failure_is_one_error_line(tmp_path, case):
+    options = [arg.replace("{tmp}", str(tmp_path)) for arg in VERIFY_FAILURES[case]]
+    code, _, err = run_cli("verify", VULN, "--scenario", "test_secure_area_unchanged",
+                           *options)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_replay_error_is_an_error_line(tmp_path):
+    model = tmp_path / "full.soc"
+    model.write_text("module Main {\n  instance cells: Array<BitInt(4), BitInt(8)>;\n"
+                     "  mut fn full() {\n    cells.write(1u4, 1u8);\n    assert(false)\n"
+                     "  }\n}\n")
+    code, out, err = run_cli("verify", str(model), "--scenario", "full",
+                             "--solver", _sat_with("()"), "--capacity", "0",
+                             "--dump-model", str(tmp_path / "m.smt2"))
+    assert (code, out) == (1, "")
+    assert err == "error: sparse array cells: capacity of 0 modifications exceeded\n"

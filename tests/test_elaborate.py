@@ -5,7 +5,7 @@ from soclang.elaborate import dump_tree, elaborate
 from soclang.parser import parse_program
 from soclang.typecheck import check_program
 
-from conftest import CORPUS, load_file
+from conftest import CORPUS, INSTANCE_NESTING, load_file
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +131,11 @@ module Main {
 """)
     dev = tree.node(("dev",))
     assert dev.callees["north"] == dev.callees["south"] == ("bus",)
+
+
+@pytest.mark.parametrize("case", list(INSTANCE_NESTING))
+def test_instance_cycle_or_deep_chain_is_a_located_error(case):
+    source, where = INSTANCE_NESTING[case]
+    with pytest.raises(ElabError) as info:
+        _elab(source)
+    assert info.value.report() == f"t.soc{where}"

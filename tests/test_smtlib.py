@@ -242,6 +242,17 @@ def test_unregistered_model_name_is_an_error():
         parse_model("((define-fun c9 () Bool true))", reg)
 
 
+@pytest.mark.parametrize("defs,message", [
+    ("(define-fun c0 () Bool true) (define-fun c0 () Bool false)",
+     "model defines c0 twice"),
+    ("(define-fun c0 () Bool)", "malformed definition of c0"),
+])
+def test_duplicate_or_truncated_choice_definition_is_an_error(defs, message):
+    reg = _registry((ast.BoolType(), ("bool",)))
+    with pytest.raises(ModelParseError, match=message):
+        parse_model(f"({defs})", reg)
+
+
 def test_model_wrapped_in_model_keyword():
     reg = _registry((ast.BoolType(), ("bool",)))
     model = parse_model("(model (define-fun c0 () Bool false))", reg)
