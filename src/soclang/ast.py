@@ -8,7 +8,7 @@ round-trip tests compare.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 _node_ids = itertools.count()
@@ -388,47 +388,14 @@ class Program:
 
 
 def child_exprs(e: Expr) -> Iterator[Expr]:
-    if isinstance(e, VectorLit):
-        yield from e.items
-    elif isinstance(e, RecordLit):
-        for _, v in e.fields:
-            yield v
-    elif isinstance(e, FieldAccess):
-        yield e.base
-    elif isinstance(e, Index):
-        yield e.base
-        yield e.index
-    elif isinstance(e, Slice):
-        yield e.base
-    elif isinstance(e, IndexUpdate):
-        yield e.base
-        yield e.index
-        yield e.value
-    elif isinstance(e, SliceUpdate):
-        yield e.base
-        yield e.value
-    elif isinstance(e, Unary):
-        yield e.operand
-    elif isinstance(e, Binary):
-        yield e.left
-        yield e.right
-    elif isinstance(e, Call):
-        yield from e.args
-    elif isinstance(e, Builtin):
-        yield e.arg
-    elif isinstance(e, Let):
-        yield e.value
-    elif isinstance(e, If):
-        yield e.cond
-        yield e.then
-        if e.orelse is not None:
-            yield e.orelse
-    elif isinstance(e, Block):
-        yield from e.items
-    elif isinstance(e, (Assume, Assert)):
-        yield e.cond
-    elif isinstance(e, Printf):
-        yield from e.holes
+    """The expressions in e's fields, in field order (list items and the
+    values of `(name, expr)` pairs included)."""
+    for f in fields(e):
+        value = getattr(e, f.name)
+        for x in value if isinstance(value, list) else (value,):
+            x = x[1] if isinstance(x, tuple) else x
+            if isinstance(x, Expr):
+                yield x
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -559,13 +526,10 @@ class _Printer:
         if isinstance(e, Printf):
             pieces = [_escape(e.parts[0])]
             for part, hole in zip(e.parts[1:], e.holes):
-                pieces.append("{" + self.raw_expr(hole) + "}")
+                pieces.append("{" + self.expr(hole) + "}")
                 pieces.append(_escape(part))
             return 'printf("' + "".join(pieces) + '")'
         raise AssertionError(f"unprintable node {type(e).__name__}")
-
-    def raw_expr(self, e: Expr) -> str:
-        return self.expr(e)
 
     def if_expr(self, e: If) -> str:
         s = f"if {self.expr(e.cond)} {self.block_inline(e.then)}"

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from .diagnostics import SocError, ToolError, TypeErrors
 from .elaborate import InstanceTree, StateLayout, dump_tree, elaborate
+from .lexer import decode_source
 from .parser import parse_program
 from .typecheck import TypedProgram, check_program
 
@@ -35,8 +36,8 @@ _INDUCTION_NOTE = (
 
 
 def load(path: str) -> Tuple[TypedProgram, InstanceTree, StateLayout]:
-    with open(path, encoding="utf-8") as f:
-        source = f.read()
+    with open(path, "rb") as f:
+        source = decode_source(f.read(), path)
     program = parse_program(source, path)
     tp = check_program(program)
     tree, layout = elaborate(tp)

@@ -69,6 +69,19 @@ _STRING_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "{": "\\{", "}": 
 _ESCAPE = re.compile(r"\\(.)")
 
 
+def decode_source(data: bytes, filename: str) -> str:
+    """The text of a UTF-8 source file, with newlines read as text-mode
+    `open` reads them; an invalid byte is a LexError at its line and column."""
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = data[:err.start].decode("utf-8")
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise LexError(SourceSpan(filename, line, col, line, col + 1),
+                       f"invalid UTF-8 byte 0x{data[err.start]:02x}") from None
+
+
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Full token list ending in an EOF token; comments skipped.
 

@@ -100,13 +100,7 @@ class _Parser:
         start = self.expect("enum")
         name = self.expect_ident("enum name")
         self.expect("{")
-        variants = [self.expect_ident("variant name").lexeme]
-        while self.at(","):
-            self.advance()
-            if self.at("}"):
-                break
-            variants.append(self.expect_ident("variant name").lexeme)
-        self.expect("}")
+        variants = self.comma_list(lambda: self.expect_ident("variant name").lexeme, "}")
         return ast.EnumDecl(name.lexeme, variants, self.span_from(start))
 
     def module_decl(self) -> ast.ModuleDecl:
@@ -194,25 +188,53 @@ class _Parser:
         self.expect("fn")
         name = self.expect_ident("function name")
         self.expect("(")
-        params: list = []
-        if not self.at(")"):
-            while True:
-                pstart = self.peek()
-                pname = self.expect_ident("parameter name")
-                self.expect(":")
-                pty = self.type_expr()
-                params.append(ast.Param(pname.lexeme, pty, self.span_from(pstart)))
-                if self.at(","):
-                    self.advance()
-                else:
-                    break
-        self.expect(")")
+        params = self.comma_list(self.param, ")")
         ret: Optional[ast.TypeExpr] = None
         if self.at("->"):
             self.advance()
             ret = self.type_expr()
         body = self.block()
         return ast.FnDecl(name.lexeme, is_mut, params, ret, body, self.span_from(start))
+
+    def param(self) -> ast.Param:
+        start = self.peek()
+        name = self.expect_ident("parameter name")
+        self.expect(":")
+        ty = self.type_expr()
+        return ast.Param(name.lexeme, ty, self.span_from(start))
+
+    # -- lists --------------------------------------------------------------
+
+    def comma_list(self, item, close: str) -> list:
+        """Comma-separated items up to and including the `close` token.
+
+        A list closed by `}` has at least one item and may end in a comma;
+        one closed by `)` or `]` may be empty and may not.
+        """
+        items: list = []
+        if close == "}" or not self.at(close):
+            items.append(item())
+            while self.at(","):
+                self.advance()
+                if close == "}" and self.at("}"):
+                    break
+                items.append(item())
+        self.expect(close)
+        return items
+
+    def named_fields(self, value, duplicate: str) -> list:
+        """`{ name: value, ... }` after its `{`; a repeated name is an error."""
+        seen = set()
+
+        def field():
+            name = self.expect_ident("field name")
+            self.expect(":")
+            v = value()
+            if name.lexeme in seen:
+                raise ParseError(name.span, f"{duplicate} {name.lexeme!r}")
+            seen.add(name.lexeme)
+            return name.lexeme, v
+        return self.comma_list(field, "}")
 
     # -- types ------------------------------------------------------------
 
@@ -255,24 +277,7 @@ class _Parser:
 
     def record_type(self) -> ast.RecordType:
         self.expect("{")
-        fields: list = []
-        seen = set()
-        while True:
-            fname = self.expect_ident("field name")
-            self.expect(":")
-            fty = self.type_expr()
-            if fname.lexeme in seen:
-                raise ParseError(fname.span, f"duplicate record field {fname.lexeme!r}")
-            seen.add(fname.lexeme)
-            fields.append((fname.lexeme, fty))
-            if self.at(","):
-                self.advance()
-                if self.at("}"):
-                    break
-            else:
-                break
-        self.expect("}")
-        return ast.RecordType(tuple(fields))
+        return ast.RecordType(tuple(self.named_fields(self.type_expr, "duplicate record field")))
 
     def int_const(self, what: str) -> int:
         if not self.at_kind(TokKind.INT):
@@ -389,16 +394,7 @@ class _Parser:
 
     def call_args(self) -> list:
         self.expect("(")
-        args: list = []
-        if not self.at(")"):
-            while True:
-                args.append(self.expr())
-                if self.at(","):
-                    self.advance()
-                else:
-                    break
-        self.expect(")")
-        return args
+        return self.comma_list(self.expr, ")")
 
     def primary_expr(self) -> ast.Expr:
         t = self.peek()
@@ -418,15 +414,7 @@ class _Parser:
             return e
         if self.at("["):
             self.advance()
-            items: list = []
-            if not self.at("]"):
-                while True:
-                    items.append(self.expr())
-                    if self.at(","):
-                        self.advance()
-                    else:
-                        break
-            self.expect("]")
+            items = self.comma_list(self.expr, "]")
             return ast.VectorLit(self.span_from(t), items)
         if self.at("{"):
             # `{ name:` opens a record literal, anything else a block.
@@ -475,23 +463,7 @@ class _Parser:
 
     def record_lit(self) -> ast.RecordLit:
         start = self.expect("{")
-        fields: list = []
-        seen = set()
-        while True:
-            fname = self.expect_ident("field name")
-            self.expect(":")
-            value = self.expr()
-            if fname.lexeme in seen:
-                raise ParseError(fname.span, f"duplicate field {fname.lexeme!r}")
-            seen.add(fname.lexeme)
-            fields.append((fname.lexeme, value))
-            if self.at(","):
-                self.advance()
-                if self.at("}"):
-                    break
-            else:
-                break
-        self.expect("}")
+        fields = self.named_fields(self.expr, "duplicate field")
         return ast.RecordLit(self.span_from(start), fields)
 
     def if_expr(self) -> ast.If:

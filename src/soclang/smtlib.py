@@ -16,6 +16,8 @@ from .terms import Term
 
 DEFAULT_SOLVER = "z3 -smt2 {file}"
 SOLVER_ENV_VAR = "SOC_SOLVER"
+# The solver is waited for with poll(2), whose timeout is a C int of milliseconds.
+MAX_TIMEOUT_S = (2**31 - 1) // 1000
 
 
 class ModelParseError(ToolError):
@@ -222,10 +224,18 @@ def solver_command(override: Optional[str] = None) -> str:
 
 def run_solver(job: SolverJob, registry: Registry):
     """Run the external solver on the job file and classify its answer."""
+    if not job.timeout <= MAX_TIMEOUT_S:  # also rejects NaN
+        raise ToolError(f"bad solver timeout {job.timeout}: "
+                        f"must be a number of seconds up to {MAX_TIMEOUT_S}")
+    try:
+        argv = [part.replace("{file}", job.file_path)
+                for part in shlex.split(job.command)]
+    except ValueError as err:
+        raise ToolError(f"bad solver command {job.command!r}: {err}") from None
+    if not argv:
+        raise ToolError(f"bad solver command {job.command!r}: it names no program")
     with open(job.file_path, "w") as f:
         f.write(job.smtlib)
-    argv = [part.replace("{file}", job.file_path)
-            for part in shlex.split(job.command)]
     try:
         proc = subprocess.run(argv, capture_output=True, text=True,
                               timeout=job.timeout)
@@ -460,5 +470,11 @@ def _sparse_array(sort: tuple, default: Term,
 
 
 def load_model_file(path: str, registry: Registry) -> Dict[ChoiceId, Term]:
-    with open(path) as f:
-        return parse_model(f.read(), registry)
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ModelParseError(f"invalid UTF-8 byte 0x{data[err.start]:02x} "
+                              f"at offset {err.start} of {path}") from None
+    return parse_model(text, registry)

@@ -272,35 +272,48 @@ class Checker:
         ret = self.resolve_type(f.ret_type, f.span) if f.ret_type is not None else ast.UNIT
         self.check_expr(ctx, f.body, ret)
 
-    # -- bidirectional switch ----------------------------------------------
+    # -- the typing judgment -------------------------------------------------
 
-    def check_expr(self, ctx: TypingCtx, e: ast.Expr, expected: ast.TypeExpr) -> ast.TypeExpr:
-        """Check e against an expected type; returns the (annotated) type."""
-        t = self._check(ctx, e, expected)
-        self.types[e.node_id] = t
+    def check_expr(self, ctx: TypingCtx, e: ast.Expr,
+                   expected: Optional[ast.TypeExpr] = None) -> ast.TypeExpr:
+        """Type e, against `expected` if given; returns the (annotated) type."""
+        t = self.types[e.node_id] = self._type(ctx, e, expected)
+        # Subsumption is type equality only: no implicit widening.
+        if expected is not None and t is not expected and not type_equal(t, expected):
+            raise self.fail(e.span, f"type mismatch: expected {expected}, found {t}")
         return t
 
     def infer_expr(self, ctx: TypingCtx, e: ast.Expr) -> ast.TypeExpr:
         """Synthesize a type for e; literals without a width suffix fail here."""
-        t = self._infer(ctx, e)
-        self.types[e.node_id] = t
-        return t
+        return self.check_expr(ctx, e, None)
 
-    def _check(self, ctx, e, expected) -> ast.TypeExpr:
-        if isinstance(e, ast.IntLit) and e.width is None:
-            if isinstance(expected, ast.BitIntType):
-                if e.value >= (1 << expected.width):
-                    raise self.fail(
-                        e.span, f"literal {e.value} does not fit in {expected.width} bits")
-                return expected
-            if isinstance(expected, ast.IntType):
-                return expected
-            raise self.fail(e.span, f"integer literal where {expected} is expected")
-        if isinstance(e, ast.RecordLit):
-            if not isinstance(expected, ast.RecordType):
-                raise self.fail(e.span, f"record literal where {expected} is expected")
-            return self._check_record_lit(ctx, e, expected)
+    def _type(self, ctx: TypingCtx, e: ast.Expr, expected) -> ast.TypeExpr:
+        """Check the forms that can take `expected`; synthesize the others."""
+        numeric = isinstance(expected, (ast.BitIntType, ast.IntType))
+        if isinstance(e, ast.IntLit):
+            if e.width is not None:
+                return ast.BitIntType(e.width)
+            if expected is None:
+                raise self.fail(e.span, "cannot infer width of integer literal "
+                                        "(add a u<width> suffix or a type annotation)")
+            if not numeric:
+                raise self.fail(e.span, f"integer literal where {expected} is expected")
+            if isinstance(expected, ast.BitIntType) and e.value >= (1 << expected.width):
+                raise self.fail(
+                    e.span, f"literal {e.value} does not fit in {expected.width} bits")
+            return expected
+        if isinstance(e, ast.BoolLit):
+            return ast.BOOL
+        if isinstance(e, ast.UnitLit):
+            return ast.UNIT
         if isinstance(e, ast.VectorLit):
+            if expected is None:
+                if not e.items:
+                    raise self.fail(e.span, "cannot infer the type of an empty vector literal")
+                first = self.check_expr(ctx, e.items[0])
+                for item in e.items[1:]:
+                    self.check_expr(ctx, item, first)
+                return ast.VectorType(first, len(e.items))
             if not isinstance(expected, ast.VectorType):
                 raise self.fail(e.span, f"vector literal where {expected} is expected")
             if len(e.items) != expected.length:
@@ -310,107 +323,20 @@ class Checker:
             for item in e.items:
                 self.check_expr(ctx, item, expected.elem)
             return expected
-        if isinstance(e, ast.If):
-            self.check_expr(ctx, e.cond, ast.BOOL)
-            self.check_expr(ctx, e.then, expected)
-            if e.orelse is None:
-                if not isinstance(expected, ast.UnitType):
-                    raise self.fail(e.span, "if without else has unit type")
-            else:
-                self.check_expr(ctx, e.orelse, expected)
-            return expected
-        if isinstance(e, ast.Block):
-            return self._check_block(ctx, e, expected)
-        if isinstance(e, ast.Unary) and e.op == "-":
-            if isinstance(expected, (ast.BitIntType, ast.IntType)):
-                self.check_expr(ctx, e.operand, expected)
-                return expected
-        if isinstance(e, ast.Binary) and e.op in ("+", "-", "*"):
-            if isinstance(expected, (ast.BitIntType, ast.IntType)):
-                self.check_expr(ctx, e.left, expected)
-                self.check_expr(ctx, e.right, expected)
-                return expected
-        # Subsumption is type equality only: no implicit widening.
-        actual = self.infer_expr(ctx, e)
-        if not type_equal(actual, expected):
-            raise self.fail(e.span, f"type mismatch: expected {expected}, found {actual}")
-        return actual
-
-    def _check_record_lit(self, ctx, e: ast.RecordLit, expected: ast.RecordType):
-        declared = dict(expected.fields)
-        written = [n for n, _ in e.fields]
-        missing = [n for n, _ in expected.fields if n not in written]
-        extra = [n for n in written if n not in declared]
-        if missing:
-            raise self.fail(e.span, "record literal is missing fields: " + ", ".join(missing))
-        if extra:
-            raise self.fail(e.span, "record literal has unknown fields: " + ", ".join(extra))
-        for name, value in e.fields:
-            self.check_expr(ctx, value, declared[name])
-        return expected
-
-    def _check_block(self, ctx, b: ast.Block, expected) -> ast.TypeExpr:
-        inner = ctx.child()
-        result: ast.TypeExpr = ast.UNIT
-        for i, item in enumerate(b.items):
-            last = i == len(b.items) - 1
-            if isinstance(item, ast.Let):
-                self._check_let(inner, item)
-            elif last and b.yields_value:
-                result = self.check_expr(inner, item, expected)
-                return result
-            else:
-                self.check_expr(inner, item, ast.UNIT)
-        if not isinstance(expected, ast.UnitType):
-            span = b.items[-1].span if b.items else b.span
-            raise self.fail(span, f"block yields unit, but {expected} is expected")
-        return ast.UNIT
-
-    def _check_let(self, ctx: TypingCtx, item: ast.Let) -> None:
-        if item.annot is not None:
-            t = self.resolve_type(item.annot, item.span)
-            self.check_expr(ctx, item.value, t)
-        else:
-            t = self.infer_expr(ctx, item.value)
-        self.types[item.node_id] = ast.UNIT
-        ctx.vars[item.name] = t
-
-    # -- synthesis ---------------------------------------------------------
-
-    def _infer(self, ctx: TypingCtx, e: ast.Expr) -> ast.TypeExpr:
-        if isinstance(e, ast.IntLit):
-            if e.width is None:
-                raise self.fail(e.span, "cannot infer width of integer literal "
-                                        "(add a u<width> suffix or a type annotation)")
-            return ast.BitIntType(e.width)
-        if isinstance(e, ast.BoolLit):
-            return ast.BOOL
-        if isinstance(e, ast.UnitLit):
-            return ast.UNIT
-        if isinstance(e, ast.VectorLit):
-            if not e.items:
-                raise self.fail(e.span, "cannot infer the type of an empty vector literal")
-            first = self.infer_expr(ctx, e.items[0])
-            for item in e.items[1:]:
-                self.check_expr(ctx, item, first)
-            return ast.VectorType(first, len(e.items))
         if isinstance(e, ast.RecordLit):
-            fields = tuple((n, self.infer_expr(ctx, v)) for n, v in e.fields)
-            return ast.RecordType(fields)
+            if expected is None:
+                return ast.RecordType(tuple((n, self.check_expr(ctx, v)) for n, v in e.fields))
+            if not isinstance(expected, ast.RecordType):
+                raise self.fail(e.span, f"record literal where {expected} is expected")
+            return self._check_record_lit(ctx, e, expected)
         if isinstance(e, ast.PathExpr):
-            return self._infer_path(ctx, e)
+            return self._path(ctx, e)
         if isinstance(e, ast.FieldAccess):
-            base = self.infer_expr(ctx, e.base)
-            if not isinstance(base, ast.RecordType):
-                raise self.fail(e.span, f"field access on non-record type {base}")
-            ft = base.field_type(e.name)
-            if ft is None:
-                raise self.fail(e.span, f"record {base} has no field {e.name!r}")
-            return ft
+            return self._field_type(self.check_expr(ctx, e.base), e.name, e.span)
         if isinstance(e, ast.Index):
-            return self._infer_index(ctx, e)
+            return self._index(ctx, e)
         if isinstance(e, ast.Slice):
-            base = self.infer_expr(ctx, e.base)
+            base = self.check_expr(ctx, e.base)
             if not isinstance(base, ast.BitIntType):
                 raise self.fail(e.span, f"bit slice on non-BitInt type {base}")
             if e.hi < e.lo:
@@ -420,14 +346,14 @@ class Checker:
                     e.span, f"slice [{e.hi} downto {e.lo}] out of range for {base}")
             return ast.BitIntType(e.hi - e.lo + 1)
         if isinstance(e, ast.IndexUpdate):
-            base = self.infer_expr(ctx, e.base)
+            base = self.check_expr(ctx, e.base)
             if not isinstance(base, ast.VectorType):
                 raise self.fail(e.span, f"index update on non-vector type {base}")
             self._check_vector_index(ctx, e.index, base, e.span)
             self.check_expr(ctx, e.value, base.elem)
             return base
         if isinstance(e, ast.SliceUpdate):
-            base = self.infer_expr(ctx, e.base)
+            base = self.check_expr(ctx, e.base)
             if not isinstance(base, ast.VectorType):
                 raise self.fail(e.span, f"slice update on non-vector type {base}")
             if e.hi >= base.length:
@@ -442,16 +368,23 @@ class Checker:
             if e.op == "!":
                 self.check_expr(ctx, e.operand, ast.BOOL)
                 return ast.BOOL
-            t = self.infer_expr(ctx, e.operand)
+            if numeric:
+                self.check_expr(ctx, e.operand, expected)
+                return expected
+            t = self.check_expr(ctx, e.operand)
             if not isinstance(t, (ast.BitIntType, ast.IntType)):
                 raise self.fail(e.span, f"unary '-' on non-numeric type {t}")
             return t
         if isinstance(e, ast.Binary):
-            return self._infer_binary(ctx, e)
+            if numeric and e.op in ("+", "-", "*"):
+                self.check_expr(ctx, e.left, expected)
+                self.check_expr(ctx, e.right, expected)
+                return expected
+            return self._binary(ctx, e)
         if isinstance(e, ast.Call):
-            return self._infer_call(ctx, e)
+            return self._call(ctx, e)
         if isinstance(e, ast.Builtin):
-            return self._infer_builtin(ctx, e)
+            return self._builtin(ctx, e)
         if isinstance(e, ast.AnyExpr):
             if ctx.pure:
                 raise self.fail(e.span, "'any' is not allowed in a pure fn")
@@ -462,13 +395,17 @@ class Checker:
         if isinstance(e, ast.If):
             self.check_expr(ctx, e.cond, ast.BOOL)
             if e.orelse is None:
-                self.check_expr(ctx, e.then, ast.UNIT)
-                return ast.UNIT
-            then_t = self.infer_expr(ctx, e.then)
-            self.check_expr(ctx, e.orelse, then_t)
-            return then_t
+                expected = ast.UNIT if expected is None else expected
+                self.check_expr(ctx, e.then, expected)
+                if not isinstance(expected, ast.UnitType):
+                    raise self.fail(e.span, "if without else has unit type")
+                return expected
+            then_t = self.check_expr(ctx, e.then, expected)
+            expected = then_t if expected is None else expected
+            self.check_expr(ctx, e.orelse, expected)
+            return expected
         if isinstance(e, ast.Block):
-            return self._infer_block(ctx, e)
+            return self._block(ctx, e, expected)
         if isinstance(e, (ast.Assume, ast.Assert)):
             if ctx.init_expr:
                 raise self.fail(e.span, "assume/assert are not allowed here")
@@ -478,35 +415,56 @@ class Checker:
             if ctx.init_expr:
                 raise self.fail(e.span, "printf is not allowed here")
             for hole in e.holes:
-                self.infer_expr(ctx, hole)
+                self.check_expr(ctx, hole)
             return ast.UNIT
         if isinstance(e, ast.Let):
             raise self.fail(e.span, "let is only allowed directly inside a block")
         raise self.fail(e.span, f"cannot type {type(e).__name__}")
 
-    def _infer_block(self, ctx, b: ast.Block) -> ast.TypeExpr:
+    def _check_record_lit(self, ctx, e: ast.RecordLit, expected: ast.RecordType):
+        declared = dict(expected.fields)
+        written = [n for n, _ in e.fields]
+        missing = [n for n, _ in expected.fields if n not in written]
+        extra = [n for n in written if n not in declared]
+        if missing:
+            raise self.fail(e.span, "record literal is missing fields: " + ", ".join(missing))
+        if extra:
+            raise self.fail(e.span, "record literal has unknown fields: " + ", ".join(extra))
+        for name, value in e.fields:
+            self.check_expr(ctx, value, declared[name])
+        return expected
+
+    def _block(self, ctx, b: ast.Block, expected) -> ast.TypeExpr:
         inner = ctx.child()
         for i, item in enumerate(b.items):
-            last = i == len(b.items) - 1
             if isinstance(item, ast.Let):
-                self._check_let(inner, item)
-            elif last and b.yields_value:
-                return self.infer_expr(inner, item)
+                annot = None if item.annot is None else self.resolve_type(item.annot, item.span)
+                t = self.check_expr(inner, item.value, annot)
+                self.types[item.node_id] = ast.UNIT
+                inner.vars[item.name] = t if annot is None else annot
+            elif b.yields_value and i == len(b.items) - 1:
+                return self.check_expr(inner, item, expected)
             else:
                 self.check_expr(inner, item, ast.UNIT)
+        if expected is not None and not isinstance(expected, ast.UnitType):
+            span = b.items[-1].span if b.items else b.span
+            raise self.fail(span, f"block yields unit, but {expected} is expected")
         return ast.UNIT
 
-    def _infer_path(self, ctx: TypingCtx, e: ast.PathExpr) -> ast.TypeExpr:
+    def _field_type(self, t: ast.TypeExpr, name: str, span) -> ast.TypeExpr:
+        if not isinstance(t, ast.RecordType):
+            raise self.fail(span, f"field access on non-record type {t}")
+        ft = t.field_type(name)
+        if ft is None:
+            raise self.fail(span, f"record {t} has no field {name!r}")
+        return ft
+
+    def _path(self, ctx: TypingCtx, e: ast.PathExpr) -> ast.TypeExpr:
         head = e.names[0]
         if head in ctx.vars:
             t = ctx.vars[head]
             for name in e.names[1:]:
-                if not isinstance(t, ast.RecordType):
-                    raise self.fail(e.span, f"field access on non-record type {t}")
-                ft = t.field_type(name)
-                if ft is None:
-                    raise self.fail(e.span, f"record {t} has no field {name!r}")
-                t = ft
+                t = self._field_type(t, name, e.span)
             self.resolutions[e.node_id] = LocalRef(head, tuple(e.names[1:]))
             return t
         if head in self.enums:
@@ -520,8 +478,8 @@ class Checker:
             return ast.EnumRef(head)
         raise self.fail(e.span, f"unknown name {head!r}")
 
-    def _infer_index(self, ctx, e: ast.Index) -> ast.TypeExpr:
-        base = self.infer_expr(ctx, e.base)
+    def _index(self, ctx, e: ast.Index) -> ast.TypeExpr:
+        base = self.check_expr(ctx, e.base)
         if isinstance(base, ast.VectorType):
             self._check_vector_index(ctx, e.index, base, e.span)
             return base.elem
@@ -538,7 +496,7 @@ class Checker:
             w = max(1, (max(base.length, 2) - 1).bit_length())
             self.check_expr(ctx, index, ast.BitIntType(w))
             return
-        it = self.infer_expr(ctx, index)
+        it = self.check_expr(ctx, index)
         if not isinstance(it, ast.BitIntType):
             raise self.fail(span, f"vector index must be BitInt, found {it}")
         if (1 << it.width) > base.length:
@@ -547,13 +505,13 @@ class Checker:
                 f"index width {it.width} can exceed vector length {base.length} "
                 f"(need 2^width <= length)")
 
-    def _infer_binary(self, ctx, e: ast.Binary) -> ast.TypeExpr:
+    def _binary(self, ctx, e: ast.Binary) -> ast.TypeExpr:
         op = e.op
         if op in ("&&", "||"):
             self.check_expr(ctx, e.left, ast.BOOL)
             self.check_expr(ctx, e.right, ast.BOOL)
             return ast.BOOL
-        left_t = self._infer_operand_pair(ctx, e.left, e.right, e.span)
+        left_t = self._operand_pair(ctx, e.left, e.right)
         if op in ("==", "!="):
             self._require_equality_capable(left_t, e.span)
             return ast.BOOL
@@ -567,21 +525,18 @@ class Checker:
             return left_t
         raise self.fail(e.span, f"unknown operator {op!r}")
 
-    def _infer_operand_pair(self, ctx, left, right, span) -> ast.TypeExpr:
+    def _operand_pair(self, ctx, left, right) -> ast.TypeExpr:
         """Infer one operand, check the other against it: both widths must agree."""
         try:
-            lt = self.infer_expr(ctx, left)
+            lt = self.check_expr(ctx, left)
         except TypeCheckError as first_err:
             if not self._unwidthed(left):
                 raise
             self.errors.remove(first_err)
-            rt = self.infer_expr(ctx, right)
+            rt = self.check_expr(ctx, right)
             self.check_expr(ctx, left, rt)
             return rt
-        rt = self.check_expr(ctx, right, lt)
-        if isinstance(lt, ast.BitIntType) and isinstance(rt, ast.BitIntType) \
-                and lt.width != rt.width:
-            raise self.fail(span, f"width mismatch: {lt} vs {rt}")
+        self.check_expr(ctx, right, lt)
         return lt
 
     def _unwidthed(self, e: ast.Expr) -> bool:
@@ -606,9 +561,9 @@ class Checker:
 
     # -- calls --------------------------------------------------------------
 
-    def _infer_builtin(self, ctx, e: ast.Builtin) -> ast.TypeExpr:
+    def _builtin(self, ctx, e: ast.Builtin) -> ast.TypeExpr:
         if e.name == "to_int":
-            at = self.infer_expr(ctx, e.arg)
+            at = self.check_expr(ctx, e.arg)
             if not isinstance(at, ast.BitIntType):
                 raise self.fail(e.span, f"to_int takes a BitInt, found {at}")
             return ast.INT
@@ -618,7 +573,7 @@ class Checker:
         if e.name == "from_int":
             self.check_expr(ctx, e.arg, ast.INT)
             return ast.BitIntType(e.width)
-        at = self.infer_expr(ctx, e.arg)
+        at = self.check_expr(ctx, e.arg)
         if not isinstance(at, ast.BitIntType):
             raise self.fail(e.span, f"{e.name} takes a BitInt, found {at}")
         if e.name == "zero_extend" and e.width < at.width:
@@ -627,7 +582,7 @@ class Checker:
             raise self.fail(e.span, f"truncate<{e.width}> widens {at}")
         return ast.BitIntType(e.width)
 
-    def _infer_call(self, ctx: TypingCtx, e: ast.Call) -> ast.TypeExpr:
+    def _call(self, ctx: TypingCtx, e: ast.Call) -> ast.TypeExpr:
         if len(e.path) == 1:
             return self._check_user_call(ctx, e, ctx.module.name, e.path[0], ())
         prefix, last = e.path[:-1], e.path[-1]

@@ -53,6 +53,13 @@ def test_check_deep_parentheses_is_a_located_diagnostic(tmp_path, depth):
     assert "Traceback" not in err
 
 
+# Sources are UTF-8: an invalid byte is a located error, even in a comment.
+def test_check_invalid_utf8_is_a_located_diagnostic(tmp_path):
+    f = tmp_path / "f.soc"
+    f.write_bytes(b"module Main {\n  // caf\xc3\xa9 \xff\xfe\n}\n")
+    assert run_cli("check", str(f)) == (1, "", f"{f}:2:11: error: invalid UTF-8 byte 0xff\n")
+
+
 # Identifiers and digits are ASCII: other characters, and a literal cut off
 # after `0x`, are located errors and never a traceback.
 BAD_NUMBERS = {
@@ -86,9 +93,18 @@ def test_front_end_commands_do_not_import_the_engine(command):
     assert proc.stderr.strip() == "0 []"
 
 
+def test_negation_chain_within_the_stack_passes_check_and_run(tmp_path):
+    f = tmp_path / "deep.soc"
+    f.write_text("module Main {\n  mut fn go() {\n    let x = " + "!" * 350
+                 + "true;\n    assert(x)\n  }\n}\n")
+    assert run_cli("check", str(f)) == (0, "", "")
+    code, out, err = run_cli("run", str(f), "--scenario", "go")
+    assert (code, out.strip(), err) == (0, "passed", "")
+
+
 # Both parse; the type checker recurses once per nested expression.
 DEEP_FOR_THE_CHECKER = {
-    "negation": "    let x = " + "!" * 300 + "true;\n    assert(x)\n",
+    "negation": "    let x = " + "!" * 600 + "true;\n    assert(x)\n",
     "else-if": ("    let x = any<Bool>;\n    if x { () }\n"
                 + "    else if x { () }\n" * 499 + "    else { () }\n"),
 }
@@ -276,6 +292,15 @@ def test_trace_corrupt_model_file_exits_1(tmp_path):
     assert code == 1
 
 
+def test_trace_model_that_is_not_utf8_exits_1(tmp_path):
+    bad = tmp_path / "bad.smt2"
+    bad.write_bytes(b"(\xff)")
+    code, out, err = run_cli("trace", VULN, "--scenario", "test_secure_area_unchanged",
+                             "--model", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid UTF-8 byte 0xff at offset 1 of {bad}\n"
+
+
 def test_trace_model_defining_a_choice_twice_exits_1(tmp_path):
     bad = tmp_path / "dup.smt2"
     bad.write_text("((define-fun c0 () Bool true) (define-fun c0 () Bool false))\n")
@@ -299,6 +324,9 @@ VERIFY_FAILURES = {
     "query path in a missing directory": ["--solver", "sh -c 'echo unknown'",
                                           "--dump-smt", "{tmp}/missing/q.smt2"],
     "solver not executable": ["--solver", "{file}"],
+    "solver command names no program": ["--solver", " "],
+    "solver command with an open quote": ["--solver", "sh -c 'echo unknown"],
+    "timeout not a number": ["--solver", "sh -c 'echo unknown'", "--timeout", "nan"],
 }
 
 

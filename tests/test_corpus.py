@@ -82,6 +82,51 @@ def test_ill_typed_suite_is_large_enough():
     assert len(ILL_TYPED) >= 15
 
 
+# The whole of `check`'s stderr for each file, after its path: message text
+# and column are part of the contract, not only the line.
+ILL_TYPED_DIAGNOSTICS = {
+    "any_in_pure.soc": "3:5: error: 'any' is not allowed in a pure fn",
+    "arity_mismatch.soc": "4:13: error: double expects 1 arguments, got 2",
+    "array_snapshot_equality.soc":
+        "10:12: error: equality on indexed collections is not supported "
+        "(compare elements at an any-chosen index instead)",
+    "assume_non_bool.soc": "3:12: error: type mismatch: expected Bool, found BitInt(8)",
+    "callee_misuse.soc": "10:5: error: only the root module may reach through "
+                         "nested instances; use a callee",
+    "cannot_infer_width.soc": "3:13: error: cannot infer width of integer literal "
+                              "(add a u<width> suffix or a type annotation)",
+    "deep_path_from_module.soc": "10:5: error: only the root module may reach "
+                                 "through nested instances; use a callee",
+    "enum_unknown_variant.soc": "4:14: error: enum Op has no variant 'Frobnicate'",
+    "literal_too_wide.soc": "3:13: error: literal 0x1_0000 does not fit in 16 bits",
+    "missing_record_field.soc": "4:22: error: record literal is missing fields: value",
+    "mut_from_pure.soc": "5:5: error: mut fn 'bump' cannot be called from a pure fn",
+    "nonunit_statement.soc": "4:5: error: type mismatch: expected (), found BitInt(8)",
+    "recursion_direct.soc": "2:3: error: recursive call cycle: Main.spin -> Main.spin",
+    "recursion_mutual.soc":
+        "2:3: error: recursive call cycle: Main.even -> Main.odd -> Main.even",
+    "slice_out_of_range.soc": "4:14: error: slice [64 downto 0] out of range for BitInt(64)",
+    "slice_reversed.soc": "4:13: error: slice bounds must satisfy hi >= lo, got 2 downto 5",
+    "state_access_in_pure.soc": "4:5: error: state access is not allowed in a pure fn",
+    "syntax_error.soc": "3:13: error: expected expression, found ';'",
+    "unbound_callee.soc": "9:3: error: unbound callee 'dram' of instance asc",
+    "unknown_name.soc": "3:13: error: unknown name 'missing_thing'",
+    "unknown_record_field.soc": "4:23: error: record literal has unknown fields: extra",
+    "vector_equality.soc":
+        "5:12: error: equality on indexed collections is not supported "
+        "(compare elements at an any-chosen index instead)",
+    "vector_index_too_wide.soc":
+        "4:13: error: index width 2 can exceed vector length 3 (need 2^width <= length)",
+    "width_mismatch.soc": "5:17: error: type mismatch: expected BitInt(32), found BitInt(64)",
+    "wiring_wrong_module.soc": "14:3: error: wiring target rom has module Rom, "
+                               "but callee 'dram' expects Dram",
+}
+
+
+def test_every_ill_typed_file_has_a_pinned_diagnostic():
+    assert sorted(ILL_TYPED_DIAGNOSTICS) == [p.name for p in ILL_TYPED]
+
+
 @pytest.mark.parametrize("path", ILL_TYPED, ids=lambda p: p.name)
 def test_ill_typed_file_rejected_on_the_marked_line(path: Path):
     code, _, err = run_cli("check", str(path))
@@ -91,6 +136,7 @@ def test_ill_typed_file_rejected_on_the_marked_line(path: Path):
                 re.finditer(rf"{re.escape(path.name)}:(\d+):\d+: error:", err)]
     assert expected in reported, (
         f"{path.name}: expected a diagnostic on line {expected}, got {err!r}")
+    assert err == f"{path}:{ILL_TYPED_DIAGNOSTICS[path.name]}\n"
 
 
 # -- published constants pinned --------------------------------------------------

@@ -161,6 +161,42 @@ def test_enum_declaration():
     assert p.enums[0].variants == ["Read", "Write"]
 
 
+def _in_fn(statement: str) -> str:
+    return "module Main { fn g() { " + statement + "; } }"
+
+
+# Every comma-separated list: one closed by `}` needs an item and may end in a
+# comma; one closed by `)` or `]` may be empty and may not end in a comma.
+# Each source maps to None when it parses, else to its syntax error.
+LIST_GRAMMAR = {
+    "enum variants, trailing comma": ("enum E { A, }", None),
+    "enum variants, empty": ("enum E { }", "expected variant name, found '}'"),
+    "record type, trailing comma": ("type T = { a: Bool, };", None),
+    "record type, empty": ("type T = { };", "expected field name, found '}'"),
+    "record literal, trailing comma": (_in_fn("{ a: 1u8, }"), None),
+    "params, trailing comma": ("module Main { fn g(x: Bool,) { () } }",
+                               "expected parameter name, found ')'"),
+    "params, empty": ("module Main { fn g() { () } }", None),
+    "call args, trailing comma": (_in_fn("f(1u8,)"), "expected expression, found ')'"),
+    "call args, empty": (_in_fn("f()"), None),
+    "vector literal, trailing comma": (_in_fn("[1u8,]"), "expected expression, found ']'"),
+    "vector literal, empty": (_in_fn("[]"), None),
+}
+
+
+@pytest.mark.parametrize("case", list(LIST_GRAMMAR))
+def test_comma_list_grammar(case):
+    source, error = LIST_GRAMMAR[case]
+    if error is not None:
+        with pytest.raises(ParseError) as exc:
+            parse_program(source)
+        assert exc.value.message == error
+        return
+    program = parse_program(source)
+    # A trailing comma changes nothing.
+    assert program == parse_program(source.replace(", }", " }"))
+
+
 def test_spans_cover_declarations_and_nest():
     src = "module Main {\n  mut fn go() {\n    f(x[6 downto 5])\n  }\n}\n"
     p = parse_program(
