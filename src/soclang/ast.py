@@ -1,14 +1,17 @@
 """Abstract syntax shared by every phase of the toolchain.
 
-Nodes are plain dataclasses. Source spans and node ids never participate in
-equality, so `==` is structural equality modulo locations, which is what the
-round-trip tests compare.
+Every node class derives from `Node`. A class names its own fields in
+`__slots__`, and `_fields` lists all of them, inherited ones first. `==`,
+`hash` and `repr` read the fields of `_fields` except source spans, node ids
+and the hex flag of a literal, so `==` is structural equality modulo
+locations, which is what the round-trip tests compare, and type nodes and
+spans are hashable by value.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator, Optional
 
 _node_ids = itertools.count()
@@ -18,14 +21,47 @@ def fresh_node_id() -> int:
     return next(_node_ids)
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    synthetic: bool = False
+# Fields that locate or present a node; equality, hashing and repr skip them.
+_UNCOMPARED = frozenset({"span", "node_id", "hex"})
+
+
+class Node:
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__base__._fields + tuple(cls.__dict__.get("__slots__", ()))
+        cls._compared = tuple(f for f in cls._fields if f not in _UNCOMPARED)
+        # The compared values (a bare value for one field); a node without
+        # compared fields is told apart by its class alone.
+        cls._key = staticmethod(attrgetter(*cls._compared) if cls._compared else type)
+
+    def __init__(self, *values) -> None:
+        # Values in `_fields` order. Classes the parser or checker builds in
+        # bulk define a faster, explicit `__init__`.
+        for name, value in zip(self._fields, values, strict=True):
+            setattr(self, name, value)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._key(self)))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__name__}({inner})"
+
+
+class SourceSpan(Node):
+    __slots__ = ("file", "line", "col", "end_line", "end_col", "synthetic")
+
+    def __init__(self, file: str, line: int, col: int, end_line: int, end_col: int,
+                 synthetic: bool = False) -> None:
+        self.file, self.line, self.col = file, line, col
+        self.end_line, self.end_col, self.synthetic = end_line, end_col, synthetic
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
@@ -38,64 +74,66 @@ SYNTHETIC = SourceSpan("<synthetic>", 0, 0, 0, 0, synthetic=True)
 # Types
 
 
-class TypeExpr:
+class TypeExpr(Node):
     """Base class for type expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class BoolType(TypeExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
 class BitIntType(TypeExpr):
-    width: int  # >= 1
+    __slots__ = ("width",)  # >= 1
+
+    def __init__(self, width: int) -> None:
+        self.width = width
 
     def __str__(self) -> str:
         return f"BitInt({self.width})"
 
 
-@dataclass(frozen=True)
 class IntType(TypeExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Int"
 
 
-@dataclass(frozen=True)
 class UnitType(TypeExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "()"
 
 
-@dataclass(frozen=True)
 class EnumRef(TypeExpr):
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class AliasRef(TypeExpr):
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class VectorType(TypeExpr):
-    elem: TypeExpr
-    length: int  # >= 0
+    __slots__ = ("elem", "length")  # length >= 0
 
     def __str__(self) -> str:
         return f"Vector<{self.elem}, {self.length}>"
 
 
-@dataclass(frozen=True)
 class RecordType(TypeExpr):
-    fields: tuple  # tuple[tuple[str, TypeExpr], ...], order-preserving
+    __slots__ = ("fields",)  # tuple[tuple[str, TypeExpr], ...], order-preserving
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n}: {t}" for n, t in self.fields)
@@ -108,12 +146,10 @@ class RecordType(TypeExpr):
         return None
 
 
-@dataclass(frozen=True)
 class ArrayType(TypeExpr):
     """Snapshot type of a primitive Array cell."""
 
-    key: TypeExpr
-    value: TypeExpr
+    __slots__ = ("key", "value")
 
     def __str__(self) -> str:
         return f"Array<{self.key}, {self.value}>"
@@ -126,255 +162,255 @@ UNIT = UnitType()
 
 # ---------------------------------------------------------------------------
 # Expressions
+#
+# Each constructor takes the span first, then the node's own fields, and
+# draws the node id itself: the parser builds thousands of nodes per file.
 
 
-@dataclass
-class Expr:
-    span: SourceSpan = field(compare=False, repr=False)
-    node_id: int = field(default_factory=fresh_node_id, compare=False, repr=False, init=False)
+class Expr(Node):
+    __slots__ = ("span", "node_id")
+
+    def __init__(self, span: SourceSpan) -> None:
+        self.span, self.node_id = span, next(_node_ids)
 
 
-@dataclass
 class IntLit(Expr):
-    value: int
-    width: Optional[int] = None  # from a u<width> suffix
-    hex: bool = field(default=False, compare=False)  # presentation only
+    __slots__ = ("value", "width", "hex")  # width: a u<width> suffix; hex: presentation only
+
+    def __init__(self, span: SourceSpan, value: int, width: Optional[int] = None,
+                 hex: bool = False) -> None:
+        self.span, self.node_id = span, next(_node_ids)
+        self.value, self.width, self.hex = value, width, hex
 
 
-@dataclass
 class BoolLit(Expr):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, span: SourceSpan, value: bool) -> None:
+        self.span, self.node_id, self.value = span, next(_node_ids), value
 
 
-@dataclass
 class UnitLit(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class VectorLit(Expr):
-    items: list  # list[Expr]
+    __slots__ = ("items",)  # list[Expr]
+
+    def __init__(self, span: SourceSpan, items: list) -> None:
+        self.span, self.node_id, self.items = span, next(_node_ids), items
 
 
-@dataclass
 class RecordLit(Expr):
-    fields: list  # list[tuple[str, Expr]], written order
+    __slots__ = ("fields",)  # list[tuple[str, Expr]], written order
+
+    def __init__(self, span: SourceSpan, fields: list) -> None:
+        self.span, self.node_id, self.fields = span, next(_node_ids), fields
 
 
-@dataclass
 class PathExpr(Expr):
     """A dotted chain of plain names; meaning resolved by the typechecker
     (variable, record field chain, or enum variant)."""
 
-    names: list  # list[str], len >= 1
+    __slots__ = ("names",)  # list[str], len >= 1
+
+    def __init__(self, span: SourceSpan, names: list) -> None:
+        self.span, self.node_id, self.names = span, next(_node_ids), names
 
 
-@dataclass
 class FieldAccess(Expr):
-    base: Expr
-    name: str
+    __slots__ = ("base", "name")
+
+    def __init__(self, span: SourceSpan, base: Expr, name: str) -> None:
+        self.span, self.node_id, self.base, self.name = span, next(_node_ids), base, name
 
 
-@dataclass
 class Index(Expr):
-    base: Expr
-    index: Expr
+    __slots__ = ("base", "index")
+
+    def __init__(self, span: SourceSpan, base: Expr, index: Expr) -> None:
+        self.span, self.node_id, self.base, self.index = span, next(_node_ids), base, index
 
 
-@dataclass
 class Slice(Expr):
-    base: Expr
-    hi: int
-    lo: int
+    __slots__ = ("base", "hi", "lo")
+
+    def __init__(self, span: SourceSpan, base: Expr, hi: int, lo: int) -> None:
+        self.span, self.node_id, self.base, self.hi, self.lo = span, next(_node_ids), base, hi, lo
 
 
-@dataclass
 class IndexUpdate(Expr):
-    base: Expr
-    index: Expr
-    value: Expr
+    __slots__ = ("base", "index", "value")
+
+    def __init__(self, span: SourceSpan, base: Expr, index: Expr, value: Expr) -> None:
+        self.span, self.node_id = span, next(_node_ids)
+        self.base, self.index, self.value = base, index, value
 
 
-@dataclass
 class SliceUpdate(Expr):
-    base: Expr
-    hi: int
-    lo: int
-    value: Expr
+    __slots__ = ("base", "hi", "lo", "value")
+
+    def __init__(self, span: SourceSpan, base: Expr, hi: int, lo: int, value: Expr) -> None:
+        self.span, self.node_id = span, next(_node_ids)
+        self.base, self.hi, self.lo, self.value = base, hi, lo, value
 
 
-@dataclass
 class Unary(Expr):
-    op: str  # "!" | "-"
-    operand: Expr
+    __slots__ = ("op", "operand")  # op: "!" | "-"
+
+    def __init__(self, span: SourceSpan, op: str, operand: Expr) -> None:
+        self.span, self.node_id, self.op, self.operand = span, next(_node_ids), op, operand
 
 
-@dataclass
 class Binary(Expr):
-    op: str  # && || == != < <= > >= + - *
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: && || == != < <= > >= + - *
+
+    def __init__(self, span: SourceSpan, op: str, left: Expr, right: Expr) -> None:
+        self.span, self.node_id = span, next(_node_ids)
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass
 class Call(Expr):
     """Call through a dotted path: `f(..)`, `dram.store(..)`,
     `miniTX1.cpu.is_secure.set(..)`. The last path segment is the function
     (or built-in get/set/read/write/havoc) name."""
 
-    path: list  # list[str], len >= 1
-    args: list  # list[Expr]
+    __slots__ = ("path", "args")  # list[str] (len >= 1), list[Expr]
+
+    def __init__(self, span: SourceSpan, path: list, args: list) -> None:
+        self.span, self.node_id, self.path, self.args = span, next(_node_ids), path, args
 
 
-@dataclass
 class Builtin(Expr):
     """Width-conversion built-ins: zero_extend<m>, truncate<m>, from_int<m>, to_int."""
 
-    name: str
-    width: Optional[int]
-    arg: Expr
+    __slots__ = ("name", "width", "arg")
+
+    def __init__(self, span: SourceSpan, name: str, width: Optional[int], arg: Expr) -> None:
+        self.span, self.node_id = span, next(_node_ids)
+        self.name, self.width, self.arg = name, width, arg
 
 
-@dataclass
 class AnyExpr(Expr):
-    type: TypeExpr
+    __slots__ = ("type",)
+
+    def __init__(self, span: SourceSpan, type: TypeExpr) -> None:
+        self.span, self.node_id, self.type = span, next(_node_ids), type
 
 
-@dataclass
 class Let(Expr):
     """Binding for the rest of the enclosing block."""
 
-    name: str
-    annot: Optional[TypeExpr]
-    value: Expr
+    __slots__ = ("name", "annot", "value")
+
+    def __init__(self, span: SourceSpan, name: str, annot: Optional[TypeExpr],
+                 value: Expr) -> None:
+        self.span, self.node_id = span, next(_node_ids)
+        self.name, self.annot, self.value = name, annot, value
 
 
-@dataclass
 class If(Expr):
-    cond: Expr
-    then: "Block"
-    orelse: Optional[Expr] = None  # Block or nested If ("else if")
+    __slots__ = ("cond", "then", "orelse")  # orelse: Block, nested If ("else if") or None
+
+    def __init__(self, span: SourceSpan, cond: Expr, then: Block,
+                 orelse: Optional[Expr] = None) -> None:
+        self.span, self.node_id = span, next(_node_ids)
+        self.cond, self.then, self.orelse = cond, then, orelse
 
 
-@dataclass
 class Block(Expr):
-    items: list  # list[Expr]
-    yields_value: bool = True  # False when the final item carries a trailing ';'
+    # yields_value is False when the final item carries a trailing ';'
+    __slots__ = ("items", "yields_value")
+
+    def __init__(self, span: SourceSpan, items: list, yields_value: bool = True) -> None:
+        self.span, self.node_id = span, next(_node_ids)
+        self.items, self.yields_value = items, yields_value
 
 
-@dataclass
 class Assume(Expr):
-    cond: Expr
+    __slots__ = ("cond",)
+
+    def __init__(self, span: SourceSpan, cond: Expr) -> None:
+        self.span, self.node_id, self.cond = span, next(_node_ids), cond
 
 
-@dataclass
 class Assert(Expr):
-    cond: Expr
+    __slots__ = ("cond",)
+
+    def __init__(self, span: SourceSpan, cond: Expr) -> None:
+        self.span, self.node_id, self.cond = span, next(_node_ids), cond
 
 
-@dataclass
 class Printf(Expr):
     """Format string split around {expr} holes: len(parts) == len(holes) + 1."""
 
-    parts: list  # list[str]
-    holes: list  # list[Expr]
+    __slots__ = ("parts", "holes")  # list[str], list[Expr]
+
+    def __init__(self, span: SourceSpan, parts: list, holes: list) -> None:
+        self.span, self.node_id, self.parts, self.holes = span, next(_node_ids), parts, holes
 
 
 # ---------------------------------------------------------------------------
 # Declarations
 
 
-@dataclass
-class InstanceRef:
-    pass
+class InstanceRef(Node):
+    __slots__ = ()
 
 
-@dataclass
 class ModuleRef(InstanceRef):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass
 class StatePrim(InstanceRef):
-    value_type: TypeExpr
-    init: Expr
+    __slots__ = ("value_type", "init")
 
 
-@dataclass
 class ArrayPrim(InstanceRef):
-    key_type: TypeExpr
-    value_type: TypeExpr
+    __slots__ = ("key_type", "value_type")
 
 
-@dataclass
-class InstanceDecl:
-    name: str
-    ref: InstanceRef
-    span: SourceSpan = field(compare=False)
+class InstanceDecl(Node):
+    __slots__ = ("name", "ref", "span")
 
 
-@dataclass
-class CalleeDecl:
-    name: str
-    module: str
-    span: SourceSpan = field(compare=False)
+class CalleeDecl(Node):
+    __slots__ = ("name", "module", "span")
 
 
-@dataclass
-class Wiring:
-    child_path: list  # list[str]: child instance then callee name
-    target_path: list  # list[str]: instance of the wiring module
-    span: SourceSpan = field(compare=False)
+class Wiring(Node):
+    # child_path: child instance then callee name; target_path: an instance
+    # of the wiring module
+    __slots__ = ("child_path", "target_path", "span")
 
 
-@dataclass
-class Param:
-    name: str
-    type: TypeExpr
-    span: SourceSpan = field(compare=False)
+class Param(Node):
+    __slots__ = ("name", "type", "span")
 
 
-@dataclass
-class FnDecl:
-    name: str
-    is_mut: bool
-    params: list  # list[Param]
-    ret_type: Optional[TypeExpr]  # None means unit
-    body: Block
-    span: SourceSpan = field(compare=False)
+class FnDecl(Node):
+    __slots__ = ("name", "is_mut", "params", "ret_type", "body", "span")  # ret_type None: unit
 
 
-@dataclass
-class ModuleDecl:
-    name: str
-    instances: list  # list[InstanceDecl]
-    callees: list  # list[CalleeDecl]
-    wirings: list  # list[Wiring]
-    fns: list  # list[FnDecl]
-    span: SourceSpan = field(compare=False)
+class ModuleDecl(Node):
+    __slots__ = ("name", "instances", "callees", "wirings", "fns", "span")
 
 
-@dataclass
-class AliasDecl:
-    name: str
-    type: TypeExpr
-    span: SourceSpan = field(compare=False)
+class AliasDecl(Node):
+    __slots__ = ("name", "type", "span")
 
 
-@dataclass
-class EnumDecl:
-    name: str
-    variants: list  # list[str]
-    span: SourceSpan = field(compare=False)
+class EnumDecl(Node):
+    __slots__ = ("name", "variants", "span")  # variants: list[str]
 
 
-@dataclass
-class Program:
-    aliases: list  # list[AliasDecl]
-    enums: list  # list[EnumDecl]
-    modules: list  # list[ModuleDecl]
-    root_name: str = "Main"
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
+class Program(Node):
+    __slots__ = ("aliases", "enums", "modules", "root_name", "span")
+
+    def __init__(self, aliases: list, enums: list, modules: list, root_name: str = "Main",
+                 span: SourceSpan = SYNTHETIC) -> None:
+        self.aliases, self.enums, self.modules = aliases, enums, modules
+        self.root_name, self.span = root_name, span
 
     def module(self, name: str) -> Optional[ModuleDecl]:
         for m in self.modules:
@@ -388,10 +424,10 @@ class Program:
 
 
 def child_exprs(e: Expr) -> Iterator[Expr]:
-    """The expressions in e's fields, in field order (list items and the
+    """The expressions in e's fields, in `_fields` order (list items and the
     values of `(name, expr)` pairs included)."""
-    for f in fields(e):
-        value = getattr(e, f.name)
+    for name in e._fields:
+        value = getattr(e, name)
         for x in value if isinstance(value, list) else (value,):
             x = x[1] if isinstance(x, tuple) else x
             if isinstance(x, Expr):
@@ -407,51 +443,28 @@ def walk(e: Expr) -> Iterator[Expr]:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
+# Binding strength of each binary operator, shared with the parser; a higher
+# level binds tighter.
+BINARY_LEVEL = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6,
 }
 _UNARY_PREC = 7
 _POSTFIX_PREC = 8
 
 
 def _fmt_int(e: IntLit) -> str:
-    if e.hex:
-        text = f"0x{e.value:x}"
-    else:
-        text = str(e.value)
-    if e.width is not None:
-        text += f"u{e.width}"
-    return text
+    text = f"0x{e.value:x}" if e.hex else str(e.value)
+    return text if e.width is None else f"{text}u{e.width}"
+
+
+# Characters a printf format string writes escaped.
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t",
+                          "{": "\\{", "}": "\\}"})
 
 
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "{":
-            out.append("\\{")
-        elif ch == "}":
-            out.append("\\}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 class _Printer:
@@ -488,20 +501,16 @@ class _Printer:
         if isinstance(e, Slice):
             return f"{self.expr(e.base, _POSTFIX_PREC)}[{e.hi} downto {e.lo}]"
         if isinstance(e, IndexUpdate):
-            return (
-                f"{self.expr(e.base, _POSTFIX_PREC)}"
-                f"[{self.expr(e.index)} := {self.expr(e.value)}]"
-            )
+            return (f"{self.expr(e.base, _POSTFIX_PREC)}"
+                    f"[{self.expr(e.index)} := {self.expr(e.value)}]")
         if isinstance(e, SliceUpdate):
-            return (
-                f"{self.expr(e.base, _POSTFIX_PREC)}"
-                f"[{e.hi} downto {e.lo} := {self.expr(e.value)}]"
-            )
+            return (f"{self.expr(e.base, _POSTFIX_PREC)}"
+                    f"[{e.hi} downto {e.lo} := {self.expr(e.value)}]")
         if isinstance(e, Unary):
             s = f"{e.op}{self.expr(e.operand, _UNARY_PREC)}"
             return f"({s})" if prec > _UNARY_PREC else s
         if isinstance(e, Binary):
-            p = _PREC[e.op]
+            p = BINARY_LEVEL[e.op]
             s = f"{self.expr(e.left, p)} {e.op} {self.expr(e.right, p + 1)}"
             return f"({s})" if prec >= p + 1 else s
         if isinstance(e, Call):

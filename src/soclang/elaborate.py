@@ -3,7 +3,6 @@ enumerate state cells, and bind every callee to a concrete instance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import ast
@@ -11,47 +10,48 @@ from .diagnostics import ElabError
 from .typecheck import TypedProgram
 
 
-@dataclass
 class InstanceNode:
     """One node of the instance tree: a user module or a primitive cell."""
 
-    module: str                 # module name, or "State"/"Array" for primitives
-    path: Tuple[str, ...]       # dot-path from the root (root itself is ())
-    kind: str                   # "module" | "state" | "array"
-    children: "Dict[str, InstanceNode]" = field(default_factory=dict)
-    callees: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    value_type: Optional[ast.TypeExpr] = None
-    key_type: Optional[ast.TypeExpr] = None
-    span: ast.SourceSpan = ast.SYNTHETIC
+    def __init__(self, module: str, path: Tuple[str, ...], kind: str,
+                 value_type: Optional[ast.TypeExpr] = None,
+                 key_type: Optional[ast.TypeExpr] = None,
+                 span: ast.SourceSpan = ast.SYNTHETIC) -> None:
+        self.module = module  # module name, or "State"/"Array" for primitives
+        self.path = path      # dot-path from the root (root itself is ())
+        self.kind = kind      # "module" | "state" | "array"
+        self.children: Dict[str, InstanceNode] = {}
+        self.callees: Dict[str, Tuple[str, ...]] = {}
+        self.value_type, self.key_type, self.span = value_type, key_type, span
 
     def dotted(self) -> str:
         return ".".join(self.path) if self.path else "(root)"
 
 
-@dataclass
 class Cell:
-    path: Tuple[str, ...]
-    kind: str  # "state" | "array"
-    value_type: ast.TypeExpr
-    key_type: Optional[ast.TypeExpr]
-    init: Optional[ast.Expr]  # None for arrays (default-zero contents)
+    def __init__(self, path: Tuple[str, ...], kind: str, value_type: ast.TypeExpr,
+                 key_type: Optional[ast.TypeExpr], init: Optional[ast.Expr]) -> None:
+        self.path = path
+        self.kind = kind  # "state" | "array"
+        self.value_type, self.key_type = value_type, key_type
+        self.init = init  # None for arrays (default-zero contents)
 
     def dotted(self) -> str:
         return ".".join(self.path)
 
 
-@dataclass
 class InstanceTree:
-    root: InstanceNode
-    by_path: Dict[Tuple[str, ...], InstanceNode]
+    def __init__(self, root: InstanceNode,
+                 by_path: Dict[Tuple[str, ...], InstanceNode]) -> None:
+        self.root, self.by_path = root, by_path
 
     def node(self, path: Tuple[str, ...]) -> InstanceNode:
         return self.by_path[path]
 
 
-@dataclass
 class StateLayout:
-    cells: List[Cell]
+    def __init__(self, cells: List[Cell]) -> None:
+        self.cells = cells
 
     def subtree(self, prefix: Tuple[str, ...]) -> List[Cell]:
         return [c for c in self.cells if c.path[:len(prefix)] == prefix]

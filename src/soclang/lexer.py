@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
 from typing import List, NoReturn, Optional
 
@@ -33,15 +32,17 @@ class TokKind(Enum):
     EOF = auto()
 
 
-@dataclass
 class Token:
-    kind: TokKind
-    lexeme: str
-    span: SourceSpan
-    value: Optional[int] = None   # integer literals
-    width: Optional[int] = None   # u<width> suffix
-    is_hex: bool = False
-    text: Optional[str] = None    # decoded string literals
+    # value and is_hex: integer literals; width: a u<width> suffix;
+    # text: a decoded string literal
+    __slots__ = ("kind", "lexeme", "span", "value", "width", "is_hex", "text")
+
+    def __init__(self, kind: TokKind, lexeme: str, span: SourceSpan,
+                 value: Optional[int] = None, width: Optional[int] = None,
+                 is_hex: bool = False, text: Optional[str] = None) -> None:
+        self.kind, self.lexeme, self.span = kind, lexeme, span
+        self.value, self.width, self.is_hex = value, width, is_hex
+        self.text = text
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.lexeme!r})"

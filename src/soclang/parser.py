@@ -9,18 +9,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from . import ast
-from .ast import SourceSpan
+from .ast import BINARY_LEVEL, SourceSpan
 from .diagnostics import ParseError
 from .lexer import Token, TokKind, tokenize
 
 # Built-ins taking a <width> argument; `to_int` takes none.
 _WIDTH_BUILTINS = {"zero_extend", "truncate", "from_int"}
-
-# Binding strength of each binary operator; a higher level binds tighter.
-_BINARY_LEVEL = {
-    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6,
-}
 
 
 class _Parser:
@@ -323,7 +317,7 @@ class _Parser:
         left = self.unary_expr()
         while True:
             op = self.toks[self.pos].lexeme
-            level = _BINARY_LEVEL.get(op, 0)
+            level = BINARY_LEVEL.get(op, 0)
             if level < min_level:
                 return left
             self.pos += 1

@@ -237,13 +237,13 @@ def run_solver(job: SolverJob, registry: Registry):
     with open(job.file_path, "w") as f:
         f.write(job.smtlib)
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True,
-                              timeout=job.timeout)
+        proc = subprocess.run(argv, capture_output=True, timeout=job.timeout)
     except subprocess.TimeoutExpired:
         return Unknown("timeout")
     except FileNotFoundError:
         return SolverError(127, f"solver executable not found: {argv[0]}")
-    out = proc.stdout
+    # A byte that is not UTF-8 becomes U+FFFD, which no verdict or model holds.
+    out = proc.stdout.decode("utf-8", errors="replace")
     # Solvers may emit warnings before the verdict; find the verdict line.
     lines = out.splitlines()
     idx, verdict_line = next(
@@ -257,7 +257,8 @@ def run_solver(job: SolverJob, registry: Registry):
         return Sat(model, rest.strip())
     if verdict_line == "unknown":
         return Unknown("unknown")
-    return SolverError(proc.returncode, proc.stderr or out)
+    return SolverError(proc.returncode,
+                       proc.stderr.decode("utf-8", errors="replace") or out)
 
 
 # ---------------------------------------------------------------------------

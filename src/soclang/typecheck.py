@@ -8,7 +8,6 @@ checked for cycles and purity violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import ast
@@ -18,48 +17,48 @@ from .diagnostics import TypeCheckError, TypeErrors
 # Resolutions attached to path/call nodes
 
 
-@dataclass
 class LocalRef:
-    name: str
-    fields: Tuple[str, ...]  # record field chain applied after the variable
+    def __init__(self, name: str, fields: Tuple[str, ...]) -> None:
+        self.name = name
+        self.fields = fields  # record field chain applied after the variable
 
 
-@dataclass
 class EnumVariantRef:
-    enum: str
-    variant: str
-    index: int
+    def __init__(self, enum: str, variant: str, index: int) -> None:
+        self.enum, self.variant, self.index = enum, variant, index
 
 
-@dataclass
 class UserCall:
-    inst_path: Tuple[str, ...]  # empty = function of the current module
-    module: str
-    fn: str
+    def __init__(self, inst_path: Tuple[str, ...], module: str, fn: str) -> None:
+        self.inst_path = inst_path  # empty = function of the current module
+        self.module, self.fn = module, fn
 
 
-@dataclass
 class PrimCall:
     """Built-in operation on a state/array cell or instance subtree."""
 
-    op: str  # state_get state_set array_get array_set array_read array_write havoc
-    inst_path: Tuple[str, ...]
-    value_type: Optional[ast.TypeExpr] = None
-    key_type: Optional[ast.TypeExpr] = None
-    target_module: Optional[str] = None  # havoc on a whole module instance
+    def __init__(self, op: str, inst_path: Tuple[str, ...],
+                 value_type: Optional[ast.TypeExpr] = None,
+                 key_type: Optional[ast.TypeExpr] = None,
+                 target_module: Optional[str] = None) -> None:
+        self.op = op  # state_get state_set array_get array_set array_read array_write havoc
+        self.inst_path = inst_path
+        self.value_type, self.key_type = value_type, key_type
+        self.target_module = target_module  # havoc on a whole module instance
 
 
-@dataclass
 class TypedProgram:
-    program: ast.Program
-    aliases: Dict[str, ast.TypeExpr]
-    enums: Dict[str, List[str]]
-    modules: Dict[str, ast.ModuleDecl]
-    fns: Dict[Tuple[str, str], ast.FnDecl]
-    types: Dict[int, ast.TypeExpr]
-    resolutions: Dict[int, object]
-    root_name: str
-    resolved: Dict[int, ast.TypeExpr]  # id of a written type -> its resolution
+    """A checked program and the tables its checker built."""
+
+    def __init__(self, checker: Checker) -> None:
+        self.program = checker.program
+        self.root_name = checker.program.root_name
+        self.enums: Dict[str, List[str]] = checker.enums
+        self.modules: Dict[str, ast.ModuleDecl] = checker.modules
+        self.fns: Dict[Tuple[str, str], ast.FnDecl] = checker.fns
+        self.types: Dict[int, ast.TypeExpr] = checker.types
+        self.resolutions: Dict[int, object] = checker.resolutions
+        self.resolved: Dict[int, ast.TypeExpr] = checker.resolved
 
     def resolve_type(self, t: Optional[ast.TypeExpr]) -> ast.TypeExpr:
         """The resolution of a type written in the program; None is Unit."""
@@ -78,15 +77,15 @@ def enum_width(n_variants: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TypingCtx:
     """Binds the free variables of an expression and the checking position."""
 
-    checker: "Checker"
-    module: ast.ModuleDecl
-    vars: Dict[str, ast.TypeExpr] = field(default_factory=dict)
-    pure: bool = False        # inside a pure `fn` body
-    init_expr: bool = False   # inside a State initializer
+    def __init__(self, checker: Checker, module: ast.ModuleDecl,
+                 vars: Dict[str, ast.TypeExpr], pure: bool = False,
+                 init_expr: bool = False) -> None:
+        self.checker, self.module, self.vars = checker, module, vars
+        self.pure = pure            # inside a pure `fn` body
+        self.init_expr = init_expr  # inside a State initializer
 
     def child(self) -> "TypingCtx":
         return TypingCtx(self.checker, self.module, dict(self.vars),
@@ -118,17 +117,7 @@ class Checker:
         self.check_recursion()
         if self.errors:
             raise TypeErrors(self.errors)
-        return TypedProgram(
-            program=self.program,
-            aliases=self.aliases,
-            enums=self.enums,
-            modules=self.modules,
-            fns=self.fns,
-            types=self.types,
-            resolutions=self.resolutions,
-            root_name=self.program.root_name,
-            resolved=self.resolved,
-        )
+        return TypedProgram(self)
 
     def fail(self, span, message: str) -> TypeCheckError:
         err = TypeCheckError(span, message)
@@ -226,7 +215,8 @@ class Checker:
             except TypeCheckError:
                 pass  # recorded; continue with the next function
             except RecursionError:
-                # Checking recurses once per nested expression.
+                # Outside check_expr, which reports its own: types nested
+                # nearly as deep as the parser allows.
                 self.fail(f.span, "nesting too deep")
         self._current_fn = None
 
@@ -277,7 +267,12 @@ class Checker:
     def check_expr(self, ctx: TypingCtx, e: ast.Expr,
                    expected: Optional[ast.TypeExpr] = None) -> ast.TypeExpr:
         """Type e, against `expected` if given; returns the (annotated) type."""
-        t = self.types[e.node_id] = self._type(ctx, e, expected)
+        try:
+            t = self.types[e.node_id] = self._type(ctx, e, expected)
+        except RecursionError:
+            # Checking recurses once per nested expression. If reporting
+            # overflows too, the enclosing expression's handler reports.
+            raise self.fail(e.span, "nesting too deep") from None
         # Subsumption is type equality only: no implicit widening.
         if expected is not None and t is not expected and not type_equal(t, expected):
             raise self.fail(e.span, f"type mismatch: expected {expected}, found {t}")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -80,14 +81,16 @@ def test_check_bad_number_is_a_located_diagnostic(tmp_path, case):
     assert "Traceback" not in err
 
 
-# The front end alone serves these commands; the engine and SMT-LIB layers
-# must not load, since every `check` would pay for their import.
+# The front end alone serves these commands; the engine and SMT-LIB layers,
+# and `dataclasses` with the `inspect` it pulls in, must not load, since every
+# `check` would pay for their import.
 @pytest.mark.parametrize("command", ["check", "dump-tree"])
 def test_front_end_commands_do_not_import_the_engine(command):
     probe = ("import sys\n"
              "from soclang import cli\n"
              f"code = cli.main([{command!r}, {VULN!r}])\n"
-             "heavy = ['soclang.engine', 'soclang.smtlib', 'soclang.terms']\n"
+             "heavy = ['soclang.engine', 'soclang.smtlib', 'soclang.terms',\n"
+             "         'dataclasses', 'inspect']\n"
              "print(code, [m for m in heavy if m in sys.modules], file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.stderr.strip() == "0 []"
@@ -102,23 +105,25 @@ def test_negation_chain_within_the_stack_passes_check_and_run(tmp_path):
     assert (code, out.strip(), err) == (0, "passed", "")
 
 
-# Both parse; the type checker recurses once per nested expression.
+# Both parse; the type checker recurses once per nested expression. The
+# diagnostic points into the expression that nests too deep: the `!` chain on
+# line 3, or an `else if` on lines 4 to 503.
 DEEP_FOR_THE_CHECKER = {
-    "negation": "    let x = " + "!" * 600 + "true;\n    assert(x)\n",
+    "negation": ("    let x = " + "!" * 600 + "true;\n    assert(x)\n", range(3, 4)),
     "else-if": ("    let x = any<Bool>;\n    if x { () }\n"
-                + "    else if x { () }\n" * 499 + "    else { () }\n"),
+                + "    else if x { () }\n" * 499 + "    else { () }\n", range(4, 504)),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_FOR_THE_CHECKER))
 def test_check_deep_expression_is_a_located_diagnostic(tmp_path, shape):
+    body, lines = DEEP_FOR_THE_CHECKER[shape]
     f = tmp_path / "deep.soc"
-    f.write_text("module Main {\n  mut fn go() {\n" + DEEP_FOR_THE_CHECKER[shape]
-                 + "  }\n}\n")
+    f.write_text("module Main {\n  mut fn go() {\n" + body + "  }\n}\n")
     code, _, err = run_cli("check", str(f))
     assert code == 1
-    assert f"{f}:2:" in err and "error: nesting too deep" in err  # at the fn
-    assert "Traceback" not in err
+    match = re.fullmatch(re.escape(str(f)) + r":(\d+):\d+: error: nesting too deep\n", err)
+    assert match and int(match.group(1)) in lines, err
 
 
 # Instance cycles and instance chains deeper than the stack are located errors
@@ -248,6 +253,14 @@ def test_verify_timeout_exits_3(tmp_path):
     assert "unknown: timeout" in out
 
 
+# A solver's output is decoded leniently: a byte that is not UTF-8 does not
+# hide the verdict.
+def test_verify_solver_output_that_is_not_utf8_still_gives_its_verdict():
+    code, out, err = run_cli("verify", FIXED, "--scenario", "base_case",
+                             "--solver", "printf 'unknown\\n\\377'")
+    assert (code, out, err) == (3, "unknown: unknown\n", "")
+
+
 def test_verify_solver_error_exits_1(tmp_path):
     code, _, err = run_cli("verify", FIXED, "--scenario", "base_case",
                            "--solver", "definitely-not-a-solver {file}")
@@ -319,6 +332,8 @@ def _sat_with(model: str) -> str:
 # executable.
 VERIFY_FAILURES = {
     "malformed model": ["--solver", _sat_with("((define-fun c0 () Bool #x01))")],
+    "model that is not UTF-8": ["--solver",
+                                "printf 'sat\\n((define-fun c0 () Bool tr\\377ue))'"],
     "model path in a missing directory": ["--solver", _sat_with("()"),
                                           "--dump-model", "{tmp}/missing/m.smt2"],
     "query path in a missing directory": ["--solver", "sh -c 'echo unknown'",

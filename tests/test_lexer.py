@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import astuple
 
 import pytest
 
@@ -104,8 +103,12 @@ def test_spans_track_lines():
 CORPUS_TOKENS_SHA256 = "9f1aeec0bdf4b3c3d409fd6e157968a518bd02de83e8bcf35b38c5d5a4f5011d"
 
 
+def _fields(span) -> tuple:
+    return tuple(getattr(span, name) for name in span._fields)
+
+
 def _token_record(tok) -> str:
-    return repr((tok.kind.name, tok.lexeme, astuple(tok.span), tok.value,
+    return repr((tok.kind.name, tok.lexeme, _fields(tok.span), tok.value,
                  tok.width, tok.is_hex, tok.text))
 
 
@@ -118,7 +121,7 @@ def test_corpus_token_streams_are_pinned():
         try:
             toks = tokenize(path.read_text(encoding="utf-8"), name)
         except LexError as err:
-            digest.update(repr((err.message, astuple(err.span))).encode())
+            digest.update(repr((err.message, _fields(err.span))).encode())
             continue
         for tok in toks:
             digest.update(_token_record(tok).encode() + b"\n")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -214,6 +213,50 @@ def test_spans_cover_declarations_and_nest():
     assert ast.Program([], [], []).span.synthetic
 
 
+# -- node semantics -------------------------------------------------------------
+
+
+def test_node_equality_ignores_span_node_id_and_hex():
+    here = ast.SourceSpan("a.soc", 1, 2, 1, 6)
+    there = ast.SourceSpan("b.soc", 9, 9, 9, 13)
+    a = ast.Binary(here, "+", ast.IntLit(here, 16, 8, hex=True), ast.PathExpr(here, ["x"]))
+    b = ast.Binary(there, "+", ast.IntLit(there, 16, 8), ast.PathExpr(there, ["x"]))
+    assert a.node_id != b.node_id
+    assert a == b and not a != b
+    assert a != ast.Binary(here, "-", a.left, a.right)
+    assert ast.IntLit(here, 16, 8) != ast.IntLit(here, 16, 16)
+    assert ast.IntLit(here, 1) != ast.BoolLit(here, True)
+    assert ast.Param("p", ast.BOOL, here) == ast.Param("p", ast.BOOL, there)
+
+
+def test_spans_and_type_nodes_are_hashable_by_value():
+    assert ast.SourceSpan("a.soc", 1, 2, 1, 6) == ast.SourceSpan("a.soc", 1, 2, 1, 6)
+    assert ast.SourceSpan("a.soc", 1, 2, 1, 6) != ast.SourceSpan("a.soc", 1, 2, 1, 7)
+    assert len({ast.SourceSpan("a.soc", 1, 2, 1, 6), ast.SourceSpan("a.soc", 1, 2, 1, 6)}) == 1
+    record = ast.RecordType((("ok", ast.BOOL), ("v", ast.VectorType(ast.BitIntType(8), 4))))
+    table = {ast.BitIntType(8): "byte", ast.BoolType(): "bool", record: "record",
+             ast.ArrayType(ast.BitIntType(3), ast.INT): "array"}
+    assert table[ast.BitIntType(8)] == "byte"
+    assert table[ast.BOOL] == "bool"
+    assert table[ast.RecordType((("ok", ast.BoolType()),
+                                 ("v", ast.VectorType(ast.BitIntType(8), 4))))] == "record"
+    assert table[ast.ArrayType(ast.BitIntType(3), ast.IntType())] == "array"
+    assert ast.BitIntType(16) not in table and ast.EnumRef("Mode") not in table
+    assert ast.EnumRef("Mode") != ast.AliasRef("Mode")
+    assert ast.BoolType() != ast.IntType()
+
+
+def test_node_repr_shows_the_compared_fields():
+    span = ast.SourceSpan("a.soc", 1, 2, 1, 6)
+    assert repr(ast.IntLit(span, 16, 8, hex=True)) == "IntLit(value=16, width=8)"
+    assert repr(ast.VectorType(ast.BitIntType(8), 4)) == \
+        "VectorType(elem=BitIntType(width=8), length=4)"
+    assert repr(ast.BOOL) == "BoolType()"
+    assert repr(span) == ("SourceSpan(file='a.soc', line=1, col=2, end_line=1, "
+                          "end_col=6, synthetic=False)")
+    assert ast.IntLit._fields == ("span", "node_id", "value", "width", "hex")
+
+
 # -- round trips -------------------------------------------------------------
 
 
@@ -297,12 +340,12 @@ CORPUS_ASTS_SHA256 = "0d20c15e8fefed5cc532970170fdc7cf10f4ebb0993e3135cadf520c31
 
 
 def _dump(node, base: int) -> str:
-    if dataclasses.is_dataclass(node):
+    if isinstance(node, ast.Node):
         parts = [type(node).__name__]
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            text = str(value - base) if f.name == "node_id" else _dump(value, base)
-            parts.append(f"{f.name}={text}")
+        for name in node._fields:
+            value = getattr(node, name)
+            text = str(value - base) if name == "node_id" else _dump(value, base)
+            parts.append(f"{name}={text}")
         return "(" + " ".join(parts) + ")"
     if isinstance(node, (list, tuple)):
         return "[" + ", ".join(_dump(x, base) for x in node) + "]"
