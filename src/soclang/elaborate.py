@@ -165,28 +165,21 @@ def _check_callees_bound(tp: TypedProgram, root: InstanceNode) -> None:
 # Runtime path resolution (used by the execution engine)
 
 
-def resolve_instance(tree: InstanceTree, frm: InstanceNode, prefix, is_root_code: bool
-                     ) -> InstanceNode:
-    """Resolve a dotted instance prefix starting at `frm`.
+def resolve_instance(tree: InstanceTree, frm: InstanceNode, prefix) -> InstanceNode:
+    """The instance that a dotted prefix names from `frm`.
 
-    First segment: local instance, then callee. Code in the root module may
-    then descend freely through the instance tree (whole-system access);
-    ordinary module code may not go deeper.
+    The first segment is a local instance, else a callee; later segments
+    are children. The type checker accepted the prefix (and with it the
+    rule that only root-module code reaches through nested instances), and
+    elaboration bound every callee, so each step exists.
     """
-    if not prefix:
-        return frm
-    current = frm
+    node = frm
     for i, seg in enumerate(prefix):
-        nxt = current.children.get(seg)
-        if nxt is None and i == 0 and seg in current.callees:
-            nxt = tree.node(current.callees[seg])
-        if nxt is None:
-            raise ElabError(ast.SYNTHETIC, f"unresolvable path segment {seg!r} "
-                                           f"from {current.dotted()}")
-        if i > 0 and not is_root_code:
-            raise ElabError(ast.SYNTHETIC, "path escapes module encapsulation")
-        current = nxt
-    return current
+        if i == 0 and seg not in node.children:
+            node = tree.node(node.callees[seg])
+        else:
+            node = node.children[seg]
+    return node
 
 
 def dump_tree(tp: TypedProgram, tree: InstanceTree) -> str:

@@ -14,10 +14,16 @@ One traversal serves two modes:
   Constant terms are the only value model: a run's store, a solver model and
   a run result are trees of them.
 
-Choice ids are (static site id, per-site occurrence counter). Both modes
-issue them identically because a skipped branch arm advances the counters by
-the arm's static consumption ("ghost counting"), making per-expression
-consumption independent of which arms actually execute.
+A choice id is (site, (call sites, leaf number)): the node id of the `any`
+or `havoc` that made the choice, the ids of the `Call` nodes from the
+scenario down to it, and the number of the leaf among the values that one
+evaluation of the site makes (a record, a vector or a havocked module has
+several). The language has no loops and the type checker rejects recursion,
+so a site runs at most once per call path, and a choice is named by its
+position in the inlined, loop-free scenario, not by how many choices ran
+before it. The symbolic run, which takes both arms of every branch, and a
+concrete run, which takes one, therefore give a choice the same id, and
+replay asks a model for exactly the ids that sym_exec registered.
 
 Records and vectors are trees of per-leaf terms. `tree_map` applies a
 function leafwise to trees of one shape, and `tree_of_type` builds a tree
@@ -27,11 +33,11 @@ except `format_value`, which reads a tree together with its type.
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import ast, terms
 from .diagnostics import CapacityError, EngineError
@@ -106,25 +112,24 @@ def tree_eq(a, b) -> Term:
     return conj(tree_map(terms.mk_eq, a, b))
 
 
-def n_leaves(t: ast.TypeExpr) -> int:
-    if isinstance(t, ast.RecordType):
-        return sum(n_leaves(ft) for _, ft in t.fields)
-    if isinstance(t, ast.VectorType):
-        return n_leaves(t.elem) * t.length
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Choice registry and nondeterminism sources
 
-ChoiceId = Tuple[int, int]  # (static site id, dynamic occurrence)
+CallPath = Tuple[int, ...]  # Call node ids from the scenario down
+ChoiceId = Tuple[int, Tuple[CallPath, int]]  # (site, (call sites, leaf number))
 
 
-@dataclass
+def choice_ids(site: int, calls: CallPath) -> Iterator[ChoiceId]:
+    """The ids of the leaves that one evaluation of `site` chooses, in
+    leaf order; the evaluation is the only one on its call path."""
+    return ((site, (calls, leaf)) for leaf in itertools.count())
+
+
+@dataclass(slots=True)
 class ChoiceInfo:
     vid: int
     site: int
-    occ: int
+    occ: Tuple[CallPath, int]
     type: ast.TypeExpr  # scalar leaf type, or ArrayType(key, leaf) for arrays
     sort: tuple
 
@@ -137,7 +142,7 @@ class ChoiceInfo:
 class Registry:
     infos: List[ChoiceInfo] = field(default_factory=list)
 
-    def register(self, site: int, occ: int, t: ast.TypeExpr, sort: tuple) -> ChoiceInfo:
+    def register(self, site: int, occ: tuple, t: ast.TypeExpr, sort: tuple) -> ChoiceInfo:
         info = ChoiceInfo(len(self.infos), site, occ, t, sort)
         self.infos.append(info)
         return info
@@ -349,71 +354,13 @@ def _leaf_text(v: Term, t: Optional[ast.TypeExpr], enums) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Static choice consumption (ghost counting)
-
-
-class _Consumption:
-    def __init__(self, tp: TypedProgram) -> None:
-        self.tp = tp
-        self.fn_memo: Dict[Tuple[str, str], Counter] = {}
-        self.expr_memo: Dict[int, Counter] = {}
-        self.module_memo: Dict[str, int] = {}
-
-    def module_leaves(self, name: str) -> int:
-        if name in self.module_memo:
-            return self.module_memo[name]
-        total = 0
-        for inst in self.tp.modules[name].instances:
-            ref = inst.ref
-            if isinstance(ref, ast.ModuleRef):
-                total += self.module_leaves(ref.name)
-            else:
-                total += n_leaves(self.tp.resolve_type(ref.value_type))
-        self.module_memo[name] = total
-        return total
-
-    def of_fn(self, module: str, fn: str) -> Counter:
-        key = (module, fn)
-        if key in self.fn_memo:
-            return self.fn_memo[key]
-        self.fn_memo[key] = Counter()  # recursion is impossible post-typecheck
-        decl = self.tp.fns[key]
-        c = self.of_expr(decl.body)
-        self.fn_memo[key] = c
-        return c
-
-    def of_expr(self, e: ast.Expr) -> Counter:
-        if e.node_id in self.expr_memo:
-            return self.expr_memo[e.node_id]
-        c: Counter = Counter()
-        if isinstance(e, ast.AnyExpr):
-            c[e.node_id] = n_leaves(self.tp.types[e.node_id])
-        elif isinstance(e, ast.Call):
-            for a in e.args:
-                c += self.of_expr(a)
-            res = self.tp.resolutions[e.node_id]
-            if isinstance(res, UserCall):
-                c += self.of_fn(res.module, res.fn)
-            elif isinstance(res, PrimCall) and res.op == "havoc":
-                if res.target_module is not None:
-                    c[e.node_id] = self.module_leaves(res.target_module)
-                else:
-                    c[e.node_id] = n_leaves(res.value_type)
-        else:
-            for child in ast.child_exprs(e):
-                c += self.of_expr(child)
-        self.expr_memo[e.node_id] = c
-        return c
-
-
-# ---------------------------------------------------------------------------
 # The engine
 
 
 @dataclass
 class _Frame:
     inst: InstanceNode
-    is_root: bool
+    calls: CallPath = ()
 
 
 class Engine:
@@ -430,18 +377,16 @@ class Engine:
         self.store: Dict[Tuple[str, ...], object] = {}
         self.guard: Term = terms.TRUE
         self.registry = Registry()
-        self.counters: Counter = Counter()
         self.assumptions: List[Tuple[Term, Term]] = []
         self.obligations: List[Tuple[Term, Term, ast.SourceSpan]] = []
         self.transcript: List[str] = []
         self.events: List[dict] = []
-        self.consumption = _Consumption(tp)
         self._init_store()
 
     # -- store -------------------------------------------------------------
 
     def _init_store(self) -> None:
-        frame = _Frame(self.tree.root, True)
+        frame = _Frame(self.tree.root)
         enums = self.enums
         for cell in self.layout.cells:
             if cell.kind == "state":
@@ -457,16 +402,10 @@ class Engine:
 
     # -- choices ------------------------------------------------------------
 
-    def _issue(self, site: int) -> ChoiceId:
-        occ = self.counters[site]
-        self.counters[site] = occ + 1
-        return (site, occ)
-
-    def fresh_scalar(self, site: int, t: ast.TypeExpr) -> Term:
-        cid = self._issue(site)
+    def fresh_scalar(self, cid: ChoiceId, t: ast.TypeExpr) -> Term:
         if self.anys is not None:
             return self.anys.scalar(cid, t, self.enums)
-        info = self.registry.register(site, cid[1], t, scalar_sort(t, self.enums))
+        info = self.registry.register(*cid, t, scalar_sort(t, self.enums))
         var = terms.Var(scalar_sort(t, self.enums), info.vid)
         if isinstance(t, ast.EnumRef):
             n = len(self.enums[t.name])
@@ -475,26 +414,21 @@ class Engine:
                 self.assumptions.append((terms.TRUE, terms.mk_ult(var, terms.mk_bv(w, n))))
         return var
 
-    def fresh_tree(self, site: int, t: ast.TypeExpr):
-        return tree_of_type(t, lambda leaf: self.fresh_scalar(site, leaf))
+    def fresh_tree(self, cids: Iterator[ChoiceId], t: ast.TypeExpr):
+        return tree_of_type(t, lambda leaf: self.fresh_scalar(next(cids), leaf))
 
-    def fresh_array_tree(self, site: int, cell):
+    def fresh_array_tree(self, cids: Iterator[ChoiceId], cell):
         kw = cell.key_type.width
 
         def leaf(t: ast.TypeExpr):
-            cid = self._issue(site)
+            cid = next(cids)
             if self.anys is not None:
                 return self.anys.array(cid, kw, t, self.enums)
             sort = terms.arr_sort(kw, scalar_sort(t, self.enums))
-            info = self.registry.register(site, cid[1],
-                                          ast.ArrayType(cell.key_type, t), sort)
+            info = self.registry.register(*cid, ast.ArrayType(cell.key_type, t), sort)
             return terms.Var(sort, info.vid)
 
         return tree_of_type(cell.value_type, leaf)
-
-    def ghost_skip(self, e: ast.Expr) -> None:
-        """Advance choice counters over an unexecuted branch arm."""
-        self.counters.update(self.consumption.of_expr(e))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -558,7 +492,8 @@ class Engine:
         return terms.mk_not(v) if e.op == "!" else terms.mk_neg(v)
 
     def _eval_any(self, e: ast.AnyExpr, env, frame):
-        return self.fresh_tree(e.node_id, self.tp.types[e.node_id])
+        return self.fresh_tree(choice_ids(e.node_id, frame.calls),
+                               self.tp.types[e.node_id])
 
     def _eval_let(self, e: ast.Let, env, frame):
         v = self.eval(e.value, env, frame)
@@ -686,11 +621,7 @@ class Engine:
         cond = self.eval(e.cond, env, frame)
         if isinstance(cond, terms.BoolC):
             if cond.value:
-                v = self.eval(e.then, env, frame)
-                if e.orelse is not None:
-                    self.ghost_skip(e.orelse)
-                return v
-            self.ghost_skip(e.then)
+                return self.eval(e.then, env, frame)
             if e.orelse is not None:
                 return self.eval(e.orelse, env, frame)
             return None
@@ -716,7 +647,7 @@ class Engine:
         return self._prim_call(e, res, env, frame)
 
     def _user_call(self, e: ast.Call, res: UserCall, env, frame: _Frame):
-        target = resolve_instance(self.tree, frame.inst, res.inst_path, frame.is_root)
+        target = resolve_instance(self.tree, frame.inst, res.inst_path)
         args = [self.eval(a, env, frame) for a in e.args]
         decl = self.tp.fns[(res.module, res.fn)]
         fq = ".".join(target.path + (res.fn,)) if target.path else res.fn
@@ -725,7 +656,7 @@ class Engine:
                         for p, v in zip(decl.params, args)}
             self.events.append({"event": "call", "fn": fq, "args": arg_text})
         new_env = {p.name: v for p, v in zip(decl.params, args)}
-        new_frame = _Frame(target, res.module == self.tp.root_name)
+        new_frame = _Frame(target, frame.calls + (e.node_id,))
         result = self.eval(decl.body, new_env, new_frame)
         if self.anys is not None:
             rt = self.tp.resolve_type(decl.ret_type)
@@ -734,11 +665,11 @@ class Engine:
         return result
 
     def _prim_call(self, e: ast.Call, res: PrimCall, env, frame: _Frame):
-        target = resolve_instance(self.tree, frame.inst, res.inst_path, frame.is_root)
+        target = resolve_instance(self.tree, frame.inst, res.inst_path)
         args = [self.eval(a, env, frame) for a in e.args]
         op = res.op
         if op == "havoc":
-            self._havoc(e.node_id, target)
+            self._havoc(choice_ids(e.node_id, frame.calls), target)
             return None
         path = target.path
         if op == "state_get":
@@ -764,12 +695,12 @@ class Engine:
             return None
         raise AssertionError(f"unknown primitive op {op}")
 
-    def _havoc(self, site: int, target: InstanceNode) -> None:
+    def _havoc(self, cids: Iterator[ChoiceId], target: InstanceNode) -> None:
         for cell in self.layout.subtree(target.path):
             if cell.kind == "state":
-                self.store[cell.path] = self.fresh_tree(site, cell.value_type)
+                self.store[cell.path] = self.fresh_tree(cids, cell.value_type)
             else:
-                self.store[cell.path] = self.fresh_array_tree(site, cell)
+                self.store[cell.path] = self.fresh_array_tree(cids, cell)
 
     # One handler per expression class; `eval` dispatches on the exact class.
     _EVAL = {
@@ -808,8 +739,7 @@ class Engine:
                               f"{self.tp.root_name}; available: {names}")
         if not decl.is_mut or decl.params:
             raise EngineError(f"scenario {scenario!r} must be a zero-parameter mut fn")
-        frame = _Frame(self.tree.root, True)
-        return self.eval(decl.body, {}, frame)
+        return self.eval(decl.body, {}, _Frame(self.tree.root))
 
 
 def merge_stores(cond: Term, then_store: dict, else_store: dict) -> dict:

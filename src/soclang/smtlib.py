@@ -4,6 +4,7 @@ solver process, parse the model it returns."""
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -314,6 +315,14 @@ def parse_sexprs(text: str) -> list:
     return stack[0]
 
 
+# The names emit_smtlib declares: `c` and the vid, in ASCII digits with no
+# leading zero. Any other definition is auxiliary, as z3's `k!0` is.
+_CHOICE_NAME = re.compile(r"c(?:0|[1-9][0-9]*)")
+# SMT-LIB numerals and bitvector literals: ASCII digits, no sign and no `_`.
+_NUMERAL = re.compile(r"[0-9]+")
+_BV_LITERAL = re.compile(r"#b[01]+|#x[0-9a-fA-F]+")
+
+
 def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, Term]:
     """Parse solver `get-model` output into choice-id -> constant term.
 
@@ -341,7 +350,7 @@ def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, Term]:
         if len(d) < 2 or d[0] != "define-fun":
             continue
         name = d[1]
-        if isinstance(name, str) and name.startswith("c") and name[1:].isdigit():
+        if isinstance(name, str) and _CHOICE_NAME.fullmatch(name):
             mains.append(d)
         elif len(d) >= 5:
             aux[name] = d
@@ -381,16 +390,15 @@ def _parse_scalar(node, sort: tuple) -> Term:
 def _parse_bv(node, width: int) -> int:
     """The value of a bitvector literal that has exactly `width` bits."""
     lit = None
-    try:
-        if isinstance(node, str) and node.startswith("#b"):
-            lit = int(node[2:], 2), len(node) - 2
-        elif isinstance(node, str) and node.startswith("#x"):
-            lit = int(node[2:], 16), (len(node) - 2) * 4
-        elif isinstance(node, list) and len(node) == 3 and node[0] == "_" \
-                and isinstance(node[1], str) and node[1].startswith("bv"):
-            lit = int(node[1][2:]), int(node[2])
-    except (TypeError, ValueError):
-        pass
+    if isinstance(node, str) and _BV_LITERAL.fullmatch(node):
+        digits = node[2:]
+        lit = (int(digits, 2), len(digits)) if node[1] == "b" else \
+            (int(digits, 16), 4 * len(digits))
+    elif isinstance(node, list) and len(node) == 3 and node[0] == "_" \
+            and isinstance(node[1], str) and node[1].startswith("bv"):
+        value, w = _numeral(node[1][2:]), _numeral(node[2])
+        if value is not None and w is not None:
+            lit = value, w
     if lit is None:
         raise ModelParseError(f"expected bitvector, got {node!r}")
     value, w = lit
@@ -400,15 +408,23 @@ def _parse_bv(node, width: int) -> int:
     return value
 
 
-def _parse_int(node) -> int:
-    if isinstance(node, str):
+def _numeral(node) -> Optional[int]:
+    """The value of an SMT-LIB numeral, or None for anything else."""
+    if isinstance(node, str) and _NUMERAL.fullmatch(node):
         try:
             return int(node)
-        except ValueError:
-            raise ModelParseError(f"expected integer, got {node!r}")
-    if isinstance(node, list) and len(node) == 2 and node[0] == "-":
-        return -_parse_int(node[1])
-    raise ModelParseError(f"expected integer, got {node!r}")
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+def _parse_int(node) -> int:
+    """The value of a numeral or of a negated one, `(- numeral)`."""
+    neg = isinstance(node, list) and len(node) == 2 and node[0] == "-"
+    value = _numeral(node[1] if neg else node)
+    if value is None:
+        raise ModelParseError(f"expected integer, got {node!r}")
+    return -value if neg else value
 
 
 def _value_of(body, sort: tuple, aux: Dict[str, list]) -> Term:

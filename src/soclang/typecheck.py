@@ -37,14 +37,9 @@ class UserCall:
 class PrimCall:
     """Built-in operation on a state/array cell or instance subtree."""
 
-    def __init__(self, op: str, inst_path: Tuple[str, ...],
-                 value_type: Optional[ast.TypeExpr] = None,
-                 key_type: Optional[ast.TypeExpr] = None,
-                 target_module: Optional[str] = None) -> None:
+    def __init__(self, op: str, inst_path: Tuple[str, ...]) -> None:
         self.op = op  # state_get state_set array_get array_set array_read array_write havoc
         self.inst_path = inst_path
-        self.value_type, self.key_type = value_type, key_type
-        self.target_module = target_module  # havoc on a whole module instance
 
 
 class TypedProgram:
@@ -584,7 +579,7 @@ class Checker:
         target = self._resolve_instance_path(ctx, prefix, e.span)
         if isinstance(target, ast.ModuleDecl):
             if last == "havoc":
-                prim = PrimCall("havoc", tuple(prefix), target_module=target.name)
+                prim = PrimCall("havoc", tuple(prefix))
                 return self._check_prim_call(ctx, e, prim, [])
             return self._check_user_call(ctx, e, target.name, last, tuple(prefix))
         kind, vt, kt = target
@@ -602,7 +597,7 @@ class Checker:
         if last not in ops:
             raise self.fail(e.span, f"unknown operation {last!r} on a {kind} cell")
         op, param_types, ret = ops[last]
-        prim = PrimCall(op, tuple(prefix), value_type=vt, key_type=kt)
+        prim = PrimCall(op, tuple(prefix))
         self._check_prim_call(ctx, e, prim, param_types)
         return ret
 

@@ -242,8 +242,9 @@ def _gen_random(seed: int) -> str:
 
 
 def _gen_random_calls(seed: int) -> str:
-    """Helper-call scenario: anys hide in both arms of the callee, so replay
-    alignment depends on ghost counting across call boundaries."""
+    """Helper-call scenario: anys hide in both arms of the callee, which two
+    calls run, so replay alignment depends on choice ids that tell the calls
+    apart and do not shift when an arm is skipped."""
     rng = random.Random(1000 + seed)
     w = 2
     first_arg = rng.choice(["any<Bool>", "true", "false"])

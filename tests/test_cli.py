@@ -322,6 +322,19 @@ def test_trace_model_defining_a_choice_twice_exits_1(tmp_path):
     assert (code, out, err) == (1, "", "error: model defines c0 twice\n")
 
 
+def test_trace_model_name_that_is_not_a_choice_is_auxiliary(tmp_path):
+    # emit_smtlib never declares `c²`: the definition is auxiliary, so the
+    # model is the empty one and every choice replays as zero.
+    odd = tmp_path / "odd.smt2"
+    odd.write_text("((define-fun c² () Bool true))\n")
+    empty = tmp_path / "empty.smt2"
+    empty.write_text("()\n")
+    args = ("trace", VULN, "--scenario", "test_secure_area_unchanged", "--model")
+    code, out, err = run_cli(*args, str(odd))
+    assert (code, out, err) == run_cli(*args, str(empty))
+    assert code == 0 and err == ""
+
+
 def _sat_with(model: str) -> str:
     """A stand-in solver that answers `sat` with the given model."""
     return f"sh -c \"echo sat; echo '{model}'\""

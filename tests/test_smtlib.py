@@ -303,10 +303,42 @@ def test_malformed_array_function_is_an_error(value):
 
 
 def test_malformed_bitvector_literal_is_an_error():
+    # Digits are ASCII binary, hex or decimal digits only: no sign, no `_`
+    # and no other Unicode digits, even where int() would take them.
     reg = _registry((ast.BitIntType(8), ("bv", 8)))
-    for literal in ["#b102", "#x", "(_ bvx 8)", "(_ bv1 (8))"]:
-        with pytest.raises(ModelParseError, match="expected bitvector"):
+    for literal in ["#b102", "#x", "(_ bvx 8)", "(_ bv1 (8))",
+                    "#x+f", "#x-1", "#b0000_101", "#b١٠١٠١٠١٠", "#x٠f",
+                    "(_ bv1_0 8)", "(_ bv+3 8)", "(_ bv٣ 8)", "(_ bv3 ８)",
+                    "(_ bv3 +8)"]:
+        with pytest.raises(ModelParseError, match="c0: expected bitvector"):
             parse_model(f"((define-fun c0 () (_ BitVec 8) {literal}))", reg)
+
+
+def test_integer_values_are_numerals_or_negated_numerals():
+    reg = _registry((ast.IntType(), terms.INT_SORT))
+    for literal, value in [("0", 0), ("42", 42), ("(- 7)", -7), ("007", 7)]:
+        model = parse_model(f"((define-fun c0 () Int {literal}))", reg)
+        assert model[(100, 0)] == terms.mk_int(value)
+
+
+def test_malformed_integer_literal_is_an_error():
+    # `-3` is an SMT-LIB symbol, not a numeral.
+    reg = _registry((ast.IntType(), terms.INT_SORT))
+    for literal in ["+5", "-3", "1_000", "٣", "１", "5.0", "#x05", "(- -3)",
+                    "(- (- 3))", "(- )", "(+ 3)", "9" * 5000]:
+        with pytest.raises(ModelParseError, match="c0: expected integer"):
+            parse_model(f"((define-fun c0 () Int {literal}))", reg)
+
+
+@pytest.mark.parametrize("name", ["c²", "c٠", "c00", "c01", "C0", "c+0", "c0x"])
+def test_only_emitted_choice_names_define_choices(name):
+    # emit_smtlib declares `c` and the vid in ASCII digits with no leading
+    # zero; any other name is an auxiliary definition, as `k!0` is.
+    reg = _registry((ast.BoolType(), ("bool",)))
+    assert parse_model(f"((define-fun {name} () Bool true))", reg) == {}
+    model = parse_model(f"((define-fun c0 () Bool false) "
+                        f"(define-fun {name} () Bool true))", reg)
+    assert model == {(100, 0): terms.FALSE}
 
 
 # -- solver driving ----------------------------------------------------------------

@@ -5,8 +5,9 @@ from soclang import engine as eng
 from soclang import terms
 from soclang.terms import mk_bv
 
-from conftest import (CORPUS, brute_force_violating, load_file, load_source,
-                      requires_z3, solve_vc)
+from conftest import (CORPUS, brute_force_violating, enumerate_assignments,
+                      load_file, load_source, registry_bits, requires_z3,
+                      solve_vc)
 from microgen import all_micro_scenarios
 
 
@@ -160,11 +161,18 @@ module Main {
   }
 }
 """)
+    # A choice id is (site, (call sites, leaf number)): each `any` keeps its
+    # site in both calls, and the call path tells the two calls apart.
     vc = eng.sym_exec(tp, tree, layout, "s")
-    sites = [(i.site, i.occ) for i in vc.registry.infos]
-    assert len(sites) == 4
-    assert sites[0][0] == sites[2][0] and sites[0][1] == 0 and sites[2][1] == 1
-    assert sites[1][0] == sites[3][0] and sites[1][1] == 0 and sites[3][1] == 1
+    infos = vc.registry.infos
+    assert len({i.cid for i in infos}) == 4
+    first, second = infos[:2], infos[2:]
+    assert [i.site for i in first] == [i.site for i in second]
+    assert first[0].site != first[1].site
+    for a, b in zip(first, second):
+        (calls_a, leaf_a), (calls_b, leaf_b) = a.occ, b.occ
+        assert len(calls_a) == len(calls_b) == 1 and calls_a != calls_b
+        assert leaf_a == leaf_b == 0
 
 
 def test_ghost_counting_keeps_ids_aligned_across_skipped_arms():
@@ -194,6 +202,74 @@ module Main {
              infos[2].cid: mk_bv(4, 3), w_info.cid: mk_bv(4, 4)}
     r = eng.replay(tp, tree, layout, "s", model)
     assert isinstance(r.verdict, eng.AssertionFailed)
+
+
+class RecordingOracle(eng.ModelOracle):
+    """A ModelOracle that records each choice id it is asked for, with the
+    type the asking run expects (an array as ArrayType(key, leaf))."""
+
+    def __init__(self, values) -> None:
+        super().__init__(values)
+        self.asked = []
+
+    def scalar(self, cid, t, enums):
+        self.asked.append((cid, t))
+        return super().scalar(cid, t, enums)
+
+    def array(self, cid, key_width, leaf, enums):
+        self.asked.append((cid, ast.ArrayType(ast.BitIntType(key_width), leaf)))
+        return super().array(cid, key_width, leaf, enums)
+
+
+def assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model):
+    """Replay asks only for choice ids that sym_exec registered, each once
+    and with its registered type: a model is read by the ids it was
+    solved for, whichever branch arms the replay takes."""
+    registered = {i.cid: i.type for i in vc.registry.infos}
+    assert len(registered) == len(vc.registry.infos), "two choices share an id"
+    oracle = RecordingOracle(model)
+    result = eng.run_scenario(tp, tree, layout, scenario, oracle)
+    asked = [cid for cid, _ in oracle.asked]
+    assert len(set(asked)) == len(asked), "a choice id was asked for twice"
+    for cid, t in oracle.asked:
+        assert cid in registered, f"replay asked for unregistered choice {cid}"
+        assert registered[cid] == t, f"choice {cid}: {registered[cid]} vs {t}"
+    return result
+
+
+@pytest.mark.parametrize("name,source", all_micro_scenarios(),
+                         ids=[n for n, _ in all_micro_scenarios()])
+def test_replay_asks_registered_choices_on_every_micro_assignment(name, source):
+    tp, tree, layout = load_source(source, name)
+    vc = eng.sym_exec(tp, tree, layout, "s")
+    assert registry_bits(vc.registry, tp.enums) <= 16
+    query = vc.query_term()
+    for model in enumerate_assignments(vc.registry, tp.enums):
+        r = assert_replay_asks_registered_choices(tp, tree, layout, "s", vc, model)
+        # A registered id that names the wrong choice shows here: the query
+        # holds under the model, but replay reads other values and passes.
+        if _eval_term(query, vc, model):
+            assert isinstance(r.verdict, eng.AssertionFailed), model
+
+
+CORPUS_SCENARIOS = [(path.name, s) for path in sorted(CORPUS.glob("*.soc"))
+                    for s in load_file(path)[0].scenarios()]
+
+
+@pytest.mark.parametrize("fname,scenario", CORPUS_SCENARIOS,
+                         ids=[f"{f}::{s}" for f, s in CORPUS_SCENARIOS])
+def test_replay_asks_registered_choices_on_corpus_scenarios(fname, scenario):
+    tp, tree, layout = load_file(CORPUS / fname)
+    vc = eng.sym_exec(tp, tree, layout, scenario)
+    models = [{}]
+    for seed in range(4):
+        draw = eng.SeededRandom(seed)
+        models.append({
+            i.cid: draw.array(i.cid, i.type.key.width, i.type.value, tp.enums)
+            if isinstance(i.type, ast.ArrayType) else draw.scalar(i.cid, i.type, tp.enums)
+            for i in vc.registry.infos})
+    for model in models:
+        assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model)
 
 
 # -- corpus-level verdicts -----------------------------------------------------
