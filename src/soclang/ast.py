@@ -17,8 +17,13 @@ from typing import Iterator, Optional
 _node_ids = itertools.count()
 
 
-def fresh_node_id() -> int:
-    return next(_node_ids)
+def restart_node_ids() -> None:
+    """Number the expressions built from here on from 0. Each parse of a
+    program starts here, so a node's id depends only on the source, in
+    every process, and so does the SMT-LIB name of a choice (its site is
+    a node id)."""
+    global _node_ids
+    _node_ids = itertools.count()
 
 
 # Fields that locate or present a node; equality, hashing and repr skip them.

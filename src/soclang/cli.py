@@ -139,9 +139,8 @@ def cmd_trace(args) -> int:
     from . import smtlib
 
     tp, tree, layout = load(args.file)
-    # Only the registry is needed; the query DAG is freed before replay.
-    registry = eng.sym_exec(tp, tree, layout, args.scenario).registry
-    model = smtlib.load_model_file(args.model, registry)
+    # A choice's name spells its id, so the model needs no symbolic run.
+    model = smtlib.load_model_file(args.model)
     result = eng.replay(tp, tree, layout, args.scenario, model, args.capacity)
     return _report_run(result, args.trace_json)
 

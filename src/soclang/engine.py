@@ -23,7 +23,9 @@ so a site runs at most once per call path, and a choice is named by its
 position in the inlined, loop-free scenario, not by how many choices ran
 before it. The symbolic run, which takes both arms of every branch, and a
 concrete run, which takes one, therefore give a choice the same id, and
-replay asks a model for exactly the ids that sym_exec registered.
+replay asks a model for exactly the ids that sym_exec registered. The
+SMT-LIB name of a choice spells its id (`choice_vid`), so a model names its
+choices without the symbolic run that declared them.
 
 Records and vectors are trees of per-leaf terms. `tree_map` applies a
 function leafwise to trees of one shape, and `tree_of_type` builds a tree
@@ -125,9 +127,17 @@ def choice_ids(site: int, calls: CallPath) -> Iterator[ChoiceId]:
     return ((site, (calls, leaf)) for leaf in itertools.count())
 
 
+def choice_vid(cid: ChoiceId) -> str:
+    """The suffix of the choice's SMT-LIB name `c<vid>`: its site, call sites
+    and leaf number joined by `_`. The first number is the site and the last
+    the leaf, so every number between them is a call site."""
+    site, (calls, leaf) = cid
+    return "_".join(map(str, (site, *calls, leaf)))
+
+
 @dataclass(slots=True)
 class ChoiceInfo:
-    vid: int
+    vid: str
     site: int
     occ: Tuple[CallPath, int]
     type: ast.TypeExpr  # scalar leaf type, or ArrayType(key, leaf) for arrays
@@ -143,7 +153,7 @@ class Registry:
     infos: List[ChoiceInfo] = field(default_factory=list)
 
     def register(self, site: int, occ: tuple, t: ast.TypeExpr, sort: tuple) -> ChoiceInfo:
-        info = ChoiceInfo(len(self.infos), site, occ, t, sort)
+        info = ChoiceInfo(choice_vid((site, occ)), site, occ, t, sort)
         self.infos.append(info)
         return info
 
@@ -207,7 +217,7 @@ class ModelOracle(AnySource):
         if v.sort == scalar_sort(t, enums) and \
                 not (isinstance(t, ast.EnumRef) and v.value >= len(enums[t.name])):
             return v
-        raise EngineError(f"model value for choice {cid} has the wrong type "
+        raise EngineError(f"model value for c{choice_vid(cid)} has the wrong type "
                           f"(expected {t}, got {_leaf_text(v, None, enums)})")
 
     def array(self, cid, key_width, leaf, enums):
@@ -216,7 +226,7 @@ class ModelOracle(AnySource):
         v = self.values[cid]
         if not isinstance(v, terms.SparseConst) or \
                 v.sort != terms.arr_sort(key_width, scalar_sort(leaf, enums)):
-            raise EngineError(f"model value for choice {cid} is not an array "
+            raise EngineError(f"model value for c{choice_vid(cid)} is not an array "
                               f"of the expected sort")
         if isinstance(leaf, ast.EnumRef):
             for x in (v.default, *(x for _, x in v.mods)):
@@ -775,5 +785,15 @@ def sym_exec(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
 def replay(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
            scenario: str, model: Dict[ChoiceId, Term],
            capacity: int = 64) -> RunResult:
-    """Replay a solver model: the symbolic engine with immediate concretization."""
+    """Replay a solver model: the symbolic engine with immediate concretization.
+
+    Every choice the model names must be an `any` or `havoc` of this program,
+    reached through calls of this program.
+    """
+    for cid in model:
+        site, (calls, _) = cid
+        if site not in tp.choice_sites or not all(
+                isinstance(tp.resolutions.get(c), UserCall) for c in calls):
+            raise EngineError(f"model defines c{choice_vid(cid)}, which names no "
+                              f"choice of this program")
     return run_scenario(tp, tree, layout, scenario, ModelOracle(model), capacity)

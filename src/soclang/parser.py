@@ -527,7 +527,9 @@ def _parse(p: _Parser, rule):
 
 
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:
-    """Parse a whole program; raises LexError/ParseError with spans."""
+    """Parse a whole program; raises LexError/ParseError with spans. Its
+    expressions are numbered from 0."""
+    ast.restart_node_ids()
     p = _Parser(tokenize(source, filename), filename)
     return _parse(p, p.program)
 

@@ -89,7 +89,8 @@ class _Emitter:
                 stack.pop()
                 self.order.append(node)
 
-    def serialize(self) -> str:
+    def serialize(self) -> List[str]:
+        """The pieces of the term's text, to be joined by the caller once."""
         names: Dict[int, str] = {}   # atoms and let-bound names
         # The text of a compound used once: its one parent takes it out, so
         # each text is held only until it is copied into its parent's.
@@ -112,7 +113,7 @@ class _Emitter:
                 names[id(node)] = name
             else:
                 single[id(node)] = body
-        return "".join(openers) + text(self.root) + ")" * len(openers)
+        return openers + [text(self.root), ")" * len(openers)]
 
 
 def _children(t: Term):
@@ -173,14 +174,14 @@ def emit_smtlib(vc: VerificationCondition) -> str:
     emitter = _Emitter(vc.query_term())
     has_int = emitter.has_int or any(
         isinstance(i.type, ast.IntType) for i in vc.registry.infos)
-    lines = [f"(set-logic {'ALL' if has_int else 'QF_ABV'})",
-             "(set-option :produce-models true)"]
+    parts = [f"(set-logic {'ALL' if has_int else 'QF_ABV'})\n"
+             "(set-option :produce-models true)\n"]
     for info in vc.registry.infos:
-        lines.append(f"(declare-const c{info.vid} {_sort_text(info.sort)})")
-    lines.append(f"(assert {emitter.serialize()})")
-    lines.append("(check-sat)")
-    lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
+        parts.append(f"(declare-const c{info.vid} {_sort_text(info.sort)})\n")
+    parts.append("(assert ")
+    parts += emitter.serialize()
+    parts.append(")\n(check-sat)\n(get-model)\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +316,58 @@ def parse_sexprs(text: str) -> list:
     return stack[0]
 
 
-# The names emit_smtlib declares: `c` and the vid, in ASCII digits with no
-# leading zero. Any other definition is auxiliary, as z3's `k!0` is.
-_CHOICE_NAME = re.compile(r"c(?:0|[1-9][0-9]*)")
+_NUM = "(?:0|[1-9][0-9]*)"
+# The names emit_smtlib declares: `c` and the vid (engine.choice_vid), the
+# site, call sites and leaf number in ASCII digits with no leading zero,
+# joined by `_`. Any other definition is auxiliary, as z3's `k!0` is, except
+# a name of the form choices had before they spelled their ids.
+_CHOICE_NAME = re.compile(f"c{_NUM}(?:_{_NUM})+")
+_OLD_CHOICE_NAME = re.compile(f"c{_NUM}")
 # SMT-LIB numerals and bitvector literals: ASCII digits, no sign and no `_`.
 _NUMERAL = re.compile(r"[0-9]+")
 _BV_LITERAL = re.compile(r"#b[01]+|#x[0-9a-fA-F]+")
 
 
-def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, Term]:
+def _show(node, limit: int = 60) -> str:
+    """The SMT-LIB text of a parsed node, cut after about `limit` characters.
+    The walk is iterative, so a node of any depth renders."""
+    pieces: List[str] = []
+    size = 0
+    stack = [node]
+    while stack and size <= limit:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.append(")")
+            for item in reversed(x[:limit]):  # `limit` items fill the text
+                stack += (item, " ")
+            if x:
+                stack.pop()  # no space before the first item
+            x = "("
+        pieces.append(x)
+        size += len(x)
+    text = "".join(pieces)
+    return text if not stack and size <= limit else text[:limit] + "..."
+
+
+def _choice_id(vid: str) -> ChoiceId:
+    """The choice id that `engine.choice_vid` spells as `vid`."""
+    try:
+        site, *calls, leaf = map(int, vid.split("_"))
+    except ValueError:  # more digits than int() converts
+        raise ModelParseError(f"choice name {_show('c' + vid)} is too long") from None
+    return site, (tuple(calls), leaf)
+
+
+def parse_model(output: str, registry: Optional[Registry]) -> Dict[ChoiceId, Term]:
     """Parse solver `get-model` output into choice-id -> constant term.
 
-    Each value is read by its variable's registered sort. Handles bitvector
-    literals (#b, #x, (_ bvN w)) of exactly the sort's width, booleans,
-    integers, and array values given as store chains over ((as const ...) v),
-    as-array references to auxiliary definitions, or index/value ite lambdas.
+    A choice's name spells its id, and its `define-fun` header gives its
+    sort. Given the registry of the query the model answers, each choice
+    must be declared there with that sort. Each value is read by the
+    header's sort. Handles bitvector literals (#b, #x, (_ bvN w)) of exactly
+    the sort's width, booleans, integers, and array values given as store
+    chains over ((as const ...) v), as-array references to auxiliary
+    definitions, or index/value ite lambdas.
     """
     sexprs = parse_sexprs(output)
     defs: List[list] = []
@@ -350,29 +388,64 @@ def parse_model(output: str, registry: Registry) -> Dict[ChoiceId, Term]:
         if len(d) < 2 or d[0] != "define-fun":
             continue
         name = d[1]
-        if isinstance(name, str) and _CHOICE_NAME.fullmatch(name):
+        if not isinstance(name, str):
+            continue
+        if _CHOICE_NAME.fullmatch(name):
             mains.append(d)
+        elif _OLD_CHOICE_NAME.fullmatch(name):
+            raise ModelParseError(
+                f"model defines {_show(name)}, a choice name of the format used "
+                f"before names spelled choice ids; re-run verify to write the model")
         elif len(d) >= 5:
             aux[name] = d
+    declared = None if registry is None else {i.vid: i.sort for i in registry.infos}
     model: Dict[ChoiceId, Term] = {}
-    by_vid = {i.vid: i for i in registry.infos}
     for d in mains:
-        name = d[1]
+        name, vid = _show(d[1]), d[1][1:]
         if len(d) < 5:
             raise ModelParseError(f"malformed definition of {name}")
         args, body = d[2], d[4]
-        info = by_vid.get(int(name[1:]))
-        if info is None:
-            raise ModelParseError(f"model defines unregistered variable {name}")
-        if info.cid in model:
+        cid = _choice_id(vid)
+        if cid in model:
             raise ModelParseError(f"model defines {name} twice")
         if args:
             raise ModelParseError(f"unexpected arguments on {name}")
+        if declared is not None and vid not in declared:
+            raise ModelParseError(f"model defines unregistered variable {name}")
         try:
-            model[info.cid] = _value_of(body, info.sort, aux)
+            sort = _parse_sort(d[3])
+            if declared is not None and declared[vid] != sort:
+                raise ModelParseError(f"sort {_sort_text(sort)}, but the query "
+                                      f"declares {_sort_text(declared[vid])}")
+            model[cid] = _value_of(body, sort, aux)
         except ModelParseError as err:
             raise ModelParseError(f"model value of {name}: {err}") from None
     return model
+
+
+def _parse_sort(node) -> tuple:
+    """The sort a choice's `define-fun` header gives: Bool, Int,
+    (_ BitVec w), or an array from bitvectors to one of these."""
+    if isinstance(node, list) and len(node) == 3 and node[0] == "Array":
+        key, leaf = _scalar_sort(node[1]), _scalar_sort(node[2])
+        if key is not None and key[0] == "bv" and leaf is not None:
+            return terms.arr_sort(key[1], leaf)
+    sort = _scalar_sort(node)
+    if sort is None:
+        raise ModelParseError(f"unsupported sort {_show(node)}")
+    return sort
+
+
+def _scalar_sort(node) -> Optional[tuple]:
+    if node == "Bool":
+        return terms.BOOL_SORT
+    if node == "Int":
+        return terms.INT_SORT
+    if isinstance(node, list) and len(node) == 3 and node[:2] == ["_", "BitVec"]:
+        width = _numeral(node[2])
+        if width:
+            return terms.bv_sort(width)
+    return None
 
 
 def _parse_scalar(node, sort: tuple) -> Term:
@@ -381,7 +454,7 @@ def _parse_scalar(node, sort: tuple) -> Term:
             return terms.TRUE
         if node == "false":
             return terms.FALSE
-        raise ModelParseError(f"expected Bool, got {node!r}")
+        raise ModelParseError(f"expected Bool, got {_show(node)}")
     if sort == terms.INT_SORT:
         return terms.mk_int(_parse_int(node))
     return terms.mk_bv(sort[1], _parse_bv(node, sort[1]))
@@ -400,10 +473,10 @@ def _parse_bv(node, width: int) -> int:
         if value is not None and w is not None:
             lit = value, w
     if lit is None:
-        raise ModelParseError(f"expected bitvector, got {node!r}")
+        raise ModelParseError(f"expected bitvector, got {_show(node)}")
     value, w = lit
     if w != width or value >> width:
-        raise ModelParseError(f"bitvector literal {node!r} is not a "
+        raise ModelParseError(f"bitvector literal {_show(node)} is not a "
                               f"(_ BitVec {width}) value")
     return value
 
@@ -423,7 +496,7 @@ def _parse_int(node) -> int:
     neg = isinstance(node, list) and len(node) == 2 and node[0] == "-"
     value = _numeral(node[1] if neg else node)
     if value is None:
-        raise ModelParseError(f"expected integer, got {node!r}")
+        raise ModelParseError(f"expected integer, got {_show(node)}")
     return -value if neg else value
 
 
@@ -437,9 +510,9 @@ def _parse_array(body, sort: tuple, aux: Dict[str, list]) -> terms.SparseConst:
     # (_ as-array k!N): value lives in an auxiliary definition
     if isinstance(body, list) and len(body) == 3 and body[0] == "_" \
             and body[1] == "as-array":
-        d = aux.get(body[2])
+        d = aux.get(body[2]) if isinstance(body[2], str) else None
         if d is None:
-            raise ModelParseError(f"as-array references unknown {body[2]!r}")
+            raise ModelParseError(f"as-array references unknown {_show(body[2])}")
         args, fn_body = d[2], d[4]
         return _array_from_fn(args, fn_body, sort)
     if isinstance(body, list) and len(body) == 3 and body[0] == "lambda":
@@ -453,12 +526,13 @@ def _parse_array(body, sort: tuple, aux: Dict[str, list]) -> terms.SparseConst:
             and node[0][:2] == ["as", "const"]:
         default = _parse_scalar(node[1], sort[2])
     else:
-        raise ModelParseError(f"unrecognized array value {body!r}")
+        raise ModelParseError(f"unrecognized array value {_show(body)}")
     return _sparse_array(sort, default, mods)
 
 
 def _array_from_fn(args, body, sort: tuple) -> terms.SparseConst:
-    if not (isinstance(args, list) and len(args) == 1 and args[0]):
+    if not (isinstance(args, list) and len(args) == 1 and args[0]
+            and isinstance(args[0][0], str)):
         raise ModelParseError("array function must take one argument")
     var = args[0][0]
     mods: List[Tuple[int, Term]] = []
@@ -466,7 +540,7 @@ def _array_from_fn(args, body, sort: tuple) -> terms.SparseConst:
     while isinstance(node, list) and len(node) == 4 and node[0] == "ite":
         cond, val, rest = node[1], node[2], node[3]
         if not (isinstance(cond, list) and len(cond) == 3 and cond[0] == "="):
-            raise ModelParseError(f"unsupported array ite condition {cond!r}")
+            raise ModelParseError(f"unsupported array ite condition {_show(cond)}")
         key_node = cond[2] if cond[1] == var else cond[1]
         mods.append((_parse_bv(key_node, sort[1]), _parse_scalar(val, sort[2])))
         node = rest
@@ -486,7 +560,8 @@ def _sparse_array(sort: tuple, default: Term,
 # Model files (cache written by verify, consumed by trace)
 
 
-def load_model_file(path: str, registry: Registry) -> Dict[ChoiceId, Term]:
+def load_model_file(path: str, registry: Optional[Registry] = None
+                    ) -> Dict[ChoiceId, Term]:
     with open(path, "rb") as f:
         data = f.read()
     try:

@@ -50,7 +50,7 @@ class IntC(Term):
 
 @dataclass(frozen=True, eq=False)
 class Var(Term):
-    vid: int
+    vid: str
 
     @property
     def name(self) -> str:

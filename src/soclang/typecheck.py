@@ -8,7 +8,7 @@ checked for cycles and purity violations.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast
 from .diagnostics import TypeCheckError, TypeErrors
@@ -54,6 +54,7 @@ class TypedProgram:
         self.types: Dict[int, ast.TypeExpr] = checker.types
         self.resolutions: Dict[int, object] = checker.resolutions
         self.resolved: Dict[int, ast.TypeExpr] = checker.resolved
+        self.choice_sites: Set[int] = checker.choice_sites
 
     def resolve_type(self, t: Optional[ast.TypeExpr]) -> ast.TypeExpr:
         """The resolution of a type written in the program; None is Unit."""
@@ -98,6 +99,7 @@ class Checker:
         self.types: Dict[int, ast.TypeExpr] = {}
         self.resolutions: Dict[int, object] = {}
         self.resolved: Dict[int, ast.TypeExpr] = {}
+        self.choice_sites: Set[int] = set()  # node ids of every any and havoc
         self.call_edges: Dict[Tuple[str, str], set] = {}
         self._current_fn: Optional[Tuple[str, str]] = None
 
@@ -273,10 +275,6 @@ class Checker:
             raise self.fail(e.span, f"type mismatch: expected {expected}, found {t}")
         return t
 
-    def infer_expr(self, ctx: TypingCtx, e: ast.Expr) -> ast.TypeExpr:
-        """Synthesize a type for e; literals without a width suffix fail here."""
-        return self.check_expr(ctx, e, None)
-
     def _type(self, ctx: TypingCtx, e: ast.Expr, expected) -> ast.TypeExpr:
         """Check the forms that can take `expected`; synthesize the others."""
         numeric = isinstance(expected, (ast.BitIntType, ast.IntType))
@@ -381,6 +379,7 @@ class Checker:
             t = self.resolve_type(e.type, e.span)
             if isinstance(t, (ast.ArrayType, ast.UnitType)):
                 raise self.fail(e.span, f"any<{t}> is not supported")
+            self.choice_sites.add(e.node_id)
             return t
         if isinstance(e, ast.If):
             self.check_expr(ctx, e.cond, ast.BOOL)
@@ -611,6 +610,8 @@ class Checker:
         for arg, pt in zip(e.args, param_types):
             self.check_expr(ctx, arg, pt)
         self.resolutions[e.node_id] = prim
+        if prim.op == "havoc":
+            self.choice_sites.add(e.node_id)
         return ast.UNIT
 
     def _check_user_call(self, ctx: TypingCtx, e: ast.Call, module: str, fn: str,

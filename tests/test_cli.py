@@ -5,10 +5,23 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, INSTANCE_NESTING, requires_z3, run_cli
+from soclang import engine as eng
+
+from conftest import CORPUS, INSTANCE_NESTING, load_file, requires_z3, run_cli
 
 VULN = str(CORPUS / "mini_tx1_vulnerable.soc")
 FIXED = str(CORPUS / "mini_tx1_fixed.soc")
+
+
+def _choice_names(path: str, scenario: str) -> list:
+    """The names `verify` declares for the scenario's choices, in order."""
+    tp, tree, layout = load_file(path)
+    return [f"c{i.vid}" for i in eng.sym_exec(tp, tree, layout, scenario).registry.infos]
+
+
+# Step 1 (is_write, address, value, denied-response filler), step 2 (the
+# same), then the probed address.
+VULN_CHOICES = _choice_names(VULN, "test_secure_area_unchanged")
 
 
 def test_check_ok_on_corpus_model():
@@ -278,9 +291,9 @@ def test_trace_all_zero_model_on_fixed_passes(tmp_path):
 
 
 def test_trace_model_with_wrong_sort_exits_1(tmp_path):
-    # c0 is the first step's Bool choice; give it a bitvector instead.
+    # The first step's Bool choice; give it a bitvector instead.
     bad = tmp_path / "bad.smt2"
-    bad.write_text("((define-fun c0 () (_ BitVec 8) #x01))\n")
+    bad.write_text(f"((define-fun {VULN_CHOICES[0]} () (_ BitVec 8) #x01))\n")
     code, _, err = run_cli("trace", VULN, "--scenario", "test_secure_area_unchanged",
                            "--model", str(bad))
     assert code == 1
@@ -288,13 +301,13 @@ def test_trace_model_with_wrong_sort_exits_1(tmp_path):
 
 
 def test_trace_model_literal_of_another_width_exits_1(tmp_path):
-    # c1 is the first step's BitInt(48) address; #x01 has 8 bits, not 48.
+    # The first step's BitInt(48) address; #x01 has 8 bits, not 48.
     bad = tmp_path / "narrow.smt2"
-    bad.write_text("((define-fun c1 () (_ BitVec 48) #x01))\n")
+    bad.write_text(f"((define-fun {VULN_CHOICES[1]} () (_ BitVec 48) #x01))\n")
     code, _, err = run_cli("trace", VULN, "--scenario", "test_secure_area_unchanged",
                            "--model", str(bad))
     assert code == 1
-    assert "c1" in err and "(_ BitVec 48)" in err
+    assert VULN_CHOICES[1] in err and "(_ BitVec 48)" in err
 
 
 def test_trace_corrupt_model_file_exits_1(tmp_path):
@@ -316,10 +329,11 @@ def test_trace_model_that_is_not_utf8_exits_1(tmp_path):
 
 def test_trace_model_defining_a_choice_twice_exits_1(tmp_path):
     bad = tmp_path / "dup.smt2"
-    bad.write_text("((define-fun c0 () Bool true) (define-fun c0 () Bool false))\n")
+    name = VULN_CHOICES[0]
+    bad.write_text(f"((define-fun {name} () Bool true) (define-fun {name} () Bool false))\n")
     code, out, err = run_cli("trace", VULN, "--scenario", "test_secure_area_unchanged",
                              "--model", str(bad))
-    assert (code, out, err) == (1, "", "error: model defines c0 twice\n")
+    assert (code, out, err) == (1, "", f"error: model defines {name} twice\n")
 
 
 def test_trace_model_name_that_is_not_a_choice_is_auxiliary(tmp_path):
@@ -335,6 +349,68 @@ def test_trace_model_name_that_is_not_a_choice_is_auxiliary(tmp_path):
     assert code == 0 and err == ""
 
 
+# The published attack (see test_eval), written as a model file.
+ATTACK = "(\n" + "\n".join(
+    f"  (define-fun {VULN_CHOICES[i]} () {sort} {value})" for i, sort, value in [
+        (0, "Bool", "true"), (1, "(_ BitVec 48)", "#x800000000070"),
+        (2, "(_ BitVec 64)", "(_ bv1 64)"), (4, "Bool", "true"),
+        (5, "(_ BitVec 48)", "(_ bv0 48)"), (6, "(_ BitVec 64)", "#x48adc33cfdc999d4"),
+        (8, "(_ BitVec 31)", "(_ bv0 31)")]) + ")\n"
+
+
+def test_trace_runs_no_symbolic_execution(tmp_path, monkeypatch, capsys):
+    from soclang import cli
+
+    def refuse(*args):
+        raise AssertionError("trace ran sym_exec")
+
+    monkeypatch.setattr(eng, "sym_exec", refuse)
+    model = tmp_path / "attack.smt2"
+    model.write_text(ATTACK)
+    code = cli.main(["trace", VULN, "--scenario", "test_secure_area_unchanged",
+                     "--model", str(model)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert out.endswith(f"FAILED ASSERTION at {VULN}:191\n")
+    assert (code, out, err) == run_cli("trace", VULN, "--scenario",
+                                       "test_secure_area_unchanged", "--model", str(model))
+
+
+def _trace_error(tmp_path, model: str):
+    path = tmp_path / "m.smt2"
+    path.write_text(model)
+    code, out, err = run_cli("trace", VULN, "--scenario", "test_secure_area_unchanged",
+                             "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("name", ["c0", "c17"])
+def test_trace_model_with_old_choice_names_exits_1(tmp_path, name):
+    # Written before names spelled choice ids: it must not replay as zeros.
+    err = _trace_error(tmp_path, f"((define-fun {name} () Bool true))\n")
+    assert "re-run verify" in err
+
+
+def test_trace_model_choice_that_is_not_in_the_program_exits_1(tmp_path):
+    site, call, *_ = VULN_CHOICES[0][1:].split("_")
+    for name in [f"c{call}_0",                 # a call, not an any or havoc
+                 f"c{site}_{site}_0",          # an any as a call site
+                 "c99999_0"]:                  # no node of the program
+        err = _trace_error(tmp_path, f"((define-fun {name} () Bool true))\n")
+        assert err == f"error: model defines {name}, which names no choice of this program\n"
+
+
+@pytest.mark.parametrize("sort,atom", [("Bool", "x"), ("(_ BitVec 48)", "#x01"),
+                                       ("Int", "5"),
+                                       ("(Array (_ BitVec 31) (_ BitVec 64))", "#x01")])
+def test_trace_deeply_nested_model_value_exits_1(tmp_path, sort, atom):
+    value = "(" * 3000 + atom + ")" * 3000
+    err = _trace_error(tmp_path, f"((define-fun {VULN_CHOICES[-1]} () {sort} {value}))\n")
+    assert err.startswith(f"error: model value of {VULN_CHOICES[-1]}: ") and len(err) < 200
+
+
 def _sat_with(model: str) -> str:
     """A stand-in solver that answers `sat` with the given model."""
     return f"sh -c \"echo sat; echo '{model}'\""
@@ -344,9 +420,15 @@ def _sat_with(model: str) -> str:
 # `{tmp}` is the test's directory; `{file}` is the query file, which is not
 # executable.
 VERIFY_FAILURES = {
-    "malformed model": ["--solver", _sat_with("((define-fun c0 () Bool #x01))")],
-    "model that is not UTF-8": ["--solver",
-                                "printf 'sat\\n((define-fun c0 () Bool tr\\377ue))'"],
+    "malformed model": ["--solver",
+                        _sat_with(f"((define-fun {VULN_CHOICES[0]} () Bool #x01))")],
+    "model that is not UTF-8": ["--solver", f"printf 'sat\\n((define-fun "
+                                            f"{VULN_CHOICES[0]} () Bool tr\\377ue))'"],
+    "model choice of another sort than the query's": [
+        "--solver", _sat_with(f"((define-fun {VULN_CHOICES[0]} () (_ BitVec 1) #b1))")],
+    "model choice the query does not declare": [
+        "--solver", _sat_with(f"((define-fun {VULN_CHOICES[0]}_0 () Bool true))")],
+    "model with an old choice name": ["--solver", _sat_with("((define-fun c0 () Bool true))")],
     "model path in a missing directory": ["--solver", _sat_with("()"),
                                           "--dump-model", "{tmp}/missing/m.smt2"],
     "query path in a missing directory": ["--solver", "sh -c 'echo unknown'",

@@ -34,7 +34,10 @@ module Main {
 }
 """)
     text = emit_smtlib(vc)
-    assert "(declare-const c0 (_ BitVec 48))" in text
+    # A choice is named by its id: the site (the `any`), no calls, leaf 0.
+    (info,) = vc.registry.infos
+    assert info.vid == f"{info.site}_0"
+    assert f"(declare-const c{info.site}_0 (_ BitVec 48))" in text
     assert text.startswith("(set-logic QF_ABV)\n(set-option :produce-models true)")
     assert text.count("(assert ") == 1
     assert text.rstrip().endswith("(check-sat)\n(get-model)")
@@ -80,7 +83,7 @@ module Main {
 """)
     text = emit_smtlib(vc)
     assert text.startswith("(set-logic ALL)")
-    assert "(declare-const c0 Int)" in text
+    assert f"(declare-const c{vc.registry.infos[0].vid} Int)" in text
 
 
 @requires_z3
@@ -108,30 +111,32 @@ module Main {
 }
 """)
     text = emit_smtlib(vc)
-    assert "(bvult c0 (_ bv3 2))" in text
+    assert f"(bvult c{vc.registry.infos[0].vid} (_ bv3 2))" in text
 
 
 # SHA-256 of the emitted text for every manifest entry. Emission is part of
 # the contract (`--dump-vc`): any change to its bytes must be deliberate.
+# Re-recorded when choice names came to spell their ids (`c395_0`, not
+# `c8`); the text is otherwise the same, name for name.
 GOLDEN_SMTLIB_SHA256 = {
     ("mini_tx1_vulnerable.soc", "test_secure_area_unchanged"):
-        "3e599b61b998ae8b0004dcae8a19dec39dfffadf77ec45aca2e442fdeba5dd0d",
+        "218c2887e34879797e8dc99bb26e290694077f90343c0207c149008b40b16d50",
     ("mini_tx1_fixed.soc", "test_secure_area_unchanged"):
-        "3d8dcf585ee9c7d6e2c6609c01d1d73b0b328029f4c76f72e9b49261c3effe4b",
+        "a14321e0c75f83353d113486e1df41d18d9f1931dfcd849551bb408e8e15ddb6",
     ("mini_tx1_fixed.soc", "base_case"):
         "0b92ff8ad3d2914bcf8c0e3f6176d96b9cde9e95a7976bff19ff16c00b6aaf32",
     ("mini_tx1_fixed.soc", "inductive_step"):
-        "e8217db7daa6f049743e144ca3bae6a11ddaa1eb8eca5925f14554a83984b13f",
+        "18ed980e8b33c42eb33870c7be89fcd42e3e98a88b0b7ebc494cc9c94b974834",
     ("mini_tx1_fixed.soc", "invariant_is_useful"):
-        "661993ffee579b1357d31fde531e1b74080e0410dfee9e860b08322a0f67ed81",
+        "141f94966e92665f2c36ba90646432de982fbddb5b6b229830511ed61ae4c1f0",
     ("monitor_read_detect.soc", "read_protection_holds"):
-        "ddb5c2af171d6af91252888ef7df524ac25698e7249e7928a87948889c2193d0",
+        "d511e9fdb844531cb0ef58d0e338626365fb0b1b13be2d08d92cf7d3b9371a00",
     ("monitor_read_detect.soc", "write_protection_holds"):
-        "6ee24af59f2832fdeb77abd382271873b1e00f4450a19074fa3c0e3cd8d9d252",
+        "6f6ef80febceb78000591dc117ed6f35e0958159cc3d945129c153541a4f2d9e",
     ("assume_assert_invariant.soc", "locked_rows_preserved"):
-        "57a042b334ca63ccc18637ecc382bba2e0e5669a0dd440d0dcb23b0e699d8eeb",
+        "19a7cb527a8e44a9454619575ddabb19c5e3f0638b8907f9400c1129f5532cca",
     ("assume_assert_invariant.soc", "unlocked_write_breaks_rows"):
-        "690454fcd3f0ec760aef54270c5a3467516dd73d2a0ea9ed196700decaf62552",
+        "3a83446e83dde01e4a7dd0ab66b149cabbdc297c489c60d05afcb05856b4bade",
 }
 
 
@@ -174,17 +179,17 @@ def test_long_unrolls_emit_without_recursion_limit(variant, steps):
 def _registry(*entries):
     reg = Registry()
     for t, sort in entries:
-        reg.register(100 + len(reg.infos), 0, t, sort)
+        reg.register(100 + len(reg.infos), ((), 0), t, sort)
     return reg
 
 
 def test_parse_hex_bitvector_definition():
     reg = Registry()
     for _ in range(4):
-        reg.register(100 + len(reg.infos), 0, ast.BitIntType(64), ("bv", 64))
+        reg.register(100 + len(reg.infos), ((), 0), ast.BitIntType(64), ("bv", 64))
     model = parse_model(
-        "((define-fun c3 () (_ BitVec 64) #x0000000000000001))", reg)
-    assert model[(103, 0)] == mk_bv(64, 1)
+        "((define-fun c103_0 () (_ BitVec 64) #x0000000000000001))", reg)
+    assert model[(103, ((), 0))] == mk_bv(64, 1)
 
 
 def test_parse_binary_and_bv_literals_and_bools():
@@ -193,27 +198,27 @@ def test_parse_binary_and_bv_literals_and_bools():
                     (ast.BitIntType(31), ("bv", 31)))
     out = """
 (
-  (define-fun c0 () (_ BitVec 5) #b00110)
-  (define-fun c1 () Bool true)
-  (define-fun c2 () (_ BitVec 31) (_ bv5 31))
+  (define-fun c100_0 () (_ BitVec 5) #b00110)
+  (define-fun c101_0 () Bool true)
+  (define-fun c102_0 () (_ BitVec 31) (_ bv5 31))
 )
 """
     model = parse_model(out, reg)
-    assert model[(100, 0)] == mk_bv(5, 6)
-    assert model[(101, 0)] is terms.TRUE
-    assert model[(102, 0)] == mk_bv(31, 5)
+    assert model[(100, ((), 0))] == mk_bv(5, 6)
+    assert model[(101, ((), 0))] is terms.TRUE
+    assert model[(102, ((), 0))] == mk_bv(31, 5)
 
 
 def test_parse_store_chain_array_value():
     t = ast.ArrayType(ast.BitIntType(31), ast.BitIntType(64))
     reg = _registry((t, ("arr", 31, ("bv", 64))))
     out = """
-((define-fun c0 () (Array (_ BitVec 31) (_ BitVec 64))
+((define-fun c100_0 () (Array (_ BitVec 31) (_ BitVec 64))
    (store ((as const (Array (_ BitVec 31) (_ BitVec 64))) (_ bv0 64))
           (_ bv7 31) (_ bv9 64))))
 """
     model = parse_model(out, reg)
-    arr = model[(100, 0)]
+    arr = model[(100, ((), 0))]
     assert isinstance(arr, terms.SparseConst) and arr.key_width == 31
     assert arr.default == mk_bv(64, 0)
     assert arr.read(7) == mk_bv(64, 9)
@@ -225,12 +230,12 @@ def test_parse_as_array_with_ite_lambda():
     reg = _registry((t, ("arr", 4, ("bv", 8))))
     out = """
 (
-  (define-fun c0 () (Array (_ BitVec 4) (_ BitVec 8)) (_ as-array k!0))
+  (define-fun c100_0 () (Array (_ BitVec 4) (_ BitVec 8)) (_ as-array k!0))
   (define-fun k!0 ((x!0 (_ BitVec 4))) (_ BitVec 8)
     (ite (= x!0 (_ bv3 4)) (_ bv255 8) (_ bv1 8)))
 )
 """
-    arr = parse_model(out, reg)[(100, 0)]
+    arr = parse_model(out, reg)[(100, ((), 0))]
     assert isinstance(arr, terms.SparseConst) and arr.key_width == 4
     assert arr.read(3) == mk_bv(8, 255)
     assert arr.read(0) == mk_bv(8, 1)
@@ -239,14 +244,14 @@ def test_parse_as_array_with_ite_lambda():
 def test_unregistered_model_name_is_an_error():
     reg = _registry((ast.BoolType(), ("bool",)))
     with pytest.raises(ModelParseError, match="unregistered"):
-        parse_model("((define-fun c9 () Bool true))", reg)
+        parse_model("((define-fun c109_0 () Bool true))", reg)
 
 
 @pytest.mark.parametrize("defs,message", [
-    ("(define-fun c0 () Bool true) (define-fun c0 () Bool false)",
-     "model defines c0 twice"),
-    ("(define-fun c0 () Bool)", "malformed definition of c0"),
-])
+    ("(define-fun c100_0 () Bool true) (define-fun c100_0 () Bool false)",
+     "model defines c100_0 twice"),
+    ("(define-fun c100_0 () Bool)", "malformed definition of c100_0"),
+], ids=["defined twice", "truncated"])
 def test_duplicate_or_truncated_choice_definition_is_an_error(defs, message):
     reg = _registry((ast.BoolType(), ("bool",)))
     with pytest.raises(ModelParseError, match=message):
@@ -255,16 +260,16 @@ def test_duplicate_or_truncated_choice_definition_is_an_error(defs, message):
 
 def test_model_wrapped_in_model_keyword():
     reg = _registry((ast.BoolType(), ("bool",)))
-    model = parse_model("(model (define-fun c0 () Bool false))", reg)
-    assert model[(100, 0)] is terms.FALSE
+    model = parse_model("(model (define-fun c100_0 () Bool false))", reg)
+    assert model[(100, ((), 0))] is terms.FALSE
 
 
 # A literal must have exactly its variable's width; none is masked to fit.
 @pytest.mark.parametrize("literal", ["#x0100", "(_ bv300 8)", "#b1", "(_ bv1 16)"])
 def test_bitvector_literal_of_another_width_is_an_error(literal):
     reg = _registry((ast.BitIntType(8), ("bv", 8)))
-    with pytest.raises(ModelParseError, match="c0"):
-        parse_model(f"((define-fun c0 () (_ BitVec 8) {literal}))", reg)
+    with pytest.raises(ModelParseError, match="c100_0"):
+        parse_model(f"((define-fun c100_0 () (_ BitVec 8) {literal}))", reg)
 
 
 ARRAY_4_8 = (ast.ArrayType(ast.BitIntType(4), ast.BitIntType(8)), ("arr", 4, ("bv", 8)))
@@ -276,29 +281,36 @@ def test_array_key_or_leaf_outside_its_sort_is_an_error(key, leaf):
     reg = _registry(ARRAY_4_8)
     sort = "(Array (_ BitVec 4) (_ BitVec 8))"
     store = f"(store ((as const {sort}) #x00) {key} {leaf})"
-    with pytest.raises(ModelParseError, match="c0"):
-        parse_model(f"((define-fun c0 () {sort} {store}))", reg)
+    with pytest.raises(ModelParseError, match="c100_0"):
+        parse_model(f"((define-fun c100_0 () {sort} {store}))", reg)
     lam = f"(lambda ((x (_ BitVec 4))) (ite (= x {key}) {leaf} #x00))"
-    with pytest.raises(ModelParseError, match="c0"):
-        parse_model(f"((define-fun c0 () {sort} {lam}))", reg)
+    with pytest.raises(ModelParseError, match="c100_0"):
+        parse_model(f"((define-fun c100_0 () {sort} {lam}))", reg)
 
 
 def test_enum_literal_has_the_backend_width():
     # Three variants take two bits.
     reg = _registry((ast.EnumRef("Mode"), ("bv", 2)))
-    assert parse_model("((define-fun c0 () (_ BitVec 2) #b10))", reg)[(100, 0)] \
+    assert parse_model("((define-fun c100_0 () (_ BitVec 2) #b10))", reg)[(100, ((), 0))] \
         == mk_bv(2, 2)
-    with pytest.raises(ModelParseError, match="c0"):
-        parse_model("((define-fun c0 () (_ BitVec 1) #b1))", reg)
+    with pytest.raises(ModelParseError, match="c100_0"):
+        parse_model("((define-fun c100_0 () (_ BitVec 1) #b1))", reg)
+
+
+_DEEP_X = "(" * 3000 + "x" + ")" * 3000
 
 
 @pytest.mark.parametrize("value", ["(lambda)", "(lambda (()) #x00)",
-                                   "(lambda () #x00)", "(_ as-array k!0)"])
+                                   "(lambda () #x00)", "(_ as-array k!0)",
+                                   "(_ as-array (k!0))",
+                                   pytest.param(f"(lambda (({_DEEP_X} (_ BitVec 4))) "
+                                                f"(ite (= {_DEEP_X} #x1) #x01 #x00))",
+                                                id="deep lambda variable")])
 def test_malformed_array_function_is_an_error(value):
     reg = _registry(ARRAY_4_8)
     aux = "(define-fun k!0 (()) (_ BitVec 8) #x00)"
-    with pytest.raises(ModelParseError, match="c0"):
-        parse_model(f"((define-fun c0 () (Array (_ BitVec 4) (_ BitVec 8)) {value}) "
+    with pytest.raises(ModelParseError, match="c100_0"):
+        parse_model(f"((define-fun c100_0 () (Array (_ BitVec 4) (_ BitVec 8)) {value}) "
                     f"{aux})", reg)
 
 
@@ -310,15 +322,15 @@ def test_malformed_bitvector_literal_is_an_error():
                     "#x+f", "#x-1", "#b0000_101", "#b١٠١٠١٠١٠", "#x٠f",
                     "(_ bv1_0 8)", "(_ bv+3 8)", "(_ bv٣ 8)", "(_ bv3 ８)",
                     "(_ bv3 +8)"]:
-        with pytest.raises(ModelParseError, match="c0: expected bitvector"):
-            parse_model(f"((define-fun c0 () (_ BitVec 8) {literal}))", reg)
+        with pytest.raises(ModelParseError, match="c100_0: expected bitvector"):
+            parse_model(f"((define-fun c100_0 () (_ BitVec 8) {literal}))", reg)
 
 
 def test_integer_values_are_numerals_or_negated_numerals():
     reg = _registry((ast.IntType(), terms.INT_SORT))
     for literal, value in [("0", 0), ("42", 42), ("(- 7)", -7), ("007", 7)]:
-        model = parse_model(f"((define-fun c0 () Int {literal}))", reg)
-        assert model[(100, 0)] == terms.mk_int(value)
+        model = parse_model(f"((define-fun c100_0 () Int {literal}))", reg)
+        assert model[(100, ((), 0))] == terms.mk_int(value)
 
 
 def test_malformed_integer_literal_is_an_error():
@@ -326,19 +338,96 @@ def test_malformed_integer_literal_is_an_error():
     reg = _registry((ast.IntType(), terms.INT_SORT))
     for literal in ["+5", "-3", "1_000", "٣", "１", "5.0", "#x05", "(- -3)",
                     "(- (- 3))", "(- )", "(+ 3)", "9" * 5000]:
-        with pytest.raises(ModelParseError, match="c0: expected integer"):
-            parse_model(f"((define-fun c0 () Int {literal}))", reg)
+        with pytest.raises(ModelParseError, match="c100_0: expected integer"):
+            parse_model(f"((define-fun c100_0 () Int {literal}))", reg)
 
 
-@pytest.mark.parametrize("name", ["c²", "c٠", "c00", "c01", "C0", "c+0", "c0x"])
+@pytest.mark.parametrize("name", ["c²", "c٠", "c00", "c01", "C0", "c+0", "c0x",
+                                  "c100_00", "c0100_0", "c100_", "c_0", "c100__0",
+                                  "c100_0x", "c100_٠", "c100_0_", "(c100_0)"])
 def test_only_emitted_choice_names_define_choices(name):
-    # emit_smtlib declares `c` and the vid in ASCII digits with no leading
-    # zero; any other name is an auxiliary definition, as `k!0` is.
+    # emit_smtlib declares `c` and the vid, numbers in ASCII digits with no
+    # leading zero joined by `_`; any other name is an auxiliary definition,
+    # as `k!0` is.
     reg = _registry((ast.BoolType(), ("bool",)))
     assert parse_model(f"((define-fun {name} () Bool true))", reg) == {}
-    model = parse_model(f"((define-fun c0 () Bool false) "
+    model = parse_model(f"((define-fun c100_0 () Bool false) "
                         f"(define-fun {name} () Bool true))", reg)
-    assert model == {(100, 0): terms.FALSE}
+    assert model == {(100, ((), 0)): terms.FALSE}
+
+
+def test_choice_name_spells_its_id_and_header_gives_its_sort():
+    # No registry: the name gives the id (site, call sites, leaf) and the
+    # `define-fun` header the sort the value is read by.
+    out = """(
+  (define-fun c7_3_12_1 () (_ BitVec 5) #b00110)
+  (define-fun c8_0 () Bool true)
+  (define-fun c9_4_0 () Int (- 3))
+  (define-fun c0_2 () (Array (_ BitVec 4) (_ BitVec 8))
+    (store ((as const (Array (_ BitVec 4) (_ BitVec 8))) #x01) #x3 #xff))
+  (define-fun k!0 () Bool false))"""
+    model = parse_model(out, None)
+    assert model == {(7, ((3, 12), 1)): mk_bv(5, 6), (8, ((), 0)): terms.TRUE,
+                     (9, ((4,), 0)): terms.mk_int(-3),
+                     (0, ((), 2)): terms.SparseConst(("arr", 4, ("bv", 8)),
+                                                     mk_bv(8, 1)).write(3, mk_bv(8, 255))}
+    assert eng.choice_vid((7, ((3, 12), 1))) == "7_3_12_1"
+
+
+@pytest.mark.parametrize("name", ["c0", "c17"])
+def test_choice_name_of_the_old_format_is_an_error(name):
+    # Before names spelled ids, a choice was `c` and its index. Such a model
+    # must not replay as if it defined nothing.
+    for reg in (None, _registry((ast.BoolType(), ("bool",)))):
+        with pytest.raises(ModelParseError, match=f"{name}, a choice name of the "
+                                                  f"format used before.*re-run verify"):
+            parse_model(f"((define-fun {name} () Bool true))", reg)
+
+
+def test_choice_name_with_a_huge_number_is_a_model_error():
+    # int() refuses more than 4,300 digits from Python 3.11 on.
+    name = "c" + "1" * 5000 + "_0"
+    try:
+        model = parse_model(f"((define-fun {name} () Bool true))", None)
+    except ModelParseError as err:
+        assert str(err).startswith("choice name c111") and str(err).endswith("is too long")
+    else:
+        assert list(model) == [(int("1" * 5000), ((), 0))]
+
+
+@pytest.mark.parametrize("sort", ["Real", "(_ BitVec 0)", "(_ BitVec 08x)",
+                                  "(Array Int Bool)", "(Array Bool Bool)",
+                                  "(Array (_ BitVec 4) (Array (_ BitVec 4) Bool))",
+                                  "(_ FloatingPoint 8 24)", "bool"])
+def test_choice_of_an_unsupported_sort_is_an_error(sort):
+    with pytest.raises(ModelParseError, match="c100_0: unsupported sort"):
+        parse_model(f"((define-fun c100_0 () {sort} true))", None)
+
+
+def test_choice_declared_with_another_sort_than_the_query_is_an_error():
+    reg = _registry((ast.BoolType(), ("bool",)))
+    with pytest.raises(ModelParseError, match=r"c100_0: sort \(_ BitVec 1\), but "
+                                              r"the query declares Bool"):
+        parse_model("((define-fun c100_0 () (_ BitVec 1) #b1))", reg)
+
+
+def _nested(atom: str, depth: int = 3000) -> str:
+    return "(" * depth + atom + ")" * depth
+
+
+@pytest.mark.parametrize("sort,value", [
+    ("Bool", _nested("x")), ("(_ BitVec 8)", _nested("#x01")),
+    ("Int", _nested("5")), ("(Array (_ BitVec 4) (_ BitVec 8))", _nested("#x01")),
+    ("(Array (_ BitVec 4) (_ BitVec 8))",
+     f"(store ((as const (Array (_ BitVec 4) (_ BitVec 8))) #x00) #x1 {_nested('#x01')})"),
+    (_nested("Bool"), "true")])
+def test_deeply_nested_model_value_is_a_short_error(sort, value):
+    # The message shows the bad node cut short, however deep it nests.
+    with pytest.raises(ModelParseError) as info:
+        parse_model(f"((define-fun c100_0 () {sort} {value}))", None)
+    message = str(info.value)
+    assert message.startswith("model value of c100_0: ") and len(message) < 200
+    assert message.endswith("...")
 
 
 # -- solver driving ----------------------------------------------------------------

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 from soclang import ast
 from soclang import engine as eng
-from soclang import terms
+from soclang import smtlib, terms
 from soclang.terms import mk_bv
 
 from conftest import (CORPUS, brute_force_violating, enumerate_assignments,
@@ -221,10 +223,19 @@ class RecordingOracle(eng.ModelOracle):
         return super().array(cid, key_width, leaf, enums)
 
 
-def assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model):
+def declared_choices(vc) -> dict:
+    """Name -> sort text of each choice the emitted query declares."""
+    text = smtlib.emit_smtlib(vc)
+    return dict(re.findall(r"^\(declare-const (\S+) (.*)\)$", text, re.M))
+
+
+def assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model,
+                                          declared):
     """Replay asks only for choice ids that sym_exec registered, each once
-    and with its registered type: a model is read by the ids it was
-    solved for, whichever branch arms the replay takes."""
+    and with its registered type, and the emitted query declares each under
+    the name that spells the id, with the sort of that type: a model is read
+    by the ids it was solved for, whichever branch arms the replay takes.
+    `declared` is `declared_choices(vc)`."""
     registered = {i.cid: i.type for i in vc.registry.infos}
     assert len(registered) == len(vc.registry.infos), "two choices share an id"
     oracle = RecordingOracle(model)
@@ -234,6 +245,11 @@ def assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model)
     for cid, t in oracle.asked:
         assert cid in registered, f"replay asked for unregistered choice {cid}"
         assert registered[cid] == t, f"choice {cid}: {registered[cid]} vs {t}"
+        sort = terms.arr_sort(t.key.width, eng.scalar_sort(t.value, tp.enums)) \
+            if isinstance(t, ast.ArrayType) else eng.scalar_sort(t, tp.enums)
+        name = f"c{eng.choice_vid(cid)}"
+        assert declared.get(name) == smtlib._sort_text(sort), \
+            f"choice {cid}: the query declares {name} as {declared.get(name)}"
     return result
 
 
@@ -244,8 +260,10 @@ def test_replay_asks_registered_choices_on_every_micro_assignment(name, source):
     vc = eng.sym_exec(tp, tree, layout, "s")
     assert registry_bits(vc.registry, tp.enums) <= 16
     query = vc.query_term()
+    declared = declared_choices(vc)
     for model in enumerate_assignments(vc.registry, tp.enums):
-        r = assert_replay_asks_registered_choices(tp, tree, layout, "s", vc, model)
+        r = assert_replay_asks_registered_choices(tp, tree, layout, "s", vc, model,
+                                                  declared)
         # A registered id that names the wrong choice shows here: the query
         # holds under the model, but replay reads other values and passes.
         if _eval_term(query, vc, model):
@@ -268,8 +286,26 @@ def test_replay_asks_registered_choices_on_corpus_scenarios(fname, scenario):
             i.cid: draw.array(i.cid, i.type.key.width, i.type.value, tp.enums)
             if isinstance(i.type, ast.ArrayType) else draw.scalar(i.cid, i.type, tp.enums)
             for i in vc.registry.infos})
+    declared = declared_choices(vc)
     for model in models:
-        assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model)
+        assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model,
+                                              declared)
+
+
+def test_choice_names_do_not_depend_on_what_was_parsed_before():
+    # Node ids restart for each parse, so a choice's name (its site and call
+    # sites are node ids) is the same in every process that loads the file.
+    def parse(name):
+        tp, tree, layout = load_file(CORPUS / name)
+        ids = [n.node_id for fn in tp.fns.values() for n in ast.walk(fn.body)]
+        vids = [i.vid for scenario in tp.scenarios()
+                for i in eng.sym_exec(tp, tree, layout, scenario).registry.infos]
+        return ids, vids
+
+    first = parse("mini_tx1_vulnerable.soc")
+    other = parse("monitor_read_detect.soc")
+    assert parse("mini_tx1_vulnerable.soc") == first
+    assert first[1] and other[1]
 
 
 # -- corpus-level verdicts -----------------------------------------------------

@@ -182,11 +182,11 @@ def test_infer_and_check_expr_api():
     ctx = TypingCtx(chk, program.module("Main"),
                     {"x": ast.BitIntType(48)})
     e = parse_expr("x[6 downto 5]")
-    assert chk.infer_expr(ctx, e) == ast.BitIntType(2)
+    assert chk.check_expr(ctx, e) == ast.BitIntType(2)
     lit = parse_expr("1")
     assert chk.check_expr(ctx, lit, ast.BitIntType(64)) == ast.BitIntType(64)
     with pytest.raises(Exception):
-        chk.infer_expr(ctx, parse_expr("1"))
+        chk.check_expr(ctx, parse_expr("1"))
 
 
 def test_recursion_cycle_named_in_error():
