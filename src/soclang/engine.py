@@ -5,7 +5,10 @@ One traversal serves two modes:
 * symbolic mode (no AnySource): every `if` whose condition is not a
   constant executes both arms and merges stores with ite terms; `any`/`havoc`
   register fresh choice variables; assume/assert are recorded under the
-  current guard. The result is a VerificationCondition.
+  current guard. The result is a VerificationCondition. A path guard is a
+  chain of branch conditions (`_Path`), built into a term on demand: only
+  assume and assert read it, most branches hold neither, and each guard's
+  term is built once, so every assume and assert under it shares one term.
 
 * concrete mode (interpreter and counterexample replayer): every fresh
   variable is immediately replaced by a constant term from an AnySource, so
@@ -53,7 +56,7 @@ from .typecheck import (EnumVariantRef, LocalRef, PrimCall, TypedProgram,
 # value, as their constant leaves do.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RecV:
     fields: tuple  # tuple[tuple[str, tree], ...]
 
@@ -64,7 +67,7 @@ class RecV:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VecV:
     items: tuple
 
@@ -97,7 +100,9 @@ def tree_of_type(t: ast.TypeExpr, leaf):
 def tree_ite(cond: Term, a, b):
     if a is b:
         return a
-    return tree_map(partial(terms.mk_ite, cond), a, b)
+    if isinstance(a, (RecV, VecV)):
+        return tree_map(partial(terms.mk_ite, cond), a, b)
+    return terms.mk_ite(cond, a, b)
 
 
 def tree_eq(a, b) -> Term:
@@ -367,6 +372,33 @@ def _leaf_text(v: Term, t: Optional[ast.TypeExpr], enums) -> str:
 # The engine
 
 
+class _Path:
+    """The guard of a symbolic path: the branch conditions taken from the
+    scenario's entry, innermost last. `term` builds their conjunction once
+    and keeps it; the root path's term is TRUE."""
+
+    __slots__ = ("parent", "cond", "polarity", "_term")
+
+    def __init__(self, parent: Optional[_Path], cond: Optional[Term],
+                 polarity: bool) -> None:
+        self.parent = parent
+        self.cond = cond
+        self.polarity = polarity
+        self._term: Optional[Term] = None if parent is not None else terms.TRUE
+
+    def term(self) -> Term:
+        # Iterative: climb to the nearest built ancestor, then build down.
+        pending = []
+        node = self
+        while node._term is None:
+            pending.append(node)
+            node = node.parent
+        for node in reversed(pending):
+            cond = node.cond if node.polarity else terms.mk_not(node.cond)
+            node._term = terms.mk_and(node.parent._term, cond)
+        return self._term
+
+
 @dataclass
 class _Frame:
     inst: InstanceNode
@@ -385,7 +417,7 @@ class Engine:
         self.capacity = capacity
         self.enums = tp.enums
         self.store: Dict[Tuple[str, ...], object] = {}
-        self.guard: Term = terms.TRUE
+        self.path = _Path(None, None, True)
         self.registry = Registry()
         self.assumptions: List[Tuple[Term, Term]] = []
         self.obligations: List[Tuple[Term, Term, ast.SourceSpan]] = []
@@ -524,7 +556,7 @@ class Engine:
     def _eval_assume(self, e: ast.Assume, env, frame):
         body = self.eval(e.cond, env, frame)
         if self.anys is None:
-            self.assumptions.append((self.guard, body))
+            self.assumptions.append((self.path.term(), body))
             return None
         if not body.value:
             raise _Stop(AssumeInfeasible(e.span))
@@ -533,7 +565,7 @@ class Engine:
     def _eval_assert(self, e: ast.Assert, env, frame):
         body = self.eval(e.cond, env, frame)
         if self.anys is None:
-            self.obligations.append((self.guard, body, e.span))
+            self.obligations.append((self.path.term(), body, e.span))
             return None
         if not body.value:
             msg = ast.expr_source(e.cond)
@@ -637,14 +669,14 @@ class Engine:
             return None
         assert self.anys is None
         saved_store = dict(self.store)
-        saved_guard = self.guard
-        self.guard = terms.mk_and(saved_guard, cond)
+        saved_path = self.path
+        self.path = _Path(saved_path, cond, True)
         v_then = self.eval(e.then, env, frame)
         store_then = self.store
         self.store = saved_store
-        self.guard = terms.mk_and(saved_guard, terms.mk_not(cond))
+        self.path = _Path(saved_path, cond, False)
         v_else = self.eval(e.orelse, env, frame) if e.orelse is not None else None
-        self.guard = saved_guard
+        self.path = saved_path
         self.store = merge_stores(cond, store_then, self.store)
         return tree_ite(cond, v_then, v_else)
 
@@ -753,11 +785,7 @@ class Engine:
 
 
 def merge_stores(cond: Term, then_store: dict, else_store: dict) -> dict:
-    merged = {}
-    for k, a in then_store.items():
-        b = else_store[k]
-        merged[k] = a if a is b else tree_ite(cond, a, b)
-    return merged
+    return {k: tree_ite(cond, a, else_store[k]) for k, a in then_store.items()}
 
 
 # ---------------------------------------------------------------------------

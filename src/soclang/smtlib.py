@@ -1,12 +1,14 @@
 """SMT-LIB v2 backend: serialize a VerificationCondition, drive an external
-solver process, parse the model it returns."""
+solver process, parse the model it returns.
+
+`run_solver` imports `subprocess` and `shlex` itself: `trace` parses a model
+and never starts a solver, so it does not load them.
+"""
 
 from __future__ import annotations
 
 import os
 import re
-import shlex
-import subprocess
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -41,16 +43,13 @@ def _sort_text(sort: tuple) -> str:
     raise AssertionError(f"unknown sort {sort}")
 
 
-def _atom_text(t: Term) -> Optional[str]:
-    if isinstance(t, terms.BoolC):
-        return "true" if t.value else "false"
-    if isinstance(t, terms.BVC):
-        return f"(_ bv{t.value} {t.sort[1]})"
-    if isinstance(t, terms.IntC):
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if isinstance(t, terms.Var):
-        return t.name
-    return None
+# The text of each atom class, keyed on the exact class.
+_ATOM_TEXT: Dict[type, Callable[[Term], str]] = {
+    terms.BoolC: lambda t: "true" if t.value else "false",
+    terms.BVC: lambda t: f"(_ bv{t.value} {t.sort[1]})",
+    terms.IntC: lambda t: str(t.value) if t.value >= 0 else f"(- {-t.value})",
+    terms.Var: lambda t: t.name,
+}
 
 
 _BV_OPS = {"add": "bvadd", "sub": "bvsub", "mul": "bvmul",
@@ -72,7 +71,9 @@ class _Emitter:
         self.order: List[Term] = []
         self.has_int = root.sort == terms.INT_SORT
         refcount = self.refcount
-        stack = [(root, iter(_children(root)))]
+        children = terms.children
+        done = self.order.append
+        stack = [(root, iter(children(root)))]
         while stack:
             node, kids = stack[-1]
             for child in kids:
@@ -83,11 +84,14 @@ class _Emitter:
                 refcount[key] = 1
                 if child.sort == terms.INT_SORT:
                     self.has_int = True
-                stack.append((child, iter(_children(child))))
-                break
+                grandkids = children(child)
+                if grandkids:
+                    stack.append((child, iter(grandkids)))
+                    break
+                done(child)  # no children: done as soon as it is met
             else:
                 stack.pop()
-                self.order.append(node)
+                done(node)
 
     def serialize(self) -> List[str]:
         """The pieces of the term's text, to be joined by the caller once."""
@@ -96,18 +100,20 @@ class _Emitter:
         # each text is held only until it is copied into its parent's.
         single: Dict[int, str] = {}
         openers: List[str] = []
+        refcount = self.refcount
 
         def text(x: Term) -> str:
             key = id(x)
-            return single.pop(key) if key in single else names[key]
+            return single.pop(key, None) or names[key]
 
         for node in self.order:
-            atom = _atom_text(node)
+            cls = type(node)
+            atom = _ATOM_TEXT.get(cls)
             if atom is not None:
-                names[id(node)] = atom
+                names[id(node)] = atom(node)
                 continue
-            body = _node_text(node, text)
-            if self.refcount[id(node)] > 1:
+            body = _NODE_TEXT[cls](node, text)
+            if refcount[id(node)] > 1:
                 name = f"t{len(openers)}"
                 openers.append(f"(let (({name} {body}))\n  ")
                 names[id(node)] = name
@@ -116,57 +122,37 @@ class _Emitter:
         return openers + [text(self.root), ")" * len(openers)]
 
 
-def _children(t: Term):
-    if isinstance(t, terms.Not):
-        return (t.arg,)
-    if isinstance(t, terms.Bin):
-        return (t.left, t.right)
-    if isinstance(t, terms.Ite):
-        return (t.cond, t.then, t.other)
-    if isinstance(t, (terms.Extract, terms.ZeroExt, terms.Bv2Int, terms.Int2Bv)):
-        return (t.arg,)
-    if isinstance(t, terms.ArrRead):
-        return (t.arr, t.key)
-    if isinstance(t, terms.ArrWrite):
-        return (t.arr, t.key, t.value)
-    if isinstance(t, terms.SparseConst):
-        return (t.default,) + tuple(v for _, v in t.mods)
-    return ()
+def _bin_text(t: terms.Bin, n: Callable[[Term], str]) -> str:
+    if t.op in ("and", "or"):
+        return f"({t.op} {n(t.left)} {n(t.right)})"
+    if t.op == "eq":
+        return f"(= {n(t.left)} {n(t.right)})"
+    ops = _INT_OPS if t.left.sort == terms.INT_SORT else _BV_OPS
+    name = ops.get(t.op) or _INT_OPS[t.op]
+    return f"({name} {n(t.left)} {n(t.right)})"
 
 
-def _node_text(t: Term, n: Callable[[Term], str]) -> str:
-    """Text of compound `t`, taking each child's text from `n(child)`."""
-    if isinstance(t, terms.Not):
-        return f"(not {n(t.arg)})"
-    if isinstance(t, terms.Bin):
-        if t.op in ("and", "or"):
-            return f"({t.op} {n(t.left)} {n(t.right)})"
-        if t.op == "eq":
-            return f"(= {n(t.left)} {n(t.right)})"
-        ops = _INT_OPS if t.left.sort == terms.INT_SORT else _BV_OPS
-        name = ops.get(t.op) or _INT_OPS[t.op]
-        return f"({name} {n(t.left)} {n(t.right)})"
-    if isinstance(t, terms.Ite):
-        return f"(ite {n(t.cond)} {n(t.then)} {n(t.other)})"
-    if isinstance(t, terms.Extract):
-        return f"((_ extract {t.hi} {t.lo}) {n(t.arg)})"
-    if isinstance(t, terms.ZeroExt):
-        extra = t.sort[1] - t.arg.sort[1]
-        return f"((_ zero_extend {extra}) {n(t.arg)})"
-    if isinstance(t, terms.Bv2Int):
-        return f"(bv2nat {n(t.arg)})"
-    if isinstance(t, terms.Int2Bv):
-        return f"((_ int2bv {t.sort[1]}) {n(t.arg)})"
-    if isinstance(t, terms.ArrRead):
-        return f"(select {n(t.arr)} {n(t.key)})"
-    if isinstance(t, terms.ArrWrite):
-        return f"(store {n(t.arr)} {n(t.key)} {n(t.value)})"
-    if isinstance(t, terms.SparseConst):
-        acc = f"((as const {_sort_text(t.sort)}) {n(t.default)})"
-        for k, v in t.mods:
-            acc = f"(store {acc} (_ bv{k} {t.key_width}) {n(v)})"
-        return acc
-    raise AssertionError(f"unserializable term {type(t).__name__}")
+def _sparse_const_text(t: terms.SparseConst, n: Callable[[Term], str]) -> str:
+    acc = f"((as const {_sort_text(t.sort)}) {n(t.default)})"
+    for k, v in t.mods:
+        acc = f"(store {acc} (_ bv{k} {t.key_width}) {n(v)})"
+    return acc
+
+
+# The text of each compound class, keyed on the exact class; each takes its
+# children's texts from `n(child)`.
+_NODE_TEXT: Dict[type, Callable[[Term, Callable[[Term], str]], str]] = {
+    terms.Not: lambda t, n: f"(not {n(t.arg)})",
+    terms.Bin: _bin_text,
+    terms.Ite: lambda t, n: f"(ite {n(t.cond)} {n(t.then)} {n(t.other)})",
+    terms.Extract: lambda t, n: f"((_ extract {t.hi} {t.lo}) {n(t.arg)})",
+    terms.ZeroExt: lambda t, n: f"((_ zero_extend {t.sort[1] - t.arg.sort[1]}) {n(t.arg)})",
+    terms.Bv2Int: lambda t, n: f"(bv2nat {n(t.arg)})",
+    terms.Int2Bv: lambda t, n: f"((_ int2bv {t.sort[1]}) {n(t.arg)})",
+    terms.ArrRead: lambda t, n: f"(select {n(t.arr)} {n(t.key)})",
+    terms.ArrWrite: lambda t, n: f"(store {n(t.arr)} {n(t.key)} {n(t.value)})",
+    terms.SparseConst: _sparse_const_text,
+}
 
 
 def emit_smtlib(vc: VerificationCondition) -> str:
@@ -226,6 +212,9 @@ def solver_command(override: Optional[str] = None) -> str:
 
 def run_solver(job: SolverJob, registry: Registry):
     """Run the external solver on the job file and classify its answer."""
+    import shlex
+    import subprocess
+
     if not job.timeout <= MAX_TIMEOUT_S:  # also rejects NaN
         raise ToolError(f"bad solver timeout {job.timeout}: "
                         f"must be a number of seconds up to {MAX_TIMEOUT_S}")
@@ -267,36 +256,19 @@ def run_solver(job: SolverJob, registry: Registry):
 # Model parsing
 
 
+# A token of a model is a parenthesis, an atom, a quoted symbol `|...|` or a
+# string `"...`, which a `"` may close; an atom may hold `|`, `"` or `;` after
+# its first character. A comment runs from `;` to the end of the line, and a
+# `|` that no later `|` closes stands alone. Whitespace separates tokens.
+_SEXP_TOKEN = re.compile(r'[()]|[^\s()|";][^\s()]*|\|[^|]*\||"[^"]*"?|;[^\n]*|\|')
+
+
 def _sexp_tokens(text: str):
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "()":
-            yield ch
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise ModelParseError("unterminated quoted symbol")
-            yield text[i:j + 1]
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < len(text) and text[j] != '"':
-                j += 1
-            yield text[i:j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            yield text[i:j]
-            i = j
+    for tok in _SEXP_TOKEN.findall(text):
+        if tok == "|":
+            raise ModelParseError("unterminated quoted symbol")
+        if tok[0] != ";":
+            yield tok
 
 
 def parse_sexprs(text: str) -> list:

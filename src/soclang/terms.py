@@ -5,15 +5,18 @@ which is exactly what makes replay (concrete) mode a special case of the
 symbolic executor. Ite additionally folds equal arms and constant conditions;
 everything else is left to the solver.
 
-Constants (`BoolC`, `BVC`, `IntC`, `SparseConst`) are the values of concrete
-runs, solver models and run results, so they compare and hash by value. Every
-other term compares by identity (eq=False): large merged states share
-subterms as a DAG, and deep structural equality would be quadratic.
+Terms are slotted dataclasses, cheap to build, and immutable by convention:
+no code assigns to a term's field after construction. Constants (`BoolC`,
+`BVC`, `IntC`, `SparseConst`) are the values of concrete runs, solver models
+and run results, so they compare and hash by value. Every other term compares
+and hashes by identity (eq=False): large merged states share subterms as a
+DAG, and deep structural equality would be quadratic. `children` gives the
+subterms of any term, in field order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 BOOL_SORT = ("bool",)
@@ -28,27 +31,27 @@ def arr_sort(key_width: int, leaf):
     return ("arr", key_width, leaf)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Term:
     sort: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolC(Term):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BVC(Term):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntC(Term):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Var(Term):
     vid: str
 
@@ -57,61 +60,61 @@ class Var(Term):
         return f"c{self.vid}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Not(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Bin(Term):
     op: str  # and or eq ult ule lt le add sub mul
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Ite(Term):
     cond: Term
     then: Term
     other: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Extract(Term):
     hi: int
     lo: int
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ZeroExt(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Bv2Int(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Int2Bv(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ArrRead(Term):
     arr: Term
     key: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ArrWrite(Term):
     arr: Term
     key: Term
     value: Term
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SparseConst(Term):
     """Constant array: a default leaf plus (key, value) updates, at most one
     per key; capacity is enforced by the engine, not here."""
@@ -133,8 +136,35 @@ class SparseConst(Term):
         mods = self.mods
         for i, (k, _) in enumerate(mods):
             if k == key:
-                return replace(self, mods=mods[:i] + ((key, value),) + mods[i + 1:])
-        return replace(self, mods=mods + ((key, value),))
+                mods = mods[:i] + ((key, value),) + mods[i + 1:]
+                break
+        else:
+            mods += ((key, value),)
+        return SparseConst(self.sort, self.default, mods)
+
+
+_CHILDREN = {
+    Not: lambda t: (t.arg,),
+    Bin: lambda t: (t.left, t.right),
+    Ite: lambda t: (t.cond, t.then, t.other),
+    Extract: lambda t: (t.arg,),
+    ZeroExt: lambda t: (t.arg,),
+    Bv2Int: lambda t: (t.arg,),
+    Int2Bv: lambda t: (t.arg,),
+    ArrRead: lambda t: (t.arr, t.key),
+    ArrWrite: lambda t: (t.arr, t.key, t.value),
+    SparseConst: lambda t: (t.default, *(v for _, v in t.mods)),
+}
+
+
+def _no_children(t: Term) -> tuple:
+    return ()
+
+
+def children(t: Term) -> tuple:
+    """The subterms of t in field order: a constant array's default, then
+    the values of its updates; none for a constant or a choice variable."""
+    return _CHILDREN.get(type(t), _no_children)(t)
 
 
 TRUE = BoolC(BOOL_SORT, True)
@@ -286,12 +316,15 @@ def mk_int2bv(width: int, a: Term) -> Term:
 
 
 def mk_arr_read(arr: Term, key: Term) -> Term:
-    if isinstance(arr, SparseConst) and isinstance(key, BVC):
-        return arr.read(key.value)
-    if isinstance(arr, ArrWrite) and isinstance(key, BVC) and isinstance(arr.key, BVC):
-        if arr.key.value == key.value:
-            return arr.value
-        return mk_arr_read(arr.arr, key)
+    """A read at a constant key looks through the writes at other constant
+    keys, in a loop, so a chain of any length is read without recursion."""
+    if isinstance(key, BVC):
+        while isinstance(arr, ArrWrite) and isinstance(arr.key, BVC):
+            if arr.key.value == key.value:
+                return arr.value
+            arr = arr.arr
+        if isinstance(arr, SparseConst):
+            return arr.read(key.value)
     return ArrRead(arr.sort[2], arr, key)
 
 

@@ -109,6 +109,21 @@ def test_front_end_commands_do_not_import_the_engine(command):
     assert proc.stderr.strip() == "0 []"
 
 
+# `trace` parses a model and replays it; it starts no solver, so the solver
+# layer's `subprocess` and `shlex` must not load.
+def test_trace_does_not_import_the_solver_process_modules(tmp_path):
+    empty = tmp_path / "zero.smt2"
+    empty.write_text("()\n")
+    probe = ("import sys\n"
+             "from soclang import cli\n"
+             f"code = cli.main(['trace', {FIXED!r}, '--scenario', 'base_case',\n"
+             f"                 '--model', {str(empty)!r}])\n"
+             "print(code, [m for m in ('subprocess', 'shlex') if m in sys.modules],\n"
+             "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stderr.strip() == "0 []"
+
+
 def test_negation_chain_within_the_stack_passes_check_and_run(tmp_path):
     f = tmp_path / "deep.soc"
     f.write_text("module Main {\n  mut fn go() {\n    let x = " + "!" * 350
@@ -271,6 +286,20 @@ def test_verify_timeout_exits_3(tmp_path):
 def test_verify_solver_output_that_is_not_utf8_still_gives_its_verdict():
     code, out, err = run_cli("verify", FIXED, "--scenario", "base_case",
                              "--solver", "printf 'unknown\\n\\377'")
+    assert (code, out, err) == (3, "unknown: unknown\n", "")
+
+
+def test_verify_reads_an_array_through_many_constant_key_writes(tmp_path):
+    # A read at 2 looks through 1,500 writes at 1 to the havocked array; it
+    # once recursed once per write and ended in a RecursionError.
+    f = tmp_path / "writes.soc"
+    f.write_text("module Mem {\n  instance a: Array<BitInt(8), BitInt(8)>;\n"
+                 "  mut fn put(v: BitInt(8)) { a.write(1u8, v) }\n}\n"
+                 "module Main {\n  instance m: Mem;\n  mut fn s() {\n    m.havoc();\n"
+                 + "    m.put(any<BitInt(8)>);\n" * 1500
+                 + "    assert(m.a.read(2u8) == 0u8)\n  }\n}\n")
+    code, out, err = run_cli("verify", str(f), "--scenario", "s",
+                             "--solver", "sh -c 'echo unknown' {file}")
     assert (code, out, err) == (3, "unknown: unknown\n", "")
 
 

@@ -173,7 +173,55 @@ def test_long_unrolls_emit_without_recursion_limit(variant, steps):
     assert text.endswith("(check-sat)\n(get-model)\n")
 
 
+# SHA-256 of the emitted text for mini_tx1 unrolled `steps` steps. The
+# manifest pins cover two steps; these also pin the merges, shared subterms
+# and let-bindings of longer runs.
+UNROLL_SMTLIB_SHA256 = {
+    ("fixed", 8): "91673d057cda705f6c33b8ba74cb76385e59a5ea71e1c73e1f213f1b027f58fa",
+    ("fixed", 64): "46fdc0df963d9b1cb847651bd94ac3b20071afea239323c0fce9df20bd495a8f",
+    ("vulnerable", 8): "acfb4d34dad0bbda79f45840d36389eb785c8e788683f99041c33e9083d8bc60",
+    ("vulnerable", 64): "20b714085dd8c4c42c5231d12db307791c8cf3b4fba0ba8b015fecccf310fb71",
+}
+
+
+@pytest.mark.parametrize("variant,steps", sorted(UNROLL_SMTLIB_SHA256))
+def test_unroll_emission_matches_golden_digest(variant, steps):
+    tp, tree, layout = load_source(unrolled_mini_tx1(variant, steps))
+    text = emit_smtlib(eng.sym_exec(tp, tree, layout, "test_secure_area_unchanged"))
+    assert hashlib.sha256(text.encode()).hexdigest() == UNROLL_SMTLIB_SHA256[variant, steps]
+
+
 # -- model parsing ---------------------------------------------------------------
+
+
+SEXP_TOKENS = {
+    "atoms holding | \" ; after the first character":
+        ('(a|b c"d e;f g|h|)', ["(", "a|b", 'c"d', "e;f", "g|h|", ")"]),
+    "comments run to the end of the line":
+        ("; head ( |\n(a ; tail \" )\nb);", ["(", "a", "b", ")"]),
+    "quoted symbols hold spaces, parens and semicolons":
+        ("(|a (b) ;c| ||)", ["(", "|a (b) ;c|", "||", ")"]),
+    "strings end at the next quote": ('"a (b"c "" d', ['"a (b"', "c", '""', "d"]),
+    "an unterminated string runs to the end": ('(a "b c)\n', ["(", "a", '"b c)\n']),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEXP_TOKENS))
+def test_model_tokens(case):
+    text, tokens = SEXP_TOKENS[case]
+    assert list(smtlib._sexp_tokens(text)) == tokens
+
+
+@pytest.mark.parametrize("text", ["(a |b c)", "|", "(a ; |b|\n |b)"])
+def test_unterminated_quoted_symbol_is_a_model_error(text):
+    with pytest.raises(ModelParseError, match="unterminated quoted symbol"):
+        smtlib.parse_sexprs(text)
+
+
+def test_model_errors_come_in_text_order():
+    # The tokens before an unterminated `|` are read first.
+    with pytest.raises(ModelParseError, match=r"unbalanced '\)'"):
+        smtlib.parse_sexprs(") |b")
 
 
 def _registry(*entries):

@@ -100,7 +100,7 @@ def _ill_sorted(root):
                 or isinstance(t, terms.Bin) and t.op == "eq" and t.left.sort != t.right.sort
                 or isinstance(t, terms.ArrWrite) and t.value.sort != t.arr.sort[2]):
             bad.append(t)
-        stack.extend(v for v in vars(t).values() if isinstance(v, terms.Term))
+        stack.extend(terms.children(t))
     return bad
 
 
