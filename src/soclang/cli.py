@@ -11,7 +11,6 @@ All results go to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -61,6 +60,8 @@ def _report_run(result: RunResult, trace_json: bool) -> int:
     for line in result.transcript:
         sys.stdout.write(line if line.endswith("\n") else line + "\n")
     if trace_json:
+        import json
+
         for event in result.events:
             print(json.dumps(event))
     v = result.verdict

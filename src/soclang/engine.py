@@ -1,39 +1,38 @@
 """Scenario execution engine.
 
-One traversal serves two modes:
+`Engine.code` compiles each expression node, once per engine, into a closure
+`(env, frame) -> value`. What a tree walk would ask at every visit is settled
+at compile time: the node's class, type and resolution, its literal term, its
+operator's constructor, and the mode. One evaluator serves two modes:
 
 * symbolic mode (no AnySource): every `if` whose condition is not a
-  constant executes both arms and merges stores with ite terms; `any`/`havoc`
-  register fresh choice variables; assume/assert are recorded under the
-  current guard. The result is a VerificationCondition. A path guard is a
-  chain of branch conditions (`_Path`), built into a term on demand: only
-  assume and assert read it, most branches hold neither, and each guard's
-  term is built once, so every assume and assert under it shares one term.
+  constant executes both arms. Each arm logs the value a cell had before the
+  arm when it first writes it; after the arm the logged cells are restored,
+  and only the cells either arm wrote are merged with ite terms. `any` and
+  `havoc` register fresh choice variables; assume/assert are recorded under
+  the guard of their path (`_Path`), a chain of branch conditions built into
+  a term on demand, once per guard. The result is a VerificationCondition.
 
 * concrete mode (interpreter and counterexample replayer): every fresh
   variable is immediately replaced by a constant term from an AnySource, so
-  terms constant-fold, every branch condition is concrete, exactly one path
-  runs, printf fires, and the first failing assume/assert stops the run.
-  Constant terms are the only value model: a run's store, a solver model and
-  a run result are trees of them.
+  terms constant-fold, exactly one path runs, printf fires, and the first
+  failing assume/assert stops the run. Constant terms are the only value
+  model: a run's store, a solver model and a run result are trees of them.
 
 A choice id is (site, (call sites, leaf number)): the node id of the `any`
 or `havoc` that made the choice, the ids of the `Call` nodes from the
 scenario down to it, and the number of the leaf among the values that one
 evaluation of the site makes (a record, a vector or a havocked module has
-several). The language has no loops and the type checker rejects recursion,
-so a site runs at most once per call path, and a choice is named by its
-position in the inlined, loop-free scenario, not by how many choices ran
-before it. The symbolic run, which takes both arms of every branch, and a
-concrete run, which takes one, therefore give a choice the same id, and
-replay asks a model for exactly the ids that sym_exec registered. The
-SMT-LIB name of a choice spells its id (`choice_vid`), so a model names its
-choices without the symbolic run that declared them.
+several). The language has no loops and no recursion, so a site runs at most
+once per call path, and a choice is named by its position in the inlined
+scenario, not by how many choices ran before it: a symbolic run, which takes
+both arms of every branch, and a concrete run, which takes one, give a choice
+the same id, and replay asks a model for exactly the ids that sym_exec
+registered. The SMT-LIB name of a choice spells its id (`choice_vid`), so a
+model names its choices without the symbolic run that declared them.
 
-Records and vectors are trees of per-leaf terms. `tree_map` applies a
-function leafwise to trees of one shape, and `tree_of_type` builds a tree
-from a type; every per-shape walk in this module goes through the two,
-except `format_value`, which reads a tree together with its type.
+Records and vectors are trees of per-leaf terms, mapped leafwise by
+`tree_map` and built from a type by `tree_of_type`.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from . import ast, terms
 from .diagnostics import CapacityError, EngineError
 from .elaborate import InstanceNode, InstanceTree, StateLayout, resolve_instance
 from .terms import Term
-from .typecheck import (EnumVariantRef, LocalRef, PrimCall, TypedProgram,
-                        UserCall, enum_width)
+from .typecheck import EnumVariantRef, PrimCall, TypedProgram, UserCall, enum_width
 
 # ---------------------------------------------------------------------------
 # Value trees: records/vectors explode into per-leaf terms. Trees compare by
@@ -252,7 +250,6 @@ class Passed:
 @dataclass
 class AssertionFailed:
     site: ast.SourceSpan
-    message: str
 
 
 @dataclass
@@ -423,6 +420,8 @@ class Engine:
         self.obligations: List[Tuple[Term, Term, ast.SourceSpan]] = []
         self.transcript: List[str] = []
         self.events: List[dict] = []
+        self.log: Optional[dict] = None  # see `_write`
+        self._code: Dict[int, object] = {}  # id(node) -> closure, see `code`
         self._init_store()
 
     # -- store -------------------------------------------------------------
@@ -433,7 +432,7 @@ class Engine:
         for cell in self.layout.cells:
             if cell.kind == "state":
                 # Init expressions are closed and pure; they fold to constants.
-                self.store[cell.path] = self.eval(cell.init, {}, frame)
+                self.store[cell.path] = self.code(cell.init)({}, frame)
             else:
                 kw = cell.key_type.width
                 self.store[cell.path] = tree_of_type(cell.value_type, lambda t: (
@@ -441,6 +440,35 @@ class Engine:
 
     def concrete_store(self) -> Dict[str, object]:
         return {cell.dotted(): self.store[cell.path] for cell in self.layout.cells}
+
+    def _write(self, path: Tuple[str, ...], value) -> None:
+        """Set a cell; an arm's first write to it logs the value from before the arm."""
+        if self.log is not None and path not in self.log:
+            self.log[path] = self.store[path]
+        self.store[path] = value
+
+    def _branch(self, cond: Term, then, orelse, env, frame):
+        """Both arms of an `if` on a symbolic condition, merged: each arm's
+        logged cells are restored after it, and only cells either arm wrote
+        are merged. Their value from before the `if` comes from the logs (the
+        store holds the else arm's writes) and is logged into the enclosing
+        arm, as if the `if` had written them."""
+        store, path, outer = self.store, self.path, self.log
+        self.path, self.log = _Path(path, cond, True), {}
+        v_then = then(env, frame)
+        before = self.log
+        after_then = {k: store[k] for k in before}
+        store.update(before)
+        self.path, self.log = _Path(path, cond, False), {}
+        v_else = orelse(env, frame)
+        for k, v in self.log.items():
+            before.setdefault(k, v)
+        self.path, self.log = path, outer
+        for k, v in before.items():
+            if outer is not None:
+                outer.setdefault(k, v)
+            store[k] = tree_ite(cond, after_then.get(k, v), store[k])
+        return tree_ite(cond, v_then, v_else)
 
     # -- choices ------------------------------------------------------------
 
@@ -472,129 +500,168 @@ class Engine:
 
         return tree_of_type(cell.value_type, leaf)
 
-    # -- evaluation ----------------------------------------------------------
+    # -- compilation -----------------------------------------------------------
 
-    def eval(self, e: ast.Expr, env: dict, frame: _Frame):
-        handler = self._EVAL.get(type(e))
-        if handler is None:
-            raise AssertionError(f"unhandled node {type(e).__name__}")
-        return handler(self, e, env, frame)
+    def code(self, e: ast.Expr):
+        """The closure (env, frame) -> value of e, compiled once and kept by node
+        identity: nodes compare by value, but equal calls name their own sites."""
+        f = self._code.get(id(e))
+        if f is None:
+            compiler = self._COMPILE.get(type(e))
+            if compiler is None:
+                raise AssertionError(f"unhandled node {type(e).__name__}")
+            f = self._code[id(e)] = compiler(self, e)
+        return f
 
-    def _eval_int_lit(self, e: ast.IntLit, env, frame):
+    def _compile_int_lit(self, e: ast.IntLit):
         t = self.tp.types[e.node_id]
-        if isinstance(t, ast.IntType):
-            return terms.mk_int(e.value)
-        return terms.mk_bv(t.width, e.value)
+        return _const(terms.mk_int(e.value) if isinstance(t, ast.IntType)
+                      else terms.mk_bv(t.width, e.value))
 
-    def _eval_bool_lit(self, e: ast.BoolLit, env, frame):
-        return terms.mk_bool(e.value)
+    def _compile_bool_lit(self, e: ast.BoolLit):
+        return _const(terms.mk_bool(e.value))
 
-    def _eval_unit_lit(self, e: ast.UnitLit, env, frame):
-        return None
+    def _compile_unit_lit(self, e: ast.UnitLit):
+        return _const(None)
 
-    def _eval_vector_lit(self, e: ast.VectorLit, env, frame):
-        return VecV(tuple(self.eval(x, env, frame) for x in e.items))
+    def _compile_vector_lit(self, e: ast.VectorLit):
+        items = [self.code(x) for x in e.items]
+        return lambda env, frame: VecV(tuple([f(env, frame) for f in items]))
 
-    def _eval_record_lit(self, e: ast.RecordLit, env, frame):
-        written = {n: self.eval(v, env, frame) for n, v in e.fields}
-        return RecV(tuple((n, written[n]) for n, _ in self.tp.types[e.node_id].fields))
+    def _compile_record_lit(self, e: ast.RecordLit):
+        written = [(n, self.code(v)) for n, v in e.fields]
+        order = [n for n, _ in self.tp.types[e.node_id].fields]
 
-    def _eval_path(self, e: ast.PathExpr, env, frame):
+        def record(env, frame):
+            values = {n: f(env, frame) for n, f in written}
+            return RecV(tuple([(n, values[n]) for n in order]))
+        return record
+
+    def _compile_path(self, e: ast.PathExpr):
         res = self.tp.resolutions[e.node_id]
-        if isinstance(res, LocalRef):
-            v = env[res.name]
-            for name in res.fields:
-                v = v.get(name)
+        if isinstance(res, EnumVariantRef):
+            return _const(terms.mk_bv(enum_width(len(self.enums[res.enum])), res.index))
+        name, fields = res.name, res.fields
+
+        def local(env, frame):
+            v = env[name]
+            for n in fields:
+                v = v.get(n)
             return v
-        assert isinstance(res, EnumVariantRef)
-        w = enum_width(len(self.enums[res.enum]))
-        return terms.mk_bv(w, res.index)
+        return local
 
-    def _eval_field(self, e: ast.FieldAccess, env, frame):
-        return self.eval(e.base, env, frame).get(e.name)
+    def _compile_field(self, e: ast.FieldAccess):
+        base, name = self.code(e.base), e.name
+        return lambda env, frame: base(env, frame).get(name)
 
-    def _eval_slice(self, e: ast.Slice, env, frame):
-        return terms.mk_extract(e.hi, e.lo, self.eval(e.base, env, frame))
+    def _compile_slice(self, e: ast.Slice):
+        base, hi, lo = self.code(e.base), e.hi, e.lo
+        return lambda env, frame: terms.mk_extract(hi, lo, base(env, frame))
 
-    def _eval_index_update(self, e: ast.IndexUpdate, env, frame):
-        base = self.eval(e.base, env, frame)
-        idx = self.eval(e.index, env, frame)
-        val = self.eval(e.value, env, frame)
-        return self._vector_update(base, idx, val)
+    def _compile_index_update(self, e: ast.IndexUpdate):
+        base, index, value = self.code(e.base), self.code(e.index), self.code(e.value)
+        return lambda env, frame: self._vector_update(
+            base(env, frame), index(env, frame), value(env, frame))
 
-    def _eval_slice_update(self, e: ast.SliceUpdate, env, frame):
-        base = self.eval(e.base, env, frame)
-        val = self.eval(e.value, env, frame)
-        items = list(base.items)
-        items[e.lo:e.hi + 1] = list(val.items)
-        return VecV(tuple(items))
+    def _compile_slice_update(self, e: ast.SliceUpdate):
+        base, value, lo, hi = self.code(e.base), self.code(e.value), e.lo, e.hi
 
-    def _eval_unary(self, e: ast.Unary, env, frame):
-        v = self.eval(e.operand, env, frame)
-        return terms.mk_not(v) if e.op == "!" else terms.mk_neg(v)
+        def update(env, frame):
+            items = list(base(env, frame).items)
+            items[lo:hi + 1] = value(env, frame).items
+            return VecV(tuple(items))
+        return update
 
-    def _eval_any(self, e: ast.AnyExpr, env, frame):
-        return self.fresh_tree(choice_ids(e.node_id, frame.calls),
-                               self.tp.types[e.node_id])
+    def _compile_unary(self, e: ast.Unary):
+        arg, mk = self.code(e.operand), terms.mk_not if e.op == "!" else terms.mk_neg
+        return lambda env, frame: mk(arg(env, frame))
 
-    def _eval_let(self, e: ast.Let, env, frame):
-        v = self.eval(e.value, env, frame)
-        if __debug__ and self.anys is not None:
+    def _compile_any(self, e: ast.AnyExpr):
+        site, t, fresh = e.node_id, self.tp.types[e.node_id], self.fresh_tree
+        return lambda env, frame: fresh(choice_ids(site, frame.calls), t)
+
+    def _compile_let(self, e: ast.Let):
+        name, value = e.name, self.code(e.value)
+        if not (__debug__ and self.anys is not None):
+            def let(env, frame):
+                env[name] = value(env, frame)
+            return let
+        t, enums = self.tp.types[e.value.node_id], self.enums
+
+        def checked_let(env, frame):
             # Type preservation: a produced value's runtime shape always
             # matches its static annotation (formatting raises otherwise).
-            format_value(v, self.tp.types[e.value.node_id], self.enums)
-        env[e.name] = v
-        return None
+            v = env[name] = value(env, frame)
+            format_value(v, t, enums)
+        return checked_let
 
-    def _eval_block(self, e: ast.Block, env, frame):
-        inner = dict(env)
-        result = None
-        for item in e.items:
-            result = self.eval(item, inner, frame)
-        return result if e.yields_value else None
+    def _compile_block(self, e: ast.Block):
+        items = [self.code(x) for x in e.items]
+        scoped = any(isinstance(x, ast.Let) for x in e.items)
+        yields = e.yields_value
 
-    def _eval_assume(self, e: ast.Assume, env, frame):
-        body = self.eval(e.cond, env, frame)
+        def block(env, frame):
+            inner = dict(env) if scoped else env
+            result = None
+            for f in items:
+                result = f(inner, frame)
+            return result if yields else None
+        return block
+
+    def _compile_assume(self, e: ast.Assume):
+        cond, span = self.code(e.cond), e.span
         if self.anys is None:
-            self.assumptions.append((self.path.term(), body))
-            return None
-        if not body.value:
-            raise _Stop(AssumeInfeasible(e.span))
-        return None
+            return self._guarded(self.assumptions, cond)
 
-    def _eval_assert(self, e: ast.Assert, env, frame):
-        body = self.eval(e.cond, env, frame)
+        def check_assume(env, frame):
+            if not cond(env, frame).value:
+                raise _Stop(AssumeInfeasible(span))
+        return check_assume
+
+    def _compile_assert(self, e: ast.Assert):
+        cond, span = self.code(e.cond), e.span
         if self.anys is None:
-            self.obligations.append((self.path.term(), body, e.span))
-            return None
-        if not body.value:
-            msg = ast.expr_source(e.cond)
-            self.events.append({"event": "assert_failed", "at": str(e.span)})
-            raise _Stop(AssertionFailed(e.span, msg))
-        return None
+            return self._guarded(self.obligations, cond, span)
 
-    def _eval_printf(self, e: ast.Printf, env, frame):
-        holes = [self.eval(h, env, frame) for h in e.holes]
-        if self.anys is not None:
-            rendered = [format_value(v, self.tp.types[h.node_id], self.enums)
-                        for h, v in zip(e.holes, holes)]
-            pieces = [e.parts[0]]
-            for part, r in zip(e.parts[1:], rendered):
-                pieces.append(r)
+        def check_assert(env, frame):
+            if not cond(env, frame).value:
+                self.events.append({"event": "assert_failed", "at": str(span)})
+                raise _Stop(AssertionFailed(span))
+        return check_assert
+
+    def _guarded(self, records: list, cond, *site):
+        """A symbolic assume or assert: its body, under the path guard."""
+        def record(env, frame):
+            body = cond(env, frame)
+            records.append((self.path.term(), body, *site))
+        return record
+
+    def _compile_printf(self, e: ast.Printf):
+        holes = [self.code(h) for h in e.holes]
+        if self.anys is None:
+            def printf(env, frame):
+                for h in holes:
+                    h(env, frame)
+            return printf
+        types, parts, enums = [self.tp.types[h.node_id] for h in e.holes], e.parts, self.enums
+
+        def print_text(env, frame):
+            values = [h(env, frame) for h in holes]
+            pieces = [parts[0]]
+            for part, v, t in zip(parts[1:], values, types):
+                pieces.append(format_value(v, t, enums))
                 pieces.append(part)
             text = "".join(pieces)
             self.transcript.append(text)
             self.events.append({"event": "printf", "text": text})
-        return None
+        return print_text
 
-    def _eval_index(self, e: ast.Index, env, frame):
-        base = self.eval(e.base, env, frame)
-        idx = self.eval(e.index, env, frame)
-        bt = self.tp.types[e.base.node_id]
-        if isinstance(bt, ast.VectorType):
-            return self._vector_select(base, idx)
-        # array snapshot: read every leaf array at the key
-        return tree_map(lambda arr: terms.mk_arr_read(arr, idx), base)
+    def _compile_index(self, e: ast.Index):
+        base, index = self.code(e.base), self.code(e.index)
+        # a vector, or an array snapshot (every leaf array is read at the key)
+        read = self._vector_select if isinstance(
+            self.tp.types[e.base.node_id], ast.VectorType) else _read_at
+        return lambda env, frame: read(base(env, frame), index(env, frame))
 
     def _vector_select(self, base: VecV, idx: Term):
         if isinstance(idx, terms.BVC):
@@ -618,156 +685,135 @@ class Engine:
         ]
         return VecV(tuple(items))
 
-    def _eval_binary(self, e: ast.Binary, env, frame):
-        l = self.eval(e.left, env, frame)
-        r = self.eval(e.right, env, frame)
-        op = e.op
-        if op == "&&":
-            return terms.mk_and(l, r)
-        if op == "||":
-            return terms.mk_or(l, r)
-        if op == "==":
-            return tree_eq(l, r)
-        if op == "!=":
-            return terms.mk_not(tree_eq(l, r))
+    def _compile_binary(self, e: ast.Binary):
+        left, right, op = self.code(e.left), self.code(e.right), e.op
         lt = self.tp.types[e.left.node_id]
-        if op in ("<", "<=", ">", ">="):
-            if op == ">":
-                l, r, op = r, l, "<"
-            elif op == ">=":
-                l, r, op = r, l, "<="
-            if isinstance(lt, ast.IntType):
-                return terms.mk_lt(l, r) if op == "<" else terms.mk_le(l, r)
-            return terms.mk_ult(l, r) if op == "<" else terms.mk_ule(l, r)
-        if op == "+":
-            return terms.mk_add(l, r)
-        if op == "-":
-            return terms.mk_sub(l, r)
-        if op == "*":
-            return terms.mk_mul(l, r)
-        raise AssertionError(f"unknown operator {op}")
+        if op in ("==", "!="):
+            eq = terms.mk_eq if isinstance(lt, _SCALAR_TYPES) else tree_eq
+            mk = eq if op == "==" else lambda a, b: terms.mk_not(eq(a, b))
+        else:
+            mk = _BINARY[op][isinstance(lt, ast.IntType)]
+        return lambda env, frame: mk(left(env, frame), right(env, frame))
 
-    def _eval_builtin(self, e: ast.Builtin, env, frame):
-        v = self.eval(e.arg, env, frame)
-        if e.name == "zero_extend":
-            return terms.mk_zext(e.width, v)
-        if e.name == "truncate":
-            return terms.mk_extract(e.width - 1, 0, v)
-        if e.name == "to_int":
-            return terms.mk_bv2int(v)
-        if e.name == "from_int":
-            return terms.mk_int2bv(e.width, v)
-        raise AssertionError(f"unknown builtin {e.name}")
+    def _compile_builtin(self, e: ast.Builtin):
+        arg, w = self.code(e.arg), e.width
+        mk = {"zero_extend": partial(terms.mk_zext, w), "to_int": terms.mk_bv2int,
+              "truncate": lambda v: terms.mk_extract(w - 1, 0, v),
+              "from_int": partial(terms.mk_int2bv, w)}[e.name]
+        return lambda env, frame: mk(arg(env, frame))
 
-    def _eval_if(self, e: ast.If, env, frame):
-        cond = self.eval(e.cond, env, frame)
-        if isinstance(cond, terms.BoolC):
-            if cond.value:
-                return self.eval(e.then, env, frame)
-            if e.orelse is not None:
-                return self.eval(e.orelse, env, frame)
-            return None
-        assert self.anys is None
-        saved_store = dict(self.store)
-        saved_path = self.path
-        self.path = _Path(saved_path, cond, True)
-        v_then = self.eval(e.then, env, frame)
-        store_then = self.store
-        self.store = saved_store
-        self.path = _Path(saved_path, cond, False)
-        v_else = self.eval(e.orelse, env, frame) if e.orelse is not None else None
-        self.path = saved_path
-        self.store = merge_stores(cond, store_then, self.store)
-        return tree_ite(cond, v_then, v_else)
+    def _compile_if(self, e: ast.If):
+        cond, then = self.code(e.cond), self.code(e.then)
+        orelse = _const(None) if e.orelse is None else self.code(e.orelse)
+        if self.anys is not None:
+            return lambda env, frame: (then if cond(env, frame).value else orelse)(env, frame)
+        branch = self._branch
+
+        def if_(env, frame):
+            c = cond(env, frame)
+            if isinstance(c, terms.BoolC):
+                return (then if c.value else orelse)(env, frame)
+            return branch(c, then, orelse, env, frame)
+        return if_
 
     # -- calls ----------------------------------------------------------------
 
-    def _eval_call(self, e: ast.Call, env, frame: _Frame):
+    def _compile_call(self, e: ast.Call):
         res = self.tp.resolutions[e.node_id]
-        if isinstance(res, UserCall):
-            return self._user_call(e, res, env, frame)
-        return self._prim_call(e, res, env, frame)
-
-    def _user_call(self, e: ast.Call, res: UserCall, env, frame: _Frame):
-        target = resolve_instance(self.tree, frame.inst, res.inst_path)
-        args = [self.eval(a, env, frame) for a in e.args]
+        args = [self.code(a) for a in e.args]
+        tree, inst_path = self.tree, res.inst_path
+        if isinstance(res, PrimCall):
+            return self._compile_prim(e, res.op, lambda frame: resolve_instance(
+                tree, frame.inst, inst_path), args)
         decl = self.tp.fns[(res.module, res.fn)]
-        fq = ".".join(target.path + (res.fn,)) if target.path else res.fn
-        if self.anys is not None:
-            arg_text = {p.name: format_value(v, self.tp.resolve_type(p.type), self.enums)
-                        for p, v in zip(decl.params, args)}
-            self.events.append({"event": "call", "fn": fq, "args": arg_text})
-        new_env = {p.name: v for p, v in zip(decl.params, args)}
-        new_frame = _Frame(target, frame.calls + (e.node_id,))
-        result = self.eval(decl.body, new_env, new_frame)
-        if self.anys is not None:
-            rt = self.tp.resolve_type(decl.ret_type)
+        body, names, site = self.code(decl.body), [p.name for p in decl.params], e.node_id
+        if self.anys is not None:  # one traced body per fn, kept by its identity
+            body = self._code.get(id(decl)) or \
+                self._code.setdefault(id(decl), self._traced(body, decl))
+
+        def call(env, frame):
+            inst = resolve_instance(tree, frame.inst, inst_path)
+            values = [a(env, frame) for a in args]
+            return body(dict(zip(names, values)), _Frame(inst, frame.calls + (site,)))
+        return call
+
+    def _traced(self, untraced, decl: ast.FnDecl):
+        """A concrete call's body, which logs the call and its return."""
+        fn, rt = decl.name, self.tp.resolve_type(decl.ret_type)
+        params = [(p.name, self.tp.resolve_type(p.type)) for p in decl.params]
+
+        def body(env, frame):
+            fq = ".".join(frame.inst.path + (fn,)) if frame.inst.path else fn
+            self.events.append({"event": "call", "fn": fq, "args": {
+                n: format_value(env[n], t, self.enums) for n, t in params}})
+            result = untraced(env, frame)
             self.events.append({"event": "return", "fn": fq,
                                 "value": format_value(result, rt, self.enums)})
-        return result
+            return result
+        return body
 
-    def _prim_call(self, e: ast.Call, res: PrimCall, env, frame: _Frame):
-        target = resolve_instance(self.tree, frame.inst, res.inst_path)
-        args = [self.eval(a, env, frame) for a in e.args]
-        op = res.op
+    def _compile_prim(self, e: ast.Call, op: str, target, args):
+        store, write = self.store, self._write
         if op == "havoc":
-            self._havoc(choice_ids(e.node_id, frame.calls), target)
-            return None
-        path = target.path
-        if op == "state_get":
-            return self.store[path]
-        if op == "state_set":
-            self.store[path] = args[0]
-            return None
-        if op == "array_get":
-            return self.store[path]
-        if op == "array_set":
-            self.store[path] = args[0]
-            return None
+            site, havoc = e.node_id, self._havoc
+            return lambda env, frame: havoc(choice_ids(site, frame.calls), target(frame))
+        if op in ("state_get", "array_get"):
+            return lambda env, frame: store[target(frame).path]
+        if op in ("state_set", "array_set"):
+            value = args[0]
+            return lambda env, frame: write(target(frame).path, value(env, frame))
         if op == "array_read":
-            return tree_map(lambda arr: terms.mk_arr_read(arr, args[0]), self.store[path])
-        if op == "array_write":
-            def write(arr, v):
-                arr = terms.mk_arr_write(arr, args[0], v)
-                if self.anys is not None and len(arr.mods) > self.capacity:
-                    raise CapacityError(target.dotted(), self.capacity)
+            key = args[0]
+
+            def read(env, frame):
+                path, k = target(frame).path, key(env, frame)
+                return _read_at(store[path], k)
+            return read
+        assert op == "array_write", op
+        key, value = args
+        capacity = self.capacity if self.anys is not None else None
+
+        def write_array(env, frame):
+            inst, k, v = target(frame), key(env, frame), value(env, frame)
+
+            def leaf(arr, x):
+                arr = terms.mk_arr_write(arr, k, x)
+                if capacity is not None and len(arr.mods) > capacity:
+                    raise CapacityError(inst.dotted(), capacity)
                 return arr
 
-            self.store[path] = tree_map(write, self.store[path], args[1])
-            return None
-        raise AssertionError(f"unknown primitive op {op}")
+            write(inst.path, tree_map(leaf, store[inst.path], v))
+        return write_array
 
     def _havoc(self, cids: Iterator[ChoiceId], target: InstanceNode) -> None:
         for cell in self.layout.subtree(target.path):
-            if cell.kind == "state":
-                self.store[cell.path] = self.fresh_tree(cids, cell.value_type)
-            else:
-                self.store[cell.path] = self.fresh_array_tree(cids, cell)
+            self._write(cell.path, self.fresh_tree(cids, cell.value_type)
+                        if cell.kind == "state" else self.fresh_array_tree(cids, cell))
 
-    # One handler per expression class; `eval` dispatches on the exact class.
-    _EVAL = {
-        ast.IntLit: _eval_int_lit,
-        ast.BoolLit: _eval_bool_lit,
-        ast.UnitLit: _eval_unit_lit,
-        ast.VectorLit: _eval_vector_lit,
-        ast.RecordLit: _eval_record_lit,
-        ast.PathExpr: _eval_path,
-        ast.FieldAccess: _eval_field,
-        ast.Index: _eval_index,
-        ast.Slice: _eval_slice,
-        ast.IndexUpdate: _eval_index_update,
-        ast.SliceUpdate: _eval_slice_update,
-        ast.Unary: _eval_unary,
-        ast.Binary: _eval_binary,
-        ast.Call: _eval_call,
-        ast.Builtin: _eval_builtin,
-        ast.AnyExpr: _eval_any,
-        ast.Let: _eval_let,
-        ast.If: _eval_if,
-        ast.Block: _eval_block,
-        ast.Assume: _eval_assume,
-        ast.Assert: _eval_assert,
-        ast.Printf: _eval_printf,
+    # One compiler per expression class; `code` dispatches on the exact class.
+    _COMPILE = {
+        ast.IntLit: _compile_int_lit,
+        ast.BoolLit: _compile_bool_lit,
+        ast.UnitLit: _compile_unit_lit,
+        ast.VectorLit: _compile_vector_lit,
+        ast.RecordLit: _compile_record_lit,
+        ast.PathExpr: _compile_path,
+        ast.FieldAccess: _compile_field,
+        ast.Index: _compile_index,
+        ast.Slice: _compile_slice,
+        ast.IndexUpdate: _compile_index_update,
+        ast.SliceUpdate: _compile_slice_update,
+        ast.Unary: _compile_unary,
+        ast.Binary: _compile_binary,
+        ast.Call: _compile_call,
+        ast.Builtin: _compile_builtin,
+        ast.AnyExpr: _compile_any,
+        ast.Let: _compile_let,
+        ast.If: _compile_if,
+        ast.Block: _compile_block,
+        ast.Assume: _compile_assume,
+        ast.Assert: _compile_assert,
+        ast.Printf: _compile_printf,
     }
 
     # -- entry ------------------------------------------------------------------
@@ -781,11 +827,25 @@ class Engine:
                               f"{self.tp.root_name}; available: {names}")
         if not decl.is_mut or decl.params:
             raise EngineError(f"scenario {scenario!r} must be a zero-parameter mut fn")
-        return self.eval(decl.body, {}, _Frame(self.tree.root))
+        return self.code(decl.body)({}, _Frame(self.tree.root))
 
 
-def merge_stores(cond: Term, then_store: dict, else_store: dict) -> dict:
-    return {k: tree_ite(cond, a, else_store[k]) for k, a in then_store.items()}
+def _const(value):
+    return lambda env, frame: value
+
+
+def _read_at(tree, key: Term):
+    return tree_map(lambda arr: terms.mk_arr_read(arr, key), tree)
+
+
+_SCALAR_TYPES = (ast.BoolType, ast.BitIntType, ast.IntType, ast.EnumRef)
+# The constructor of each operator but equality: for other operands, for Int
+# operands. `l > r` is `r < l`, and `l` is still evaluated first.
+_BINARY = {"&&": (terms.mk_and,) * 2, "||": (terms.mk_or,) * 2,
+           "+": (terms.mk_add,) * 2, "-": (terms.mk_sub,) * 2, "*": (terms.mk_mul,) * 2,
+           "<": (terms.mk_ult, terms.mk_lt), "<=": (terms.mk_ule, terms.mk_le),
+           ">": (lambda l, r: terms.mk_ult(r, l), lambda l, r: terms.mk_lt(r, l)),
+           ">=": (lambda l, r: terms.mk_ule(r, l), lambda l, r: terms.mk_le(r, l))}
 
 
 # ---------------------------------------------------------------------------

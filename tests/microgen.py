@@ -3,8 +3,9 @@
 Each entry is a complete program whose scenario `s` uses at most 16 bits of
 nondeterminism, so exhaustive interpreter enumeration is feasible. The
 handwritten ones deliberately stress choice-id alignment: anys inside both
-branch arms, anys after a skipped arm, repeated calls, havoc, enums, and
-anys inside printf holes.
+branch arms, anys after a skipped arm, repeated calls, havoc, enums,
+anys inside printf holes, and calls that merge cells inside both arms of
+an outer branch.
 """
 
 from __future__ import annotations
@@ -188,6 +189,33 @@ module Main {
     let r1 = h.poke(true);
     assume(r0 == 1u2);
     assert(r1 != 3u2)
+  }
+}
+"""),
+    # An `else if` chain is an `if` nested in an else arm, so each call
+    # merges cells inside an arm of the outer `if`: a merge that restores a
+    # cell to a value the inner else arm wrote starts the outer else arm
+    # from the wrong state.
+    ("nested_dispatch", """
+module Regs {
+  instance a: State<BitInt(2)>(1);
+  instance b: State<BitInt(2)>(2);
+  instance c: State<BitInt(2)>(3);
+  mut fn dispatch(op: BitInt(2)) {
+    if op == 0u2 { a.set(a.get() + 1u2) }
+    else if op == 1u2 { b.set(a.get() + 2u2) }
+    else if op == 2u2 { c.set(b.get() + 3u2) }
+    else { a.set(c.get()); b.set(1u2) }
+  }
+}
+module Main {
+  instance p: Regs;
+  instance q: Regs;
+  mut fn s() {
+    let first = any<BitInt(2)>;
+    if any<Bool> { p.dispatch(first); q.dispatch(any<BitInt(2)>) }
+    else { q.dispatch(first); p.dispatch(3u2 - first) };
+    assert(p.a.get() + p.b.get() + q.c.get() != 3u2)
   }
 }
 """),

@@ -95,15 +95,16 @@ def test_check_bad_number_is_a_located_diagnostic(tmp_path, case):
 
 
 # The front end alone serves these commands; the engine and SMT-LIB layers,
-# and `dataclasses` with the `inspect` it pulls in, must not load, since every
-# `check` would pay for their import.
+# `dataclasses` with the `inspect` it pulls in, and `json`, which only
+# `--trace-json` uses, must not load, since every `check` would pay for
+# their import.
 @pytest.mark.parametrize("command", ["check", "dump-tree"])
 def test_front_end_commands_do_not_import_the_engine(command):
     probe = ("import sys\n"
              "from soclang import cli\n"
              f"code = cli.main([{command!r}, {VULN!r}])\n"
              "heavy = ['soclang.engine', 'soclang.smtlib', 'soclang.terms',\n"
-             "         'dataclasses', 'inspect']\n"
+             "         'dataclasses', 'inspect', 'json']\n"
              "print(code, [m for m in heavy if m in sys.modules], file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.stderr.strip() == "0 []"

@@ -133,7 +133,7 @@ def test_vacuous_violation_solves_unsat(tmp_path):
 def test_every_expression_class_has_an_eval_handler():
     exprs = {c for c in vars(ast).values()
              if isinstance(c, type) and issubclass(c, ast.Expr) and c is not ast.Expr}
-    assert set(eng.Engine._EVAL) == exprs
+    assert set(eng.Engine._COMPILE) == exprs
 
 
 def test_expression_without_a_handler_is_an_internal_error():
@@ -143,7 +143,7 @@ def test_expression_without_a_handler_is_an_internal_error():
     tp, tree, layout = load_source(MERGE_MODEL)
     e = eng.Engine(tp, tree, layout)
     with pytest.raises(AssertionError, match="unhandled node Stray"):
-        e.eval(Stray(ast.SYNTHETIC), {}, None)
+        e.code(Stray(ast.SYNTHETIC))
 
 
 # -- choice-id discipline ------------------------------------------------------
@@ -268,6 +268,11 @@ def test_replay_asks_registered_choices_on_every_micro_assignment(name, source):
         # holds under the model, but replay reads other values and passes.
         if _eval_term(query, vc, model):
             assert isinstance(r.verdict, eng.AssertionFailed), model
+        # A wrong merge shows the other way: replay fails an assertion under
+        # the model, but the VC has no violation there.
+        if isinstance(r.verdict, eng.AssertionFailed) and \
+                _eval_term(vc.assumes_term(), vc, model):
+            assert _eval_term(vc.violations_term(), vc, model), model
 
 
 CORPUS_SCENARIOS = [(path.name, s) for path in sorted(CORPUS.glob("*.soc"))
