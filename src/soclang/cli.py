@@ -6,11 +6,24 @@ Exit code contract (frozen for scripting):
   verify: 0 proven (unsat), 2 counterexample found, 3 unknown/timeout, 1 tool error
   trace:  like run
 All results go to stdout; diagnostics go to stderr.
+
+A `soclang` process enters through `entry`, which runs its one command with
+the cyclic garbage collector off and freezes the heap before exit, so the
+interpreter's exit-time collection does not walk it. That is safe because
+the program's data forms no reference cycles: reference counting frees each
+object as soon as it is unused. The rule that keeps it so: no nested
+function that refers to itself (a recursive helper is a module-level
+function or a method), and no closure stored on an object it captures
+(`Engine` keeps its compiled closures only while `Engine.run` runs).
+`tests/test_gc.py` runs every command under `gc.DEBUG_SAVEALL` and fails on
+any cyclic garbage of the package's own. `main(argv)`, for in-process
+callers, leaves the collector as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -80,7 +93,7 @@ def cmd_run(args) -> int:
 
     tp, tree, layout = load(args.file)
     result = eng.run_scenario(tp, tree, layout, args.scenario,
-                              eng.SeededRandom(args.seed), args.capacity)
+                              eng.SeededRandom(args.seed), args.capacity, args.trace_json)
     return _report_run(result, args.trace_json)
 
 
@@ -125,7 +138,7 @@ def cmd_verify(args) -> int:
     with open(model_path, "w") as f:
         f.write(verdict.raw_model + "\n")
     result = eng.replay(tp, tree, layout, args.scenario, verdict.model,
-                        args.capacity)
+                        args.capacity, args.trace_json)
     code = _report_run(result, args.trace_json)
     if code != 2:
         print("error: solver reported sat but the replay did not fail an "
@@ -142,7 +155,8 @@ def cmd_trace(args) -> int:
     tp, tree, layout = load(args.file)
     # A choice's name spells its id, so the model needs no symbolic run.
     model = smtlib.load_model_file(args.model)
-    result = eng.replay(tp, tree, layout, args.scenario, model, args.capacity)
+    result = eng.replay(tp, tree, layout, args.scenario, model, args.capacity,
+                        args.trace_json)
     return _report_run(result, args.trace_json)
 
 
@@ -194,7 +208,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     """Run one command. Its failures are reported on stderr and exit 1."""
-    args = build_arg_parser().parse_args(argv)
+    return _run(build_arg_parser().parse_args(argv))
+
+
+def _run(args) -> int:
     try:
         return args.fn(args)
     except (SocError, TypeErrors) as err:
@@ -204,5 +221,16 @@ def main(argv: Optional[list] = None) -> int:
     return 1
 
 
+def entry() -> int:
+    """The `soclang` process: one command from `sys.argv`, run without the
+    cyclic garbage collector (see the module docstring)."""
+    args = build_arg_parser().parse_args()
+    gc.collect(1)  # the parser is a reference cycle of argparse's
+    gc.disable()
+    code = _run(args)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

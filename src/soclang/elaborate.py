@@ -65,46 +65,9 @@ def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
     """
     by_path: Dict[Tuple[str, ...], InstanceNode] = {}
     cells: List[Cell] = []
-    active: Dict[str, None] = {}  # modules being instantiated, outermost first
-
-    def instantiate(mod: ast.ModuleDecl, path: Tuple[str, ...],
-                    span: ast.SourceSpan) -> InstanceNode:
-        node = InstanceNode(mod.name, path, "module", span=span)
-        by_path[path] = node
-        active[mod.name] = None
-        for inst in mod.instances:
-            child_path = path + (inst.name,)
-            ref = inst.ref
-            if isinstance(ref, ast.ModuleRef):
-                if ref.name in active:
-                    names = list(active)
-                    cycle = names[names.index(ref.name):] + [ref.name]
-                    raise ElabError(inst.span, "instance cycle: " + " -> ".join(cycle))
-                node.children[inst.name] = instantiate(
-                    tp.modules[ref.name], child_path, inst.span)
-            elif isinstance(ref, ast.StatePrim):
-                vt = tp.resolve_type(ref.value_type)
-                cell = InstanceNode("State", child_path, "state", value_type=vt,
-                                    span=inst.span)
-                node.children[inst.name] = cell
-                by_path[child_path] = cell
-                cells.append(Cell(child_path, "state", vt, None, ref.init))
-            else:
-                assert isinstance(ref, ast.ArrayPrim)
-                vt = tp.resolve_type(ref.value_type)
-                kt = tp.resolve_type(ref.key_type)
-                cell = InstanceNode("Array", child_path, "array",
-                                    value_type=vt, key_type=kt, span=inst.span)
-                node.children[inst.name] = cell
-                by_path[child_path] = cell
-                cells.append(Cell(child_path, "array", vt, kt, None))
-        _wire(tp, mod, node)
-        del active[mod.name]
-        return node
-
     root_mod = tp.modules[tp.root_name]
     try:
-        root = instantiate(root_mod, (), root_mod.span)
+        root = _instantiate(tp, root_mod, (), root_mod.span, by_path, cells, {})
         _check_callees_bound(tp, root)
     except RecursionError:
         # Both walks recurse once per level of instance nesting.
@@ -112,6 +75,46 @@ def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
     tree = InstanceTree(root, by_path)
     layout = StateLayout(cells)
     return tree, layout
+
+
+def _instantiate(tp: TypedProgram, mod: ast.ModuleDecl, path: Tuple[str, ...],
+                 span: ast.SourceSpan, by_path: Dict[Tuple[str, ...], InstanceNode],
+                 cells: List[Cell], active: Dict[str, None]) -> InstanceNode:
+    """The instance of `mod` at `path`, with its subtree; enters each node in
+    `by_path` and each cell in `cells`. `active` holds the modules being
+    instantiated, outermost first."""
+    node = InstanceNode(mod.name, path, "module", span=span)
+    by_path[path] = node
+    active[mod.name] = None
+    for inst in mod.instances:
+        child_path = path + (inst.name,)
+        ref = inst.ref
+        if isinstance(ref, ast.ModuleRef):
+            if ref.name in active:
+                names = list(active)
+                cycle = names[names.index(ref.name):] + [ref.name]
+                raise ElabError(inst.span, "instance cycle: " + " -> ".join(cycle))
+            node.children[inst.name] = _instantiate(
+                tp, tp.modules[ref.name], child_path, inst.span, by_path, cells, active)
+        elif isinstance(ref, ast.StatePrim):
+            vt = tp.resolve_type(ref.value_type)
+            cell = InstanceNode("State", child_path, "state", value_type=vt,
+                                span=inst.span)
+            node.children[inst.name] = cell
+            by_path[child_path] = cell
+            cells.append(Cell(child_path, "state", vt, None, ref.init))
+        else:
+            assert isinstance(ref, ast.ArrayPrim)
+            vt = tp.resolve_type(ref.value_type)
+            kt = tp.resolve_type(ref.key_type)
+            cell = InstanceNode("Array", child_path, "array",
+                                value_type=vt, key_type=kt, span=inst.span)
+            node.children[inst.name] = cell
+            by_path[child_path] = cell
+            cells.append(Cell(child_path, "array", vt, kt, None))
+    _wire(tp, mod, node)
+    del active[mod.name]
+    return node
 
 
 def _wire(tp: TypedProgram, mod: ast.ModuleDecl, node: InstanceNode) -> None:
@@ -146,19 +149,16 @@ def _wire(tp: TypedProgram, mod: ast.ModuleDecl, node: InstanceNode) -> None:
         child.callees[callee_name] = target.path
 
 
-def _check_callees_bound(tp: TypedProgram, root: InstanceNode) -> None:
-    def visit(node: InstanceNode) -> None:
-        if node.kind == "module":
-            mod = tp.modules[node.module]
-            for c in mod.callees:
-                if c.name not in node.callees:
-                    raise ElabError(
-                        node.span,
-                        f"unbound callee {c.name!r} of instance {node.dotted()}")
-            for child in node.children.values():
-                visit(child)
-
-    visit(root)
+def _check_callees_bound(tp: TypedProgram, node: InstanceNode) -> None:
+    if node.kind == "module":
+        mod = tp.modules[node.module]
+        for c in mod.callees:
+            if c.name not in node.callees:
+                raise ElabError(
+                    node.span,
+                    f"unbound callee {c.name!r} of instance {node.dotted()}")
+        for child in node.children.values():
+            _check_callees_bound(tp, child)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +185,18 @@ def resolve_instance(tree: InstanceTree, frm: InstanceNode, prefix) -> InstanceN
 def dump_tree(tp: TypedProgram, tree: InstanceTree) -> str:
     """Indented text rendering of the instance tree, one path per line."""
     lines: List[str] = []
-
-    def describe(node: InstanceNode) -> str:
-        if node.kind == "state":
-            return f"State<{node.value_type}>"
-        if node.kind == "array":
-            return f"Array<{node.key_type}, {node.value_type}>"
-        return node.module
-
-    def visit(node: InstanceNode, depth: int) -> None:
-        name = node.dotted() if node.path else tp.root_name
-        lines.append("  " * depth + f"{name} : {describe(node)}")
-        for child in node.children.values():
-            visit(child, depth + 1)
-
-    visit(tree.root, 0)
+    _dump_node(tp.root_name, tree.root, 0, lines)
     return "\n".join(lines) + "\n"
+
+
+def _dump_node(root_name: str, node: InstanceNode, depth: int, lines: List[str]) -> None:
+    name = node.dotted() if node.path else root_name
+    if node.kind == "state":
+        kind = f"State<{node.value_type}>"
+    elif node.kind == "array":
+        kind = f"Array<{node.key_type}, {node.value_type}>"
+    else:
+        kind = node.module
+    lines.append("  " * depth + f"{name} : {kind}")
+    for child in node.children.values():
+        _dump_node(root_name, child, depth + 1, lines)

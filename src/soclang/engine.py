@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -51,12 +50,16 @@ from .typecheck import EnumVariantRef, PrimCall, TypedProgram, UserCall, enum_wi
 
 # ---------------------------------------------------------------------------
 # Value trees: records/vectors explode into per-leaf terms. Trees compare by
-# value, as their constant leaves do.
+# value, as their constant leaves do. Like the other value classes of this
+# module, they are `ast.Node` classes: slotted, with `==`, `hash` and `repr`
+# over their fields.
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RecV:
-    fields: tuple  # tuple[tuple[str, tree], ...]
+class RecV(ast.Node):
+    __slots__ = ("fields",)
+
+    def __init__(self, fields: tuple) -> None:
+        self.fields = fields  # tuple[tuple[str, tree], ...]
 
     def get(self, name: str):
         for n, v in self.fields:
@@ -65,9 +68,11 @@ class RecV:
         raise KeyError(name)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class VecV:
-    items: tuple
+class VecV(ast.Node):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple) -> None:
+        self.items = items
 
 
 def tree_map(fn, tree, *others):
@@ -106,15 +111,16 @@ def tree_ite(cond: Term, a, b):
 def tree_eq(a, b) -> Term:
     """Leafwise equality of two records or scalars (never vectors: the type
     checker rejects equality on them), conjoined per record level."""
-    def conj(eqs):
-        if not isinstance(eqs, RecV):
-            return eqs
-        acc = terms.TRUE
-        for _, v in eqs.fields:
-            acc = terms.mk_and(acc, conj(v))
-        return acc
+    return _conjoin(tree_map(terms.mk_eq, a, b))
 
-    return conj(tree_map(terms.mk_eq, a, b))
+
+def _conjoin(eqs) -> Term:
+    if not isinstance(eqs, RecV):
+        return eqs
+    acc = terms.TRUE
+    for _, v in eqs.fields:
+        acc = terms.mk_and(acc, _conjoin(v))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +144,25 @@ def choice_vid(cid: ChoiceId) -> str:
     return "_".join(map(str, (site, *calls, leaf)))
 
 
-@dataclass(slots=True)
-class ChoiceInfo:
-    vid: str
-    site: int
-    occ: Tuple[CallPath, int]
-    type: ast.TypeExpr  # scalar leaf type, or ArrayType(key, leaf) for arrays
-    sort: tuple
+class ChoiceInfo(ast.Node):
+    __slots__ = ("vid", "site", "occ", "type", "sort")
+
+    def __init__(self, vid: str, site: int, occ: Tuple[CallPath, int],
+                 type: ast.TypeExpr, sort: tuple) -> None:
+        self.vid, self.site, self.occ = vid, site, occ
+        self.type = type  # scalar leaf type, or ArrayType(key, leaf) for arrays
+        self.sort = sort
 
     @property
     def cid(self) -> ChoiceId:
         return (self.site, self.occ)
 
 
-@dataclass
-class Registry:
-    infos: List[ChoiceInfo] = field(default_factory=list)
+class Registry(ast.Node):
+    __slots__ = ("infos",)
+
+    def __init__(self) -> None:
+        self.infos: List[ChoiceInfo] = []
 
     def register(self, site: int, occ: tuple, t: ast.TypeExpr, sort: tuple) -> ChoiceInfo:
         info = ChoiceInfo(choice_vid((site, occ)), site, occ, t, sort)
@@ -242,36 +251,30 @@ class ModelOracle(AnySource):
 # Results
 
 
-@dataclass
-class Passed:
-    pass
+class Passed(ast.Node):
+    __slots__ = ()
 
 
-@dataclass
-class AssertionFailed:
-    site: ast.SourceSpan
+class AssertionFailed(ast.Node):
+    __slots__ = ("site",)
 
 
-@dataclass
-class AssumeInfeasible:
-    site: ast.SourceSpan
+class AssumeInfeasible(ast.Node):
+    __slots__ = ("site",)
 
 
-@dataclass
-class RunResult:
-    verdict: object
-    transcript: List[str]
-    events: List[dict]
-    store: Dict[str, object]  # dotted cell path -> tree of constant terms
+class RunResult(ast.Node):
+    # The store maps a dotted cell path to a tree of constant terms.
+    __slots__ = ("verdict", "transcript", "events", "store")
 
 
-@dataclass
-class VerificationCondition:
-    """All assumptions hold and at least one assertion fails."""
+class VerificationCondition(ast.Node):
+    """All assumptions hold and at least one assertion fails.
 
-    registry: Registry
-    assumptions: List[Tuple[Term, Term]]  # (guard, body)
-    obligations: List[Tuple[Term, Term, ast.SourceSpan]]  # (guard, body, site)
+    `assumptions` holds (guard, body) pairs, `obligations` (guard, body,
+    site) triples; `registry` declares their choices."""
+
+    __slots__ = ("registry", "assumptions", "obligations")
 
     def assumes_term(self) -> Term:
         acc = terms.TRUE
@@ -396,17 +399,22 @@ class _Path:
         return self._term
 
 
-@dataclass
-class _Frame:
-    inst: InstanceNode
-    calls: CallPath = ()
+class _Frame(ast.Node):
+    __slots__ = ("inst", "calls")
+
+    def __init__(self, inst: InstanceNode, calls: CallPath = ()) -> None:
+        self.inst, self.calls = inst, calls
 
 
 class Engine:
-    """Runs concretely exactly when `anys` is given, symbolically otherwise."""
+    """Runs concretely exactly when `anys` is given, symbolically otherwise.
+    A concrete run records its events (calls, returns, printf, a failed
+    assertion) only if `record_events`: formatting every call's arguments
+    and result is most of the run's time."""
 
     def __init__(self, tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
-                 anys: Optional[AnySource] = None, capacity: int = 64) -> None:
+                 anys: Optional[AnySource] = None, capacity: int = 64,
+                 record_events: bool = True) -> None:
         self.tp = tp
         self.tree = tree
         self.layout = layout
@@ -420,6 +428,7 @@ class Engine:
         self.obligations: List[Tuple[Term, Term, ast.SourceSpan]] = []
         self.transcript: List[str] = []
         self.events: List[dict] = []
+        self.record_events = record_events
         self.log: Optional[dict] = None  # see `_write`
         self._code: Dict[int, object] = {}  # id(node) -> closure, see `code`
         self._init_store()
@@ -623,9 +632,12 @@ class Engine:
         if self.anys is None:
             return self._guarded(self.obligations, cond, span)
 
+        events = self.events if self.record_events else None
+
         def check_assert(env, frame):
             if not cond(env, frame).value:
-                self.events.append({"event": "assert_failed", "at": str(span)})
+                if events is not None:
+                    events.append({"event": "assert_failed", "at": str(span)})
                 raise _Stop(AssertionFailed(span))
         return check_assert
 
@@ -644,6 +656,7 @@ class Engine:
                     h(env, frame)
             return printf
         types, parts, enums = [self.tp.types[h.node_id] for h in e.holes], e.parts, self.enums
+        events = self.events if self.record_events else None
 
         def print_text(env, frame):
             values = [h(env, frame) for h in holes]
@@ -653,7 +666,8 @@ class Engine:
                 pieces.append(part)
             text = "".join(pieces)
             self.transcript.append(text)
-            self.events.append({"event": "printf", "text": text})
+            if events is not None:
+                events.append({"event": "printf", "text": text})
         return print_text
 
     def _compile_index(self, e: ast.Index):
@@ -721,18 +735,18 @@ class Engine:
     def _compile_call(self, e: ast.Call):
         res = self.tp.resolutions[e.node_id]
         args = [self.code(a) for a in e.args]
-        tree, inst_path = self.tree, res.inst_path
+        target = _target(self.tree, res.inst_path)
         if isinstance(res, PrimCall):
-            return self._compile_prim(e, res.op, lambda frame: resolve_instance(
-                tree, frame.inst, inst_path), args)
+            return self._compile_prim(e, res.op, target, args)
         decl = self.tp.fns[(res.module, res.fn)]
         body, names, site = self.code(decl.body), [p.name for p in decl.params], e.node_id
-        if self.anys is not None:  # one traced body per fn, kept by its identity
+        if self.anys is not None and self.record_events:
+            # one traced body per fn, kept by its identity
             body = self._code.get(id(decl)) or \
                 self._code.setdefault(id(decl), self._traced(body, decl))
 
         def call(env, frame):
-            inst = resolve_instance(tree, frame.inst, inst_path)
+            inst = target(frame)
             values = [a(env, frame) for a in args]
             return body(dict(zip(names, values)), _Frame(inst, frame.calls + (site,)))
         return call
@@ -827,11 +841,29 @@ class Engine:
                               f"{self.tp.root_name}; available: {names}")
         if not decl.is_mut or decl.params:
             raise EngineError(f"scenario {scenario!r} must be a zero-parameter mut fn")
-        return self.code(decl.body)({}, _Frame(self.tree.root))
+        try:
+            return self.code(decl.body)({}, _Frame(self.tree.root))
+        finally:
+            # The closures refer to the engine (`self`, its bound methods), so
+            # keeping them would make a cycle that holds the whole store.
+            self._code.clear()
 
 
 def _const(value):
     return lambda env, frame: value
+
+
+def _target(tree: InstanceTree, inst_path):
+    """frame -> the instance a call's dotted prefix names from the frame's
+    instance, resolved once per caller instance."""
+    targets: Dict[InstanceNode, InstanceNode] = {}
+
+    def target(frame):
+        inst = targets.get(frame.inst)
+        if inst is None:
+            inst = targets[frame.inst] = resolve_instance(tree, frame.inst, inst_path)
+        return inst
+    return target
 
 
 def _read_at(tree, key: Term):
@@ -853,8 +885,10 @@ _BINARY = {"&&": (terms.mk_and,) * 2, "||": (terms.mk_or,) * 2,
 
 
 def run_scenario(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
-                 scenario: str, anys: AnySource, capacity: int = 64) -> RunResult:
-    eng = Engine(tp, tree, layout, anys=anys, capacity=capacity)
+                 scenario: str, anys: AnySource, capacity: int = 64,
+                 record_events: bool = True) -> RunResult:
+    eng = Engine(tp, tree, layout, anys=anys, capacity=capacity,
+                 record_events=record_events)
     verdict: object = Passed()
     try:
         eng.run(scenario)
@@ -872,7 +906,7 @@ def sym_exec(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
 
 def replay(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
            scenario: str, model: Dict[ChoiceId, Term],
-           capacity: int = 64) -> RunResult:
+           capacity: int = 64, record_events: bool = True) -> RunResult:
     """Replay a solver model: the symbolic engine with immediate concretization.
 
     Every choice the model names must be an `any` or `havoc` of this program,
@@ -884,4 +918,5 @@ def replay(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
                 isinstance(tp.resolutions.get(c), UserCall) for c in calls):
             raise EngineError(f"model defines c{choice_vid(cid)}, which names no "
                               f"choice of this program")
-    return run_scenario(tp, tree, layout, scenario, ModelOracle(model), capacity)
+    return run_scenario(tp, tree, layout, scenario, ModelOracle(model), capacity,
+                        record_events)

@@ -1,5 +1,6 @@
 """SMT-LIB v2 backend: serialize a VerificationCondition, drive an external
-solver process, parse the model it returns.
+solver process, parse the model it returns. Jobs and verdicts are `ast.Node`
+classes: slotted, with `==` and `repr` over their fields.
 
 `run_solver` imports `subprocess` and `shlex` itself: `trace` parses a model
 and never starts a solver, so it does not load them.
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ast, terms
@@ -174,34 +174,25 @@ def emit_smtlib(vc: VerificationCondition) -> str:
 # Solver driving
 
 
-@dataclass
-class SolverJob:
-    command: str               # template containing {file}
-    timeout: float
-    smtlib: str
-    file_path: str
+class SolverJob(ast.Node):
+    # The command is a template containing {file}; the query is `smtlib`.
+    __slots__ = ("command", "timeout", "smtlib", "file_path")
 
 
-@dataclass
-class Unsat:
-    pass
+class Unsat(ast.Node):
+    __slots__ = ()
 
 
-@dataclass
-class Sat:
-    model: Dict[ChoiceId, Term]
-    raw_model: str
+class Sat(ast.Node):
+    __slots__ = ("model", "raw_model")  # choice id -> constant term, model text
 
 
-@dataclass
-class Unknown:
-    reason: str
+class Unknown(ast.Node):
+    __slots__ = ("reason",)
 
 
-@dataclass
-class SolverError:
-    exit_code: int
-    stderr: str
+class SolverError(ast.Node):
+    __slots__ = ("exit_code", "stderr")
 
 
 def solver_command(override: Optional[str] = None) -> str:

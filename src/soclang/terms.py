@@ -5,8 +5,10 @@ which is exactly what makes replay (concrete) mode a special case of the
 symbolic executor. Ite additionally folds equal arms and constant conditions;
 everything else is left to the solver.
 
-Terms are slotted dataclasses, cheap to build, and immutable by convention:
-no code assigns to a term's field after construction. Constants (`BoolC`,
+Terms are dataclasses with hand-written `__slots__` (`slots=True` would
+build each class twice and leave the first as cyclic garbage), cheap to
+build, and immutable by convention: no code assigns to a term's field
+after construction. Constants (`BoolC`,
 `BVC`, `IntC`, `SparseConst`) are the values of concrete runs, solver models
 and run results, so they compare and hash by value. Every other term compares
 and hashes by identity (eq=False): large merged states share subterms as a
@@ -31,28 +33,33 @@ def arr_sort(key_width: int, leaf):
     return ("arr", key_width, leaf)
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Term:
+    __slots__ = ("sort",)
     sort: tuple
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(unsafe_hash=True)
 class BoolC(Term):
+    __slots__ = ("value",)
     value: bool
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(unsafe_hash=True)
 class BVC(Term):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(unsafe_hash=True)
 class IntC(Term):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Var(Term):
+    __slots__ = ("vid",)
     vid: str
 
     @property
@@ -60,67 +67,81 @@ class Var(Term):
         return f"c{self.vid}"
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Not(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Bin(Term):
+    __slots__ = ("op", "left", "right")
     op: str  # and or eq ult ule lt le add sub mul
     left: Term
     right: Term
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Ite(Term):
+    __slots__ = ("cond", "then", "other")
     cond: Term
     then: Term
     other: Term
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Extract(Term):
+    __slots__ = ("hi", "lo", "arg")
     hi: int
     lo: int
     arg: Term
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class ZeroExt(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Bv2Int(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Int2Bv(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class ArrRead(Term):
+    __slots__ = ("arr", "key")
     arr: Term
     key: Term
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class ArrWrite(Term):
+    __slots__ = ("arr", "key", "value")
     arr: Term
     key: Term
     value: Term
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(init=False, unsafe_hash=True)
 class SparseConst(Term):
     """Constant array: a default leaf plus (key, value) updates, at most one
     per key; capacity is enforced by the engine, not here."""
 
+    __slots__ = ("default", "mods")
     default: Term
-    mods: Tuple[Tuple[int, Term], ...] = ()
+    mods: Tuple[Tuple[int, Term], ...]
+
+    def __init__(self, sort: tuple, default: Term,
+                 mods: Tuple[Tuple[int, Term], ...] = ()) -> None:
+        self.sort, self.default, self.mods = sort, default, mods
 
     @property
     def key_width(self) -> int:

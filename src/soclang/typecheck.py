@@ -108,13 +108,23 @@ class Checker:
     def run(self) -> TypedProgram:
         self.collect_decls()
         if self.errors:
-            raise TypeErrors(self.errors)
+            raise self._batch()
         for m in self.program.modules:
             self.check_module(m)
         self.check_recursion()
         if self.errors:
-            raise TypeErrors(self.errors)
+            raise self._batch()
         return TypedProgram(self)
+
+    def _batch(self) -> TypeErrors:
+        """The collected errors as one exception. Their tracebacks, and those
+        of the exceptions they were raised while handling, are dropped: each
+        reaches this checker, which holds the errors, a reference cycle."""
+        for err in self.errors:
+            while err is not None:
+                err.__traceback__ = None
+                err = err.__context__
+        return TypeErrors(self.errors)
 
     def fail(self, span, message: str) -> TypeCheckError:
         err = TypeCheckError(span, message)
@@ -682,22 +692,21 @@ class Checker:
 
     def check_recursion(self) -> None:
         color: Dict[Tuple[str, str], int] = {}
-
-        def visit(node, stack):
-            color[node] = 1
-            for succ in sorted(self.call_edges.get(node, ())):
-                if color.get(succ, 0) == 1:
-                    cycle = stack[stack.index(succ):] + [succ] if succ in stack else [node, succ]
-                    pretty = " -> ".join(f"{m}.{f}" for m, f in cycle)
-                    decl = self.fns[succ]
-                    self.fail(decl.span, f"recursive call cycle: {pretty}")
-                elif color.get(succ, 0) == 0:
-                    visit(succ, stack + [succ])
-            color[node] = 2
-
         for node in sorted(self.call_edges):
             if color.get(node, 0) == 0:
-                visit(node, [node])
+                self._visit_calls(node, [node], color)
+
+    def _visit_calls(self, node, stack, color) -> None:
+        color[node] = 1
+        for succ in sorted(self.call_edges.get(node, ())):
+            if color.get(succ, 0) == 1:
+                cycle = stack[stack.index(succ):] + [succ] if succ in stack else [node, succ]
+                pretty = " -> ".join(f"{m}.{f}" for m, f in cycle)
+                decl = self.fns[succ]
+                self.fail(decl.span, f"recursive call cycle: {pretty}")
+            elif color.get(succ, 0) == 0:
+                self._visit_calls(succ, stack + [succ], color)
+        color[node] = 2
 
 
 def type_equal(a: ast.TypeExpr, b: ast.TypeExpr) -> bool:

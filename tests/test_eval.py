@@ -258,6 +258,20 @@ def test_replaying_published_attack_values_reproduces_the_trace():
     ]
 
 
+@pytest.mark.parametrize("path, scenario", [
+    (CORPUS / "mini_tx1_vulnerable.soc", "test_secure_area_unchanged"),
+    (CORPUS / "assume_assert_invariant.soc", "unlocked_write_breaks_rows"),
+])
+def test_a_run_without_events_gives_the_same_result(path, scenario):
+    # `trace` and `run` record events only for --trace-json.
+    tp, tree, layout = load_file(path)
+    recorded, bare = (eng.replay(tp, tree, layout, scenario, {}, record_events=flag)
+                      for flag in (True, False))
+    assert recorded.events and not bare.events
+    assert type(bare.verdict) is type(recorded.verdict)
+    assert (bare.transcript, bare.store) == (recorded.transcript, recorded.store)
+
+
 def test_empty_model_defaults_to_zero_choices():
     tp, tree, layout = load_file(CORPUS / "mini_tx1_fixed.soc")
     r = eng.replay(tp, tree, layout, "test_secure_area_unchanged", {})

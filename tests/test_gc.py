@@ -1,0 +1,114 @@
+"""Commands build no reference cycles.
+
+A `soclang` process runs its command with the cyclic garbage collector off
+(`cli.entry`), so a cycle that the program's own data forms stays in memory
+until the process exits. Each case here runs one command in-process with
+the collector off and `gc.DEBUG_SAVEALL` on, then collects: the collection
+must find no instance of a class of the package, and none of its functions
+or classes. Cycles of the standard library (argparse's parser, for one)
+are not the package's to break and are not counted.
+"""
+
+import gc
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from soclang import cli
+
+from conftest import CORPUS
+
+WELL_FORMED = sorted(CORPUS.glob("*.soc"))
+ILL_TYPED = sorted((CORPUS / "ill-typed").glob("*.soc"))
+VULN = str(CORPUS / "mini_tx1_vulnerable.soc")
+FIXED = str(CORPUS / "mini_tx1_fixed.soc")
+# All-zero choices break this scenario's assertion.
+BREAKS_ON_ZEROS = [str(CORPUS / "assume_assert_invariant.soc"),
+                   "--scenario", "unlocked_write_breaks_rows"]
+
+
+def _ours(obj) -> bool:
+    """Is obj a function or class of the package, or an instance of one?"""
+    if isinstance(obj, type) or callable(obj) and hasattr(obj, "__code__"):
+        module = getattr(obj, "__module__", None) or ""
+    else:
+        module = type(obj).__module__
+    return module == "soclang" or module.startswith("soclang.")
+
+
+def _describe(obj) -> str:
+    return getattr(obj, "__qualname__", None) or type(obj).__qualname__
+
+
+def _cyclic_garbage(argv, capsys):
+    """Run `soclang argv` in-process; its exit code and the names of the
+    package's objects that only the cyclic collector would free."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = cli.main(argv)
+        gc.collect()
+        found = sorted({_describe(o) for o in gc.garbage if _ours(o)})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    return code, found
+
+
+@pytest.mark.parametrize("command", ["check", "dump-tree"])
+@pytest.mark.parametrize("path", WELL_FORMED, ids=lambda p: p.name)
+def test_front_end_commands_leave_no_cycles(command, path, capsys):
+    assert _cyclic_garbage([command, str(path)], capsys) == (0, [])
+
+
+@pytest.mark.parametrize("path", ILL_TYPED, ids=lambda p: p.name)
+def test_rejected_models_leave_no_cycles(path, capsys):
+    assert _cyclic_garbage(["check", str(path)], capsys) == (1, [])
+
+
+def _engine_commands(tmp_path):
+    zeros = tmp_path / "zeros.smt2"
+    zeros.write_text("()\n")
+    scenario = ["--scenario", "test_secure_area_unchanged"]
+    return {
+        "run": (0, ["run", FIXED, "--scenario", "base_case", "--seed", "1"]),
+        "trace that passes": (0, ["trace", VULN, *scenario, "--model", str(zeros)]),
+        "trace that fails": (2, ["trace", *BREAKS_ON_ZEROS, "--model", str(zeros)]),
+        "verify, unknown": (3, ["verify", VULN, *scenario,
+                                "--solver", "sh -c 'echo unknown'"]),
+        "verify, sat and replayed": (2, ["verify", *BREAKS_ON_ZEROS,
+                                         "--solver", "sh -c \"echo sat; echo '()'\"",
+                                         "--dump-model", str(tmp_path / "m.smt2")]),
+    }
+
+
+@pytest.mark.parametrize("case", ["run", "trace that passes", "trace that fails",
+                                  "verify, unknown", "verify, sat and replayed"])
+def test_engine_commands_leave_no_cycles(case, tmp_path, capsys):
+    code, argv = _engine_commands(tmp_path)[case]
+    assert _cyclic_garbage(argv, capsys) == (code, [])
+
+
+# A class built twice (as `dataclass(slots=True)` does) leaves its first copy
+# as cyclic garbage at import; a fresh interpreter sees each import's own.
+@pytest.mark.parametrize("module", ["soclang.terms", "soclang.engine", "soclang.smtlib"])
+def test_import_leaves_no_cycles(module):
+    # The garbage list is complete after the collection; importing this
+    # file (and with it the rest of the package) runs no further one.
+    probe = ("import gc, sys\n"
+             "gc.disable()\n"
+             "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+             f"import {module}\n"
+             "gc.collect()\n"
+             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+             "from test_gc import _describe, _ours\n"
+             "print(sorted({_describe(o) for o in gc.garbage if _ours(o)}))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import sys
 
@@ -492,7 +491,8 @@ def test_sat_model_roundtrip_pins_stay_sat(tmp_path):
     pins = [(terms.TRUE, terms.mk_eq(terms.Var(info.sort, info.vid),
                                      verdict.model[info.cid]))
             for info in vc.registry.infos if info.cid in verdict.model]
-    pinned = emit_smtlib(dataclasses.replace(vc, assumptions=vc.assumptions + pins))
+    pinned = emit_smtlib(eng.VerificationCondition(vc.registry, vc.assumptions + pins,
+                                                   vc.obligations))
     job = SolverJob(smtlib.DEFAULT_SOLVER, 120, pinned, str(tmp_path / "pin.smt2"))
     assert isinstance(run_solver(job, vc.registry), Sat)
 
