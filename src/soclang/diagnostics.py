@@ -25,9 +25,7 @@ class LexError(SocError):
 
 
 class ParseError(SocError):
-    def __init__(self, span, message: str, expected=None) -> None:
-        super().__init__(span, message)
-        self.expected = sorted(expected) if expected else []
+    pass
 
 
 class TypeCheckError(SocError):

@@ -316,9 +316,9 @@ def format_value(tree, t: ast.TypeExpr, enums, in_array: bool = False) -> str:
     """Render a constant value tree of type t the way traces print it.
 
     Records print their fields in declaration order, an array as its updates
-    and its default. A symbolic leaf, a symbolic array or an enum value out
-    of range is an EngineError: the concrete engine checks with this walk
-    that a value matches its static type.
+    and its default. Only `printf` and the events of a concrete run format
+    values. A symbolic leaf, a symbolic array or an enum value out of range
+    is an EngineError.
     """
     if isinstance(t, ast.UnitType):
         return "()"
@@ -591,18 +591,10 @@ class Engine:
 
     def _compile_let(self, e: ast.Let):
         name, value = e.name, self.code(e.value)
-        if not (__debug__ and self.anys is not None):
-            def let(env, frame):
-                env[name] = value(env, frame)
-            return let
-        t, enums = self.tp.types[e.value.node_id], self.enums
 
-        def checked_let(env, frame):
-            # Type preservation: a produced value's runtime shape always
-            # matches its static annotation (formatting raises otherwise).
-            v = env[name] = value(env, frame)
-            format_value(v, t, enums)
-        return checked_let
+        def let(env, frame):
+            env[name] = value(env, frame)
+        return let
 
     def _compile_block(self, e: ast.Block):
         items = [self.code(x) for x in e.items]

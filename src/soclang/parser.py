@@ -1,7 +1,7 @@
 """Recursive-descent parser for `.soc` programs.
 
-Stops at the first syntax error (no recovery) and reports the expected
-token set at that point.
+Stops at the first syntax error (no recovery); its message names what was
+expected there and the token found.
 """
 
 from __future__ import annotations
@@ -9,12 +9,18 @@ from __future__ import annotations
 from typing import List, Optional
 
 from . import ast
-from .ast import BINARY_LEVEL, SourceSpan
+from .ast import SourceSpan
 from .diagnostics import ParseError
 from .lexer import Token, TokKind, tokenize
 
 # Built-ins taking a <width> argument; `to_int` takes none.
 _WIDTH_BUILTINS = {"zero_extend", "truncate", "from_int"}
+
+# Binding strength of each binary operator; a higher level binds tighter.
+BINARY_LEVEL = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6,
+}
 
 
 class _Parser:
@@ -47,17 +53,17 @@ class _Parser:
     def expect(self, lexeme: str) -> Token:
         if self.at(lexeme):
             return self.advance()
-        raise self.error(f"expected {lexeme!r}", {lexeme})
+        raise self.error(f"expected {lexeme!r}")
 
     def expect_ident(self, what: str = "identifier") -> Token:
         if self.at_kind(TokKind.IDENT):
             return self.advance()
-        raise self.error(f"expected {what}", {"<identifier>"})
+        raise self.error(f"expected {what}")
 
-    def error(self, message: str, expected=None) -> ParseError:
+    def error(self, message: str) -> ParseError:
         t = self.peek()
         got = t.lexeme if t.kind is not TokKind.EOF else "end of file"
-        return ParseError(t.span, f"{message}, found {got!r}", expected)
+        return ParseError(t.span, f"{message}, found {got!r}")
 
     def span_from(self, start: Token) -> SourceSpan:
         prev = self.toks[max(self.pos - 1, 0)]
@@ -79,7 +85,7 @@ class _Parser:
             elif self.at("module"):
                 modules.append(self.module_decl())
             else:
-                raise self.error("expected declaration", {"type", "enum", "module"})
+                raise self.error("expected declaration")
         return ast.Program(aliases, enums, modules, span=first.span)
 
     def alias_decl(self) -> ast.AliasDecl:
@@ -115,10 +121,7 @@ class _Parser:
             elif self.at_kind(TokKind.IDENT):
                 wirings.append(self.wiring())
             else:
-                raise self.error(
-                    "expected module member",
-                    {"instance", "callee", "fn", "mut", "}", "<identifier>"},
-                )
+                raise self.error("expected module member")
         self.expect("}")
         return ast.ModuleDecl(name.lexeme, instances, callees, wirings, fns,
                               self.span_from(start))
@@ -275,7 +278,7 @@ class _Parser:
 
     def int_const(self, what: str) -> int:
         if not self.at_kind(TokKind.INT):
-            raise self.error(f"expected {what}", {"<integer>"})
+            raise self.error(f"expected {what}")
         t = self.advance()
         if t.width is not None:
             raise ParseError(t.span, f"{what} takes no width suffix")
@@ -451,9 +454,7 @@ class _Parser:
                 args = self.call_args()
                 return ast.Call(self.span_from(t), [name.lexeme], args)
             return ast.PathExpr(name.span, [name.lexeme])
-        raise self.error("expected expression",
-                         {"<integer>", "<identifier>", "(", "{", "[", "if", "any",
-                          "assume", "assert", "printf", "true", "false", "!", "-"})
+        raise self.error("expected expression")
 
     def record_lit(self) -> ast.RecordLit:
         start = self.expect("{")
@@ -477,7 +478,7 @@ class _Parser:
         start = self.expect("printf")
         self.expect("(")
         if not self.at_kind(TokKind.STRING):
-            raise self.error("expected format string", {"<string>"})
+            raise self.error("expected format string")
         fmt = self.advance()
         self.expect(")")
         parts, holes = _split_format(fmt, self.file)

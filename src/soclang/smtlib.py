@@ -206,9 +206,9 @@ def run_solver(job: SolverJob, registry: Registry):
     import shlex
     import subprocess
 
-    if not job.timeout <= MAX_TIMEOUT_S:  # also rejects NaN
+    if not 0 < job.timeout <= MAX_TIMEOUT_S:  # also rejects NaN
         raise ToolError(f"bad solver timeout {job.timeout}: "
-                        f"must be a number of seconds up to {MAX_TIMEOUT_S}")
+                        f"must be a positive number of seconds up to {MAX_TIMEOUT_S}")
     try:
         argv = [part.replace("{file}", job.file_path)
                 for part in shlex.split(job.command)]

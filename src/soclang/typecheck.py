@@ -24,8 +24,8 @@ class LocalRef:
 
 
 class EnumVariantRef:
-    def __init__(self, enum: str, variant: str, index: int) -> None:
-        self.enum, self.variant, self.index = enum, variant, index
+    def __init__(self, enum: str, index: int) -> None:
+        self.enum, self.index = enum, index
 
 
 class UserCall:
@@ -473,7 +473,7 @@ class Checker:
             if variant not in self.enums[head]:
                 raise self.fail(e.span, f"enum {head} has no variant {variant!r}")
             self.resolutions[e.node_id] = EnumVariantRef(
-                head, variant, self.enums[head].index(variant))
+                head, self.enums[head].index(variant))
             return ast.EnumRef(head)
         raise self.fail(e.span, f"unknown name {head!r}")
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from soclang import ast, terms
 from soclang import engine as eng
 from soclang import smtlib
 from soclang.elaborate import elaborate
@@ -36,6 +37,78 @@ requires_cvc5 = pytest.mark.skipif(not has_cvc5(), reason="cvc5 package not inst
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS
+
+
+# ---------------------------------------------------------------------------
+# Type preservation: in every concrete run of a test, each `let` checks that
+# its value is a constant of the value's static type. A test marked
+# `without_type_oracle` runs the engine as the CLI does.
+
+
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "without_type_oracle: run `let`s without the type-preservation check")
+
+
+def check_value(tree, t: ast.TypeExpr, enums, where: str, key_width=None) -> None:
+    """Fail an assertion unless `tree` is a constant value of type t:
+    unit is None, a record has the type's field names, a vector its length,
+    and a leaf is a constant of `scalar_sort(t)` naming a variant if t is an
+    enum. Inside an array snapshot (`key_width` set) a leaf is a constant
+    array from `key_width`-bit keys to such constants."""
+    def fail(value, t) -> None:
+        raise AssertionError(f"{where}: {value!r} is not a value of type {t}")
+
+    if isinstance(t, ast.UnitType):
+        if tree is not None:
+            fail(tree, t)
+    elif isinstance(t, ast.RecordType):
+        if not isinstance(tree, eng.RecV) or \
+                {n for n, _ in tree.fields} != {n for n, _ in t.fields}:
+            fail(tree, t)
+        for n, ft in t.fields:
+            check_value(tree.get(n), ft, enums, where, key_width)
+    elif isinstance(t, ast.VectorType):
+        if not isinstance(tree, eng.VecV) or len(tree.items) != t.length:
+            fail(tree, t)
+        for x in tree.items:
+            check_value(x, t.elem, enums, where, key_width)
+    elif isinstance(t, ast.ArrayType):
+        check_value(tree, t.value, enums, where, t.key.width)
+    else:
+        sort, leaves = eng.scalar_sort(t, enums), (tree,)
+        if key_width is not None:
+            if not isinstance(tree, terms.SparseConst) or \
+                    tree.sort != terms.arr_sort(key_width, sort):
+                fail(tree, f"Array<BitInt({key_width}), {t}>")
+            leaves = (tree.default, *(v for _, v in tree.mods))
+        for leaf in leaves:
+            if not isinstance(leaf, (terms.BoolC, terms.BVC, terms.IntC)) or \
+                    leaf.sort != sort or \
+                    isinstance(t, ast.EnumRef) and leaf.value >= len(enums[t.name]):
+                fail(leaf, t)
+
+
+_compile_let = eng.Engine._COMPILE[ast.Let]
+
+
+def _compile_checked_let(engine: eng.Engine, e: ast.Let):
+    let = _compile_let(engine, e)
+    if engine.anys is None:
+        return let
+    name, t, enums = e.name, engine.tp.types[e.value.node_id], engine.enums
+    where = f"{e.span}: let {name}"
+
+    def checked_let(env, frame):
+        let(env, frame)
+        check_value(env[name], t, enums, where)
+    return checked_let
+
+
+@pytest.fixture(autouse=True)
+def type_preservation_oracle(request, monkeypatch) -> None:
+    if request.node.get_closest_marker("without_type_oracle") is None:
+        monkeypatch.setitem(eng.Engine._COMPILE, ast.Let, _compile_checked_let)
 
 
 def load_source(source: str, name: str = "<test>"):
@@ -80,7 +153,6 @@ def solve_vc(vc, timeout: float = 120.0, command: str | None = None,
 
 def enumerate_assignments(registry, enums):
     """All total assignments to a registry's choice variables (scalars only)."""
-    from soclang import ast, terms
     from soclang.typecheck import enum_width
 
     domains = []
@@ -116,7 +188,6 @@ def brute_force_violating(tp, tree, layout, scenario: str) -> bool:
 
 
 def registry_bits(registry, enums) -> int:
-    from soclang import ast
     from soclang.typecheck import enum_width
 
     total = 0

@@ -406,6 +406,28 @@ def test_trace_runs_no_symbolic_execution(tmp_path, monkeypatch, capsys):
                                        "test_secure_area_unchanged", "--model", str(model))
 
 
+# `run` and `trace` format values only for `printf` and `--trace-json`
+# events: a `let` costs no formatting. The file has five `let`s and no
+# `printf`; the test runs the engine as the CLI does, without the tests'
+# type-preservation check.
+@pytest.mark.without_type_oracle
+@pytest.mark.parametrize("command, code", [("run", 0), ("trace", 2)])
+def test_run_and_trace_format_no_let_values(tmp_path, monkeypatch, capsys, command, code):
+    from soclang import cli
+
+    model = tmp_path / "zero.smt2"
+    model.write_text("()\n")
+    options = {"run": ["--scenario", "locked_rows_preserved", "--seed", "0"],
+               "trace": ["--scenario", "unlocked_write_breaks_rows", "--model", str(model)]}
+    calls, format_value = [], eng.format_value
+    monkeypatch.setattr(eng, "format_value",
+                        lambda *args: calls.append(args) or format_value(*args))
+    assert cli.main([command, str(CORPUS / "assume_assert_invariant.soc"),
+                     *options[command]]) == code
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 0
+
+
 def _trace_error(tmp_path, model: str):
     path = tmp_path / "m.smt2"
     path.write_text(model)
@@ -467,6 +489,7 @@ VERIFY_FAILURES = {
     "solver command names no program": ["--solver", " "],
     "solver command with an open quote": ["--solver", "sh -c 'echo unknown"],
     "timeout not a number": ["--solver", "sh -c 'echo unknown'", "--timeout", "nan"],
+    "timeout not positive": ["--solver", "sh -c 'echo unsat'", "--timeout", "0"],
 }
 
 

@@ -10,6 +10,7 @@ from soclang import ast
 from soclang.parser import parse_program
 
 from conftest import CORPUS, requires_z3, run_cli
+from printer import walk
 
 
 def parse_manifest(path: Path):
@@ -147,7 +148,7 @@ def test_region_setup_constants():
     main = program.module("Main")
     setup = next(f for f in main.fns if f.name == "setup_regions")
     writes = []
-    for node in ast.walk(setup.body):
+    for node in walk(setup.body):
         if isinstance(node, ast.RecordLit):
             fields = dict(node.fields)
             writes.append((fields["address"].value, fields["value"].value))
@@ -166,7 +167,7 @@ def test_scenario_probe_bound():
         program = parse_program((CORPUS / name).read_text(), name)
         main = program.module("Main")
         scen = next(f for f in main.fns if f.name == "test_secure_area_unchanged")
-        bounds = [n for n in ast.walk(scen.body)
+        bounds = [n for n in walk(scen.body)
                   if isinstance(n, ast.IntLit) and n.width == 31]
         assert [b.value for b in bounds] == [0x1F_FFFF]
 

@@ -397,3 +397,14 @@ module Main {
     assert len(store_vec.items) == 2
     for item in store_vec.items:
         assert isinstance(item, terms.BVC) and item.sort == bv_sort(12)
+
+
+def test_type_oracle_rejects_a_let_value_of_the_wrong_width(monkeypatch):
+    # A zero_extend that returns its argument leaves an 8-bit value where the
+    # static type says 64 bits; only a check of each leaf's sort sees it.
+    monkeypatch.setattr(terms, "mk_zext", lambda width, a: a)
+    tp, tree, layout = load_source(
+        "module Main { mut fn s() { let x = any<BitInt(8)>; "
+        "let y = zero_extend<64>(x); assert(true) } }")
+    with pytest.raises(AssertionError, match=r"let y: .* is not a value of type BitInt\(64\)"):
+        eng.run_scenario(tp, tree, layout, "s", eng.SeededRandom(0))

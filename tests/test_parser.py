@@ -10,6 +10,7 @@ from soclang.diagnostics import ParseError, SocError
 from soclang.parser import parse_expr, parse_program
 
 from conftest import CORPUS
+from printer import expr_source, to_source, walk
 
 RECORD_TYPES_SOURCE = """\
 type PhysAddr = BitInt(48);
@@ -268,10 +269,10 @@ def corpus_files():
 def test_parse_pretty_roundtrip_on_corpus(path: Path):
     source = path.read_text()
     program = parse_program(source, path.name)
-    printed = ast.to_source(program)
+    printed = to_source(program)
     reparsed = parse_program(printed, path.name)
     assert reparsed == program  # structural equality ignores spans
-    assert ast.to_source(reparsed) == printed  # pretty-print fixpoint
+    assert to_source(reparsed) == printed  # pretty-print fixpoint
 
 
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
@@ -280,7 +281,7 @@ def test_ast_is_a_tree_not_a_dag(path: Path):
     seen = set()
     for mod in program.modules:
         for fn in mod.fns:
-            for node in ast.walk(fn.body):
+            for node in walk(fn.body):
                 assert id(node) not in seen, "AST node shared between parents"
                 seen.add(id(node))
 
@@ -325,7 +326,7 @@ def _exprs():
 @given(_exprs())
 @settings(max_examples=300, deadline=None)
 def test_random_expr_roundtrip(e):
-    printed = ast.expr_source(e)
+    printed = expr_source(e)
     reparsed = parse_expr(printed)
     assert reparsed == e, f"round trip failed for {printed!r}"
 

@@ -11,6 +11,7 @@ from conftest import (CORPUS, brute_force_violating, enumerate_assignments,
                       load_file, load_source, registry_bits, requires_z3,
                       solve_vc)
 from microgen import all_micro_scenarios
+from printer import walk
 
 
 # -- merge laws ---------------------------------------------------------------
@@ -302,7 +303,7 @@ def test_choice_names_do_not_depend_on_what_was_parsed_before():
     # sites are node ids) is the same in every process that loads the file.
     def parse(name):
         tp, tree, layout = load_file(CORPUS / name)
-        ids = [n.node_id for fn in tp.fns.values() for n in ast.walk(fn.body)]
+        ids = [n.node_id for fn in tp.fns.values() for n in walk(fn.body)]
         vids = [i.vid for scenario in tp.scenarios()
                 for i in eng.sym_exec(tp, tree, layout, scenario).registry.infos]
         return ids, vids

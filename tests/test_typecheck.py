@@ -6,6 +6,7 @@ from soclang.parser import parse_expr, parse_program
 from soclang.typecheck import Checker, TypingCtx, check_program, type_equal
 
 from conftest import CORPUS
+from printer import walk
 
 REQUEST_HANDLER = """\
 type PhysAddr = BitInt(48);
@@ -51,7 +52,7 @@ def errors_of(source: str):
 def find_expr(program, pred):
     for mod in program.modules:
         for fn in mod.fns:
-            for node in ast.walk(fn.body):
+            for node in walk(fn.body):
                 if pred(node):
                     return node
     raise AssertionError("expression not found")
@@ -167,7 +168,7 @@ def test_operands_widths_always_equal_on_corpus():
         tp = check_program(program)
         for mod in program.modules:
             for fn in mod.fns:
-                for node in ast.walk(fn.body):
+                for node in walk(fn.body):
                     if isinstance(node, ast.Binary) and node.op in (
                             "+", "-", "*", "<", "<=", ">", ">=", "==", "!="):
                         lt = tp.types[node.left.node_id]
