@@ -5,7 +5,8 @@ Exit code contract (frozen for scripting):
   run:    0 passed, 2 assertion failed, 4 assume infeasible, 1 tool error
   verify: 0 proven (unsat), 2 counterexample found, 3 unknown/timeout, 1 tool error
   trace:  like run
-All results go to stdout; diagnostics go to stderr.
+All results go to stdout; diagnostics go to stderr. A command line that
+does not parse is an error too: one `error:` line and exit 1.
 
 A `soclang` process enters through `entry`, which runs its one command with
 the cyclic garbage collector off and freezes the heap before exit, so the
@@ -26,7 +27,7 @@ import argparse
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, NoReturn, Optional, Tuple
 
 from .diagnostics import SocError, ToolError, TypeErrors
 from .elaborate import InstanceTree, StateLayout, dump_tree, elaborate
@@ -160,6 +161,23 @@ def cmd_trace(args) -> int:
     return _report_run(result, args.trace_json)
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Each parser's `error`: a usage error is a ToolError, which the caller
+    reports as one `error:` line and exit 1, not argparse's exit 2."""
+    raise ToolError(message)
+
+
+def _capacity(text: str) -> int:
+    """A --capacity value: an int, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="soclang",
@@ -175,7 +193,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--capacity", type=int, default=64)
+    p.add_argument("--capacity", type=_capacity, default=64)
     p.add_argument("--trace-json", action="store_true")
     p.set_defaults(fn=cmd_run)
 
@@ -188,7 +206,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-model", metavar="PATH")
     p.add_argument("--dump-vc", action="store_true",
                    help="print the SMT-LIB verification condition")
-    p.add_argument("--capacity", type=int, default=64)
+    p.add_argument("--capacity", type=_capacity, default=64)
     p.add_argument("--trace-json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
@@ -196,19 +214,33 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--capacity", type=int, default=64)
+    p.add_argument("--capacity", type=_capacity, default=64)
     p.add_argument("--trace-json", action="store_true")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("dump-tree", help="print the elaborated instance tree")
     p.add_argument("file")
     p.set_defaults(fn=cmd_dump_tree)
+    # Set on each parser rather than by a subclass: argparse's parsers form
+    # reference cycles, which must hold no instance of a class of ours.
+    for parser in (ap, *sub.choices.values()):
+        parser.error = _usage_error
     return ap
 
 
 def main(argv: Optional[list] = None) -> int:
     """Run one command. Its failures are reported on stderr and exit 1."""
-    return _run(build_arg_parser().parse_args(argv))
+    args = _parse_args(argv)
+    return 1 if args is None else _run(args)
+
+
+def _parse_args(argv: Optional[list]) -> Optional[argparse.Namespace]:
+    """The parsed command line, or None once a usage error is reported."""
+    try:
+        return build_arg_parser().parse_args(argv)
+    except ToolError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return None
 
 
 def _run(args) -> int:
@@ -224,7 +256,9 @@ def _run(args) -> int:
 def entry() -> int:
     """The `soclang` process: one command from `sys.argv`, run without the
     cyclic garbage collector (see the module docstring)."""
-    args = build_arg_parser().parse_args()
+    args = _parse_args(None)
+    if args is None:
+        return 1
     gc.collect(1)  # the parser is a reference cycle of argparse's
     gc.disable()
     code = _run(args)

@@ -1,4 +1,10 @@
-"""Lexer for `.soc` source text."""
+"""Lexer for `.soc` source text.
+
+`tokenize` returns the whole token list before parsing starts, so a lex
+error anywhere in a file is reported ahead of any syntax error. A token
+lies on one line and keeps only its start: its span is built on demand.
+The tokens of one call share their lexemes (one string per distinct text).
+"""
 
 from __future__ import annotations
 
@@ -33,34 +39,72 @@ class TokKind(Enum):
 
 
 class Token:
-    # value and is_hex: integer literals; width: a u<width> suffix;
-    # text: a decoded string literal
-    __slots__ = ("kind", "lexeme", "span", "value", "width", "is_hex", "text")
+    """One token: its kind, its lexeme and where it starts. Its `span` is
+    built when asked for, which only diagnostics and the AST leaves made
+    from a single token do. Its lexeme is shared with every token of the
+    same text from the same `tokenize` call, and so are the AST's names."""
 
-    def __init__(self, kind: TokKind, lexeme: str, span: SourceSpan,
-                 value: Optional[int] = None, width: Optional[int] = None,
-                 is_hex: bool = False, text: Optional[str] = None) -> None:
-        self.kind, self.lexeme, self.span = kind, lexeme, span
-        self.value, self.width, self.is_hex = value, width, is_hex
-        self.text = text
+    __slots__ = ("kind", "lexeme", "file", "line", "col")
+    # Payloads of literal tokens; set only on a `Literal`.
+    value: Optional[int] = None
+    width: Optional[int] = None
+    is_hex = False
+    text: Optional[str] = None
+
+    def __init__(self, kind: TokKind, lexeme: str, file: str, line: int, col: int) -> None:
+        # One statement per field: faster than a tuple assignment of five.
+        self.kind = kind
+        self.lexeme = lexeme
+        self.file = file
+        self.line = line
+        self.col = col
+
+    @property
+    def end_col(self) -> int:
+        return self.col + len(self.lexeme)
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.lexeme!r})"
 
 
-# One alternative per token class, tried at each position in this order.
-# Trivia is the only token that can hold a newline, so line numbers are
-# counted over it alone. Anything no class matches (including the start of
-# an unterminated comment or string) falls to `bad`, which reports it.
+class Literal(Token):
+    """An integer literal (value and is_hex, and width from a u<width>
+    suffix) or a string literal (text: the decoded string)."""
+
+    __slots__ = ("value", "width", "is_hex", "text")
+
+    def __init__(self, kind: TokKind, lexeme: str, file: str, line: int, col: int,
+                 value: Optional[int] = None, width: Optional[int] = None,
+                 is_hex: bool = False, text: Optional[str] = None) -> None:
+        super().__init__(kind, lexeme, file, line, col)
+        self.value, self.width, self.is_hex, self.text = value, width, is_hex, text
+
+
+# One match per token: the trivia before it, then one alternative per token
+# class. Trivia is a run of whitespace (one fast loop, the common case), then
+# comments and single whitespace characters; no quantifier nests another.
+# `eof` and `bad` make every match succeed, so the trivia is never matched
+# twice. Anything no class matches (including the start of an unterminated
+# comment or string) falls to `bad`, which reports it.
 _TOKEN = re.compile(r"""
-    (?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>(?P<digits>(?P<hex>0[xX][0-9a-fA-F][0-9a-fA-F_]*)|(?!0[xX])[0-9][0-9_]*)
-        (?:u(?P<width>[0-9]+))?)
-  | (?P<string>"(?:[^"\\\n]|\\[nt"\\{}])*")
-  | (?P<punct>""" + "|".join(re.escape(p) for p in PUNCT) + r""")
-  | (?P<bad>(?s:.))
+    [ \t\r\n]*(?:[ \t\r\n]|//[^\n]*|/\*(?s:.*?)\*/)*
+    (?:
+      (?P<word>[A-Za-z_][A-Za-z0-9_]*|""" + "|".join(re.escape(p) for p in PUNCT) + r""")
+    | (?P<number>(?P<digits>(?P<hex>0[xX][0-9a-fA-F][0-9a-fA-F_]*)|(?!0[xX])[0-9][0-9_]*)
+          (?:u(?P<width>[0-9]+))?)
+    | (?P<string>"(?:[^"\\\n]|\\[nt"\\{}])*")
+    | (?P<eof>\Z)
+    | (?P<bad>(?s:.))
+    )
 """, re.VERBOSE)
+
+# Each keyword and operator with its kind; `tokenize` adds identifiers.
+_WORDS = {**{k: (k, TokKind.KEYWORD) for k in KEYWORDS},
+          **{p: (p, TokKind.PUNCT) for p in PUNCT}}
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
@@ -91,53 +135,57 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """
     toks: List[Token] = []
     append = toks.append
+    words = _WORDS.copy()
     line, line_start = 1, 0  # line_start: offset of the current line's first char
+    pos = 0  # where the previous token ended
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        start, end = m.span()
-        if kind == "trivia":
-            newlines = source.count("\n", start, end)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", start, end) + 1
-            continue
-        span = SourceSpan(filename, line, start - line_start + 1, line, end - line_start + 1)
-        if kind == "punct":
-            append(Token(TokKind.PUNCT, m.group(), span))
-        elif kind == "ident":
-            word = m.group()
-            append(Token(TokKind.KEYWORD if word in KEYWORDS else TokKind.IDENT, word, span))
+        start, end = m.span(kind)
+        if start != pos:
+            # Trivia was skipped; only trivia holds newlines.
+            newline = source.rfind("\n", pos, start)
+            if newline >= 0:
+                line += source.count("\n", pos, newline) + 1
+                line_start = newline + 1
+        pos = end
+        col = start - line_start + 1
+        if kind == "word":
+            text = m.group(kind)
+            entry = words.get(text)
+            if entry is None:
+                words[text] = entry = (text, TokKind.IDENT)
+            append(Token(entry[1], entry[0], filename, line, col))
         elif kind == "number":
-            append(_number(m, span, source))
+            append(_number(m, filename, line, col, source))
         elif kind == "string":
-            lexeme = m.group()
+            lexeme = m.group(kind)
             text = lexeme[1:-1]
             if "\\" in text:
                 text = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], text)
-            append(Token(TokKind.STRING, lexeme, span, text=text))
+            append(Literal(TokKind.STRING, lexeme, filename, line, col, text=text))
+        elif kind == "eof":
+            break
         else:
-            _bad(source, start, filename, line, start - line_start + 1)
-    n = len(source)
-    col = n - line_start + 1
-    append(Token(TokKind.EOF, "", SourceSpan(filename, line, col, line, col)))
+            _bad(source, start, filename, line, col)
+    append(Token(TokKind.EOF, "", filename, line, pos - line_start + 1))
     return toks
 
 
-def _number(m: re.Match, span: SourceSpan, source: str) -> Token:
+def _number(m: re.Match, filename: str, line: int, col: int, source: str) -> Token:
+    tok = Literal(TokKind.INT, m.group("number"), filename, line, col,
+                  is_hex=m.group("hex") is not None)
     body = m.group("digits")
-    value = int(body.replace("_", ""), 16 if m.group("hex") else 10)
-    width: Optional[int] = None
+    tok.value = int(body.replace("_", ""), 16 if tok.is_hex else 10)
     # A u<width> suffix binds to the literal: 0x1f_ffffu31
     if m.group("width") is not None:
-        width = int(m.group("width"))
-        if width < 1:
-            raise LexError(span, "bit width must be at least 1")
-        if value >= (1 << width):
-            raise LexError(span, f"literal {body} does not fit in {width} bits")
+        tok.width = int(m.group("width"))
+        if tok.width < 1:
+            raise LexError(tok.span, "bit width must be at least 1")
+        if tok.value >= (1 << tok.width):
+            raise LexError(tok.span, f"literal {body} does not fit in {tok.width} bits")
     if source[m.end():m.end() + 1] in _IDENT_START:
-        raise LexError(span, f"malformed number literal {body!r}")
-    return Token(TokKind.INT, m.group(), span, value=value, width=width,
-                 is_hex=m.group("hex") is not None)
+        raise LexError(tok.span, f"malformed number literal {body!r}")
+    return tok
 
 
 def _bad(source: str, pos: int, filename: str, line: int, col: int) -> NoReturn:

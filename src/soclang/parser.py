@@ -66,9 +66,9 @@ class _Parser:
         return ParseError(t.span, f"{message}, found {got!r}")
 
     def span_from(self, start: Token) -> SourceSpan:
+        """From `start` to the end of the previous token."""
         prev = self.toks[max(self.pos - 1, 0)]
-        s = start.span
-        return SourceSpan(s.file, s.line, s.col, prev.span.end_line, prev.span.end_col)
+        return SourceSpan(start.file, start.line, start.col, prev.line, prev.end_col)
 
     # -- program structure ------------------------------------------------
 

@@ -171,7 +171,7 @@ class Checker:
                 names.add(f.name)
                 self.fns[(m.name, f.name)] = f
         if self.program.root_name not in self.modules:
-            span = p.modules[0].span if p.modules else ast.SYNTHETIC
+            span = p.modules[0].span if p.modules else p.span
             self.fail(span, f"no root module {self.program.root_name!r}")
 
     def _expand_alias(self, name: str, raw, stack: list) -> ast.TypeExpr:

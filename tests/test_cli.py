@@ -43,6 +43,64 @@ def test_check_missing_file():
     assert code == 1 and "error" in err
 
 
+# A command line that does not parse is an error like any other: one
+# `error:` line and exit 1, never argparse's exit 2, which `run`, `trace`
+# and `verify` use for a failed assertion.
+USAGE_ERRORS = {
+    "verify without --scenario": (["verify", FIXED],
+                                  "the following arguments are required: --scenario"),
+    "run with a seed that is no int": (["run", FIXED, "--scenario", "base_case",
+                                        "--seed", "abc"],
+                                       "argument --seed: invalid int value: 'abc'"),
+    "trace without --model": (["trace", FIXED, "--scenario", "base_case"],
+                              "the following arguments are required: --model"),
+    "unknown command": (["frob"], "argument command: invalid choice: 'frob'"),
+    "no command": ([], "the following arguments are required: command"),
+    "negative capacity": (["run", FIXED, "--scenario", "base_case", "--capacity", "-3"],
+                          "argument --capacity: must be at least 0, got -3"),
+    "capacity that is no int": (["trace", FIXED, "--scenario", "base_case", "--model", "m",
+                                 "--capacity", "1.5"],
+                                "argument --capacity: invalid int value: '1.5'"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_is_one_error_line(capsys, case):
+    from soclang import cli
+
+    argv, message = USAGE_ERRORS[case]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_usage_error_exits_1_from_the_process():
+    code, out, err = run_cli("verify", FIXED)
+    assert (code, out) == (1, "")
+    assert err == "error: the following arguments are required: --scenario\n"
+
+
+def test_help_exits_0(capsys):
+    from soclang import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: soclang run")
+
+
+@pytest.mark.parametrize("text, line", [("", 1), ("// only a comment\n/* and\n this */\n", 4)],
+                         ids=["empty", "comments only"])
+def test_check_without_modules_is_located_in_the_file(tmp_path, capsys, text, line):
+    from soclang import cli
+
+    path = tmp_path / "empty.soc"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:{line}:1: error: no root module 'Main'\n"
+
+
 def _deep_parentheses(tmp_path, depth):
     f = tmp_path / "deep.soc"
     expr = "(" * depth + "1u8" + ")" * depth

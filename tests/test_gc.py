@@ -96,6 +96,13 @@ def test_engine_commands_leave_no_cycles(case, tmp_path, capsys):
     assert _cyclic_garbage(argv, capsys) == (code, [])
 
 
+@pytest.mark.parametrize("argv", [["verify", FIXED], ["frob"],
+                                  ["run", FIXED, "--scenario", "base_case", "--capacity", "-1"]],
+                         ids=["missing option", "unknown command", "negative capacity"])
+def test_usage_errors_leave_no_cycles(argv, capsys):
+    assert _cyclic_garbage(argv, capsys) == (1, [])
+
+
 # A class built twice (as `dataclass(slots=True)` does) leaves its first copy
 # as cyclic garbage at import; a fresh interpreter sees each import's own.
 @pytest.mark.parametrize("module", ["soclang.terms", "soclang.engine", "soclang.smtlib"])

@@ -1,9 +1,14 @@
 import hashlib
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soclang import lexer
 from soclang.diagnostics import LexError
 from soclang.lexer import TokKind, tokenize
+from soclang.parser import parse_program
 
 from conftest import CORPUS
 
@@ -174,3 +179,134 @@ def test_non_ascii_and_truncated_hex_are_located_errors(source, message, col):
         tokenize(source, "bad.soc")
     assert exc.value.message == message
     assert (exc.value.span.line, exc.value.span.col) == (1, col)
+
+
+def test_a_syntax_error_does_not_hide_a_later_lex_error():
+    # The whole file is lexed before parsing starts.
+    with pytest.raises(LexError) as exc:
+        parse_program("module Main { ) }\n\n  #\n", "both.soc")
+    assert exc.value.report() == "both.soc:3:3: error: unexpected character '#'"
+
+
+# -- slim tokens ----------------------------------------------------------------
+# A token keeps its start; its span is built only when asked for, and a
+# `tokenize` call shares one string per distinct identifier, keyword or
+# operator.
+
+def _lexing_corpus_texts() -> list:
+    texts = []
+    for path in sorted(CORPUS.rglob("*.soc")):
+        text = path.read_text(encoding="utf-8")
+        try:
+            tokenize(text)
+        except LexError:
+            continue
+        texts.append(text)
+    return texts
+
+
+def test_tokenize_builds_no_spans(monkeypatch):
+    built = []
+    real = lexer.SourceSpan
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lexer, "SourceSpan", counting)
+    for path in sorted(CORPUS.rglob("*.soc")):
+        built.clear()
+        try:
+            tokenize(path.read_text(encoding="utf-8"), path.name)
+        except LexError:
+            assert len(built) == 1  # the error's own
+        else:
+            assert built == [], path.name
+    # A token builds its span when asked, from its start and lexeme.
+    tok = tokenize("x =\n  cell_value;")[2]
+    assert tok.lexeme == "cell_value" and built == []
+    assert _fields(tok.span) == ("<input>", 2, 3, 2, 13, False)
+    assert len(built) == 1
+
+
+def test_repeated_lexemes_are_one_string():
+    toks = tokenize("cell_value -> cell_value;\nmodule cell_value -> other;")
+    by_text: dict = {}
+    for tok in toks[:-1]:
+        assert by_text.setdefault(tok.lexeme, tok.lexeme) is tok.lexeme
+    assert len(by_text) == 5
+    # The parser's names are those strings too.
+    program = parse_program("module Main { cpu.bus -> mem; mem -> cpu.bus; }")
+    first, second = program.modules[0].wirings
+    assert first.child_path[0] is second.target_path[0]
+    assert first.target_path[0] is second.child_path[0]
+
+
+def test_tokens_take_at_most_128_bytes_each():
+    source = "\n".join(_lexing_corpus_texts()) * 8
+    tracemalloc.start()
+    try:
+        toks = tokenize(source, "corpus.soc")
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(toks) > 30_000
+    assert size / len(toks) <= 128
+
+
+# Trivia between two tokens; each piece is a whole comment or whitespace.
+_TRIVIA = [" ", "  ", "\t", "\n", "\r\n", "\n\n    ", "// note\n", "//\n",
+           "/* c */", "/**/", "/* two\n lines */", "/* a\n * b *\n\n */", "/* // */"]
+
+
+def _line_col(source: str, offset: int) -> tuple:
+    """Line and column of `offset`, counted from the text before it."""
+    before = source[:offset]
+    return before.count("\n") + 1, len(before) - before.rfind("\n")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_lexing_corpus_texts()), st.randoms(use_true_random=False))
+def test_token_positions_with_random_trivia(text, rng):
+    original = tokenize(text)[:-1]
+    pieces, offsets, at = [], [], 0
+    for tok in original:
+        trivia = "".join(rng.choice(_TRIVIA) for _ in range(rng.choice((1, 1, 2, 3))))
+        pieces += [trivia, tok.lexeme]
+        offsets.append(at + len(trivia))
+        at += len(trivia) + len(tok.lexeme)
+    source = "".join(pieces)
+    toks = tokenize(source, "t.soc")
+    assert [(t.kind, t.lexeme) for t in toks[:-1]] == [(t.kind, t.lexeme) for t in original]
+    for tok, offset in zip(toks, offsets):
+        line, col = _line_col(source, offset)
+        s = tok.span
+        assert (s.file, s.line, s.col, s.end_line, s.end_col) == \
+            ("t.soc", line, col, line, col + len(tok.lexeme))
+    assert _fields(toks[-1].span)[1:3] == _line_col(source, len(source))
+
+
+# Input that starts no token, and the length of what the error covers
+# (None: up to the end of the file).
+_BAD = {
+    "#": ("unexpected character '#'", 1),
+    "0x;": ("expected hex digits after 0x", 2),
+    '"ab\\q c";': ("unknown escape \\q", 5),
+    '"abc\nx': ("unterminated string literal", 4),
+    "/* never\n ends": ("unterminated comment", None),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_BAD)), st.lists(st.sampled_from(_TRIVIA + ["a", "1", "=="])),
+       st.sampled_from(["/* x\n */", "/*\n\n*/", "/* a */\n/* b\n c */"]))
+def test_error_span_after_multi_line_comment(bad, prefix, comment):
+    message, length = _BAD[bad]
+    source = " ".join(prefix) + comment + bad
+    start = len(source) - len(bad)
+    end = len(source) if length is None else start + length
+    with pytest.raises(LexError) as exc:
+        tokenize(source, "t.soc")
+    assert exc.value.message == message
+    assert _fields(exc.value.span) == \
+        ("t.soc", *_line_col(source, start), *_line_col(source, end), False)
