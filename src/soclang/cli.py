@@ -15,7 +15,8 @@ the program's data forms no reference cycles: reference counting frees each
 object as soon as it is unused. The rule that keeps it so: no nested
 function that refers to itself (a recursive helper is a module-level
 function or a method), and no closure stored on an object it captures
-(`Engine` keeps its compiled closures only while `Engine.run` runs).
+(`Engine` keeps its compiled closures only while `Engine.run` runs). Only
+a model can make one: callee bindings between instances wired to each other.
 `tests/test_gc.py` runs every command under `gc.DEBUG_SAVEALL` and fails on
 any cyclic garbage of the package's own. `main(argv)`, for in-process
 callers, leaves the collector as it finds it.
@@ -30,7 +31,7 @@ import sys
 from typing import TYPE_CHECKING, NoReturn, Optional, Tuple
 
 from .diagnostics import SocError, ToolError, TypeErrors
-from .elaborate import InstanceTree, StateLayout, dump_tree, elaborate
+from .elaborate import InstanceNode, StateLayout, dump_tree, elaborate
 from .lexer import decode_source
 from .parser import parse_program
 from .typecheck import TypedProgram, check_program
@@ -48,7 +49,7 @@ _INDUCTION_NOTE = (
 )
 
 
-def load(path: str) -> Tuple[TypedProgram, InstanceTree, StateLayout]:
+def load(path: str) -> Tuple[TypedProgram, InstanceNode, StateLayout]:
     with open(path, "rb") as f:
         source = decode_source(f.read(), path)
     program = parse_program(source, path)

@@ -1,5 +1,6 @@
-"""Elaboration: instantiate the module tree rooted at the root module,
-enumerate state cells, and bind every callee to a concrete instance."""
+"""Elaboration: build the instance tree of the root module, whose State and
+Array leaves are the state cells (`StateLayout.cells`, in depth-first
+declaration order), and bind each callee to the sibling node it is wired to."""
 
 from __future__ import annotations
 
@@ -13,78 +14,52 @@ from .typecheck import TypedProgram
 class InstanceNode:
     """One node of the instance tree: a user module or a primitive cell."""
 
-    def __init__(self, module: str, path: Tuple[str, ...], kind: str,
+    def __init__(self, module: str, path: Tuple[str, ...], kind: str, span: ast.SourceSpan,
                  value_type: Optional[ast.TypeExpr] = None,
                  key_type: Optional[ast.TypeExpr] = None,
-                 span: ast.SourceSpan = ast.SYNTHETIC) -> None:
+                 init: Optional[ast.Expr] = None) -> None:
         self.module = module  # module name, or "State"/"Array" for primitives
         self.path = path      # dot-path from the root (root itself is ())
         self.kind = kind      # "module" | "state" | "array"
         self.children: Dict[str, InstanceNode] = {}
-        self.callees: Dict[str, Tuple[str, ...]] = {}
+        self.callees: Dict[str, InstanceNode] = {}
         self.value_type, self.key_type, self.span = value_type, key_type, span
+        self.init = init  # a State's initializer; None for arrays (default-zero contents)
 
     def dotted(self) -> str:
         return ".".join(self.path) if self.path else "(root)"
 
 
-class Cell:
-    def __init__(self, path: Tuple[str, ...], kind: str, value_type: ast.TypeExpr,
-                 key_type: Optional[ast.TypeExpr], init: Optional[ast.Expr]) -> None:
-        self.path = path
-        self.kind = kind  # "state" | "array"
-        self.value_type, self.key_type = value_type, key_type
-        self.init = init  # None for arrays (default-zero contents)
-
-    def dotted(self) -> str:
-        return ".".join(self.path)
-
-
-class InstanceTree:
-    def __init__(self, root: InstanceNode,
-                 by_path: Dict[Tuple[str, ...], InstanceNode]) -> None:
-        self.root, self.by_path = root, by_path
-
-    def node(self, path: Tuple[str, ...]) -> InstanceNode:
-        return self.by_path[path]
-
-
 class StateLayout:
-    def __init__(self, cells: List[Cell]) -> None:
+    def __init__(self, cells: List[InstanceNode]) -> None:
         self.cells = cells
 
-    def subtree(self, prefix: Tuple[str, ...]) -> List[Cell]:
+    def subtree(self, prefix: Tuple[str, ...]) -> List[InstanceNode]:
         return [c for c in self.cells if c.path[:len(prefix)] == prefix]
 
 
-def elaborate(tp: TypedProgram) -> Tuple[InstanceTree, StateLayout]:
-    """Build the instance tree and the cell layout; resolves all wirings.
-
+def elaborate(tp: TypedProgram) -> Tuple[InstanceNode, StateLayout]:
+    """The instance tree's root and the cell layout, with every wiring bound.
     Raises ElabError for instance cycles, unbound callees, wirings to
-    nonexistent instances, module mismatches, and duplicate wirings.
-    """
-    by_path: Dict[Tuple[str, ...], InstanceNode] = {}
-    cells: List[Cell] = []
+    nonexistent instances, module mismatches, and duplicate wirings."""
+    cells: List[InstanceNode] = []
     root_mod = tp.modules[tp.root_name]
     try:
-        root = _instantiate(tp, root_mod, (), root_mod.span, by_path, cells, {})
+        root = _instantiate(tp, root_mod, (), root_mod.span, cells, {})
         _check_callees_bound(tp, root)
     except RecursionError:
         # Both walks recurse once per level of instance nesting.
         raise ElabError(root_mod.span, "instance nesting too deep") from None
-    tree = InstanceTree(root, by_path)
-    layout = StateLayout(cells)
-    return tree, layout
+    return root, StateLayout(cells)
 
 
 def _instantiate(tp: TypedProgram, mod: ast.ModuleDecl, path: Tuple[str, ...],
-                 span: ast.SourceSpan, by_path: Dict[Tuple[str, ...], InstanceNode],
-                 cells: List[Cell], active: Dict[str, None]) -> InstanceNode:
-    """The instance of `mod` at `path`, with its subtree; enters each node in
-    `by_path` and each cell in `cells`. `active` holds the modules being
-    instantiated, outermost first."""
-    node = InstanceNode(mod.name, path, "module", span=span)
-    by_path[path] = node
+                 span: ast.SourceSpan, cells: List[InstanceNode],
+                 active: Dict[str, None]) -> InstanceNode:
+    """The instance of `mod` at `path`, with its subtree; appends each leaf
+    cell to `cells`. `active` holds the modules being instantiated,
+    outermost first."""
+    node = InstanceNode(mod.name, path, "module", span)
     active[mod.name] = None
     for inst in mod.instances:
         child_path = path + (inst.name,)
@@ -95,23 +70,16 @@ def _instantiate(tp: TypedProgram, mod: ast.ModuleDecl, path: Tuple[str, ...],
                 cycle = names[names.index(ref.name):] + [ref.name]
                 raise ElabError(inst.span, "instance cycle: " + " -> ".join(cycle))
             node.children[inst.name] = _instantiate(
-                tp, tp.modules[ref.name], child_path, inst.span, by_path, cells, active)
-        elif isinstance(ref, ast.StatePrim):
-            vt = tp.resolve_type(ref.value_type)
-            cell = InstanceNode("State", child_path, "state", value_type=vt,
-                                span=inst.span)
-            node.children[inst.name] = cell
-            by_path[child_path] = cell
-            cells.append(Cell(child_path, "state", vt, None, ref.init))
-        else:
-            assert isinstance(ref, ast.ArrayPrim)
-            vt = tp.resolve_type(ref.value_type)
-            kt = tp.resolve_type(ref.key_type)
-            cell = InstanceNode("Array", child_path, "array",
-                                value_type=vt, key_type=kt, span=inst.span)
-            node.children[inst.name] = cell
-            by_path[child_path] = cell
-            cells.append(Cell(child_path, "array", vt, kt, None))
+                tp, tp.modules[ref.name], child_path, inst.span, cells, active)
+            continue
+        vt = tp.resolve_type(ref.value_type)
+        if isinstance(ref, ast.StatePrim):
+            cell = InstanceNode("State", child_path, "state", inst.span, vt, init=ref.init)
+        else:  # ArrayPrim
+            cell = InstanceNode("Array", child_path, "array", inst.span, vt,
+                                tp.resolve_type(ref.key_type))
+        node.children[inst.name] = cell
+        cells.append(cell)
     _wire(tp, mod, node)
     del active[mod.name]
     return node
@@ -146,17 +114,15 @@ def _wire(tp: TypedProgram, mod: ast.ModuleDecl, node: InstanceNode) -> None:
         if callee_name in child.callees:
             raise ElabError(w.span, f"duplicate wiring for callee {callee_name!r} "
                                     f"of {child.dotted()}")
-        child.callees[callee_name] = target.path
+        child.callees[callee_name] = target
 
 
 def _check_callees_bound(tp: TypedProgram, node: InstanceNode) -> None:
     if node.kind == "module":
-        mod = tp.modules[node.module]
-        for c in mod.callees:
+        for c in tp.modules[node.module].callees:
             if c.name not in node.callees:
-                raise ElabError(
-                    node.span,
-                    f"unbound callee {c.name!r} of instance {node.dotted()}")
+                raise ElabError(node.span,
+                                f"unbound callee {c.name!r} of instance {node.dotted()}")
         for child in node.children.values():
             _check_callees_bound(tp, child)
 
@@ -165,7 +131,7 @@ def _check_callees_bound(tp: TypedProgram, node: InstanceNode) -> None:
 # Runtime path resolution (used by the execution engine)
 
 
-def resolve_instance(tree: InstanceTree, frm: InstanceNode, prefix) -> InstanceNode:
+def resolve_instance(frm: InstanceNode, prefix) -> InstanceNode:
     """The instance that a dotted prefix names from `frm`.
 
     The first segment is a local instance, else a callee; later segments
@@ -176,16 +142,16 @@ def resolve_instance(tree: InstanceTree, frm: InstanceNode, prefix) -> InstanceN
     node = frm
     for i, seg in enumerate(prefix):
         if i == 0 and seg not in node.children:
-            node = tree.node(node.callees[seg])
+            node = node.callees[seg]
         else:
             node = node.children[seg]
     return node
 
 
-def dump_tree(tp: TypedProgram, tree: InstanceTree) -> str:
+def dump_tree(tp: TypedProgram, root: InstanceNode) -> str:
     """Indented text rendering of the instance tree, one path per line."""
     lines: List[str] = []
-    _dump_node(tp.root_name, tree.root, 0, lines)
+    _dump_node(tp.root_name, root, 0, lines)
     return "\n".join(lines) + "\n"
 
 

@@ -31,6 +31,7 @@ the same id, and replay asks a model for exactly the ids that sym_exec
 registered. The SMT-LIB name of a choice spells its id (`choice_vid`), so a
 model names its choices without the symbolic run that declared them.
 
+The store is keyed by cell, a State or Array leaf of the instance tree.
 Records and vectors are trees of per-leaf terms, mapped leafwise by
 `tree_map` and built from a type by `tree_of_type`.
 """
@@ -44,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import ast, terms
 from .diagnostics import CapacityError, EngineError
-from .elaborate import InstanceNode, InstanceTree, StateLayout, resolve_instance
+from .elaborate import InstanceNode, StateLayout, resolve_instance
 from .terms import Term
 from .typecheck import EnumVariantRef, PrimCall, TypedProgram, UserCall, enum_width
 
@@ -412,16 +413,14 @@ class Engine:
     assertion) only if `record_events`: formatting every call's arguments
     and result is most of the run's time."""
 
-    def __init__(self, tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
+    def __init__(self, tp: TypedProgram, root: InstanceNode, layout: StateLayout,
                  anys: Optional[AnySource] = None, capacity: int = 64,
-                 record_events: bool = True) -> None:
-        self.tp = tp
-        self.tree = tree
-        self.layout = layout
+                 record_events: bool = False) -> None:
+        self.tp, self.root, self.layout = tp, root, layout
         self.anys = anys
         self.capacity = capacity
         self.enums = tp.enums
-        self.store: Dict[Tuple[str, ...], object] = {}
+        self.store: Dict[InstanceNode, object] = {}  # cell -> value tree
         self.path = _Path(None, None, True)
         self.registry = Registry()
         self.assumptions: List[Tuple[Term, Term]] = []
@@ -436,25 +435,25 @@ class Engine:
     # -- store -------------------------------------------------------------
 
     def _init_store(self) -> None:
-        frame = _Frame(self.tree.root)
+        frame = _Frame(self.root)
         enums = self.enums
         for cell in self.layout.cells:
             if cell.kind == "state":
                 # Init expressions are closed and pure; they fold to constants.
-                self.store[cell.path] = self.code(cell.init)({}, frame)
+                self.store[cell] = self.code(cell.init)({}, frame)
             else:
                 kw = cell.key_type.width
-                self.store[cell.path] = tree_of_type(cell.value_type, lambda t: (
+                self.store[cell] = tree_of_type(cell.value_type, lambda t: (
                     terms.mk_const_array(kw, zero_scalar(t, enums))))
 
     def concrete_store(self) -> Dict[str, object]:
-        return {cell.dotted(): self.store[cell.path] for cell in self.layout.cells}
+        return {cell.dotted(): self.store[cell] for cell in self.layout.cells}
 
-    def _write(self, path: Tuple[str, ...], value) -> None:
+    def _write(self, cell: InstanceNode, value) -> None:
         """Set a cell; an arm's first write to it logs the value from before the arm."""
-        if self.log is not None and path not in self.log:
-            self.log[path] = self.store[path]
-        self.store[path] = value
+        if self.log is not None and cell not in self.log:
+            self.log[cell] = self.store[cell]
+        self.store[cell] = value
 
     def _branch(self, cond: Term, then, orelse, env, frame):
         """Both arms of an `if` on a symbolic condition, merged: each arm's
@@ -727,7 +726,7 @@ class Engine:
     def _compile_call(self, e: ast.Call):
         res = self.tp.resolutions[e.node_id]
         args = [self.code(a) for a in e.args]
-        target = _target(self.tree, res.inst_path)
+        target = _target(res.inst_path)
         if isinstance(res, PrimCall):
             return self._compile_prim(e, res.op, target, args)
         decl = self.tp.fns[(res.module, res.fn)]
@@ -764,16 +763,16 @@ class Engine:
             site, havoc = e.node_id, self._havoc
             return lambda env, frame: havoc(choice_ids(site, frame.calls), target(frame))
         if op in ("state_get", "array_get"):
-            return lambda env, frame: store[target(frame).path]
+            return lambda env, frame: store[target(frame)]
         if op in ("state_set", "array_set"):
             value = args[0]
-            return lambda env, frame: write(target(frame).path, value(env, frame))
+            return lambda env, frame: write(target(frame), value(env, frame))
         if op == "array_read":
             key = args[0]
 
             def read(env, frame):
-                path, k = target(frame).path, key(env, frame)
-                return _read_at(store[path], k)
+                cell, k = target(frame), key(env, frame)
+                return _read_at(store[cell], k)
             return read
         assert op == "array_write", op
         key, value = args
@@ -788,12 +787,12 @@ class Engine:
                     raise CapacityError(inst.dotted(), capacity)
                 return arr
 
-            write(inst.path, tree_map(leaf, store[inst.path], v))
+            write(inst, tree_map(leaf, store[inst], v))
         return write_array
 
     def _havoc(self, cids: Iterator[ChoiceId], target: InstanceNode) -> None:
         for cell in self.layout.subtree(target.path):
-            self._write(cell.path, self.fresh_tree(cids, cell.value_type)
+            self._write(cell, self.fresh_tree(cids, cell.value_type)
                         if cell.kind == "state" else self.fresh_array_tree(cids, cell))
 
     # One compiler per expression class; `code` dispatches on the exact class.
@@ -834,7 +833,7 @@ class Engine:
         if not decl.is_mut or decl.params:
             raise EngineError(f"scenario {scenario!r} must be a zero-parameter mut fn")
         try:
-            return self.code(decl.body)({}, _Frame(self.tree.root))
+            return self.code(decl.body)({}, _Frame(self.root))
         finally:
             # The closures refer to the engine (`self`, its bound methods), so
             # keeping them would make a cycle that holds the whole store.
@@ -845,7 +844,7 @@ def _const(value):
     return lambda env, frame: value
 
 
-def _target(tree: InstanceTree, inst_path):
+def _target(inst_path):
     """frame -> the instance a call's dotted prefix names from the frame's
     instance, resolved once per caller instance."""
     targets: Dict[InstanceNode, InstanceNode] = {}
@@ -853,7 +852,7 @@ def _target(tree: InstanceTree, inst_path):
     def target(frame):
         inst = targets.get(frame.inst)
         if inst is None:
-            inst = targets[frame.inst] = resolve_instance(tree, frame.inst, inst_path)
+            inst = targets[frame.inst] = resolve_instance(frame.inst, inst_path)
         return inst
     return target
 
@@ -876,10 +875,10 @@ _BINARY = {"&&": (terms.mk_and,) * 2, "||": (terms.mk_or,) * 2,
 # Public API
 
 
-def run_scenario(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
+def run_scenario(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
                  scenario: str, anys: AnySource, capacity: int = 64,
-                 record_events: bool = True) -> RunResult:
-    eng = Engine(tp, tree, layout, anys=anys, capacity=capacity,
+                 record_events: bool = False) -> RunResult:
+    eng = Engine(tp, root, layout, anys=anys, capacity=capacity,
                  record_events=record_events)
     verdict: object = Passed()
     try:
@@ -889,16 +888,16 @@ def run_scenario(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
     return RunResult(verdict, eng.transcript, eng.events, eng.concrete_store())
 
 
-def sym_exec(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
+def sym_exec(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
              scenario: str) -> VerificationCondition:
-    eng = Engine(tp, tree, layout)
+    eng = Engine(tp, root, layout)
     eng.run(scenario)
     return VerificationCondition(eng.registry, eng.assumptions, eng.obligations)
 
 
-def replay(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
+def replay(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
            scenario: str, model: Dict[ChoiceId, Term],
-           capacity: int = 64, record_events: bool = True) -> RunResult:
+           capacity: int = 64, record_events: bool = False) -> RunResult:
     """Replay a solver model: the symbolic engine with immediate concretization.
 
     Every choice the model names must be an `any` or `havoc` of this program,
@@ -910,5 +909,5 @@ def replay(tp: TypedProgram, tree: InstanceTree, layout: StateLayout,
                 isinstance(tp.resolutions.get(c), UserCall) for c in calls):
             raise EngineError(f"model defines c{choice_vid(cid)}, which names no "
                               f"choice of this program")
-    return run_scenario(tp, tree, layout, scenario, ModelOracle(model), capacity,
+    return run_scenario(tp, root, layout, scenario, ModelOracle(model), capacity,
                         record_events)

@@ -10,7 +10,7 @@ from typing import List, Optional
 
 from . import ast
 from .ast import SourceSpan
-from .diagnostics import ParseError
+from .diagnostics import LexError, ParseError
 from .lexer import Token, TokKind, tokenize
 
 # Built-ins taking a <width> argument; `to_int` takes none.
@@ -488,9 +488,7 @@ class _Parser:
 def _split_format(fmt: Token, filename: str):
     """Split a printf format string into literal parts and parsed {expr} holes."""
     text = fmt.text or ""
-    parts: list = []
-    holes: list = []
-    buf: list = []
+    parts, holes, buf = [], [], []
     i = 0
     while i < len(text):
         ch = text[i]
@@ -504,8 +502,12 @@ def _split_format(fmt: Token, filename: str):
                 raise ParseError(fmt.span, "unterminated format hole")
             hole_src = text[i + 1:end]
             try:
-                holes.append(parse_expr(hole_src, filename))
-            except ParseError as err:
+                toks = tokenize(hole_src, filename)
+                brace = _source_col(fmt, i)
+                for t in toks:
+                    t.line, t.col = fmt.line, brace + t.col
+                holes.append(_expr(toks, filename))
+            except (LexError, ParseError) as err:
                 raise ParseError(fmt.span, f"bad format hole {{{hole_src}}}: {err.message}")
             parts.append("".join(buf))
             buf = []
@@ -517,6 +519,17 @@ def _split_format(fmt: Token, filename: str):
         i += 1
     parts.append("".join(buf))
     return parts, holes
+
+
+def _source_col(fmt: Token, offset: int) -> int:
+    """The column of text[offset] of a string literal. An escape is two
+    source characters; the text keeps both of `\\{` and `\\}`."""
+    lexeme, i = fmt.lexeme, 1  # lexeme[0] is the opening quote
+    while offset > 0:
+        escape = lexeme[i] == "\\"
+        offset -= 2 if escape and lexeme[i + 1] in "{}" else 1
+        i += 2 if escape else 1
+    return fmt.col + i
 
 
 def _parse(p: _Parser, rule):
@@ -536,7 +549,11 @@ def parse_program(source: str, filename: str = "<input>") -> ast.Program:
 
 
 def parse_expr(source: str, filename: str = "<expr>") -> ast.Expr:
-    p = _Parser(tokenize(source, filename), filename)
+    return _expr(tokenize(source, filename), filename)
+
+
+def _expr(toks: List[Token], filename: str) -> ast.Expr:
+    p = _Parser(toks, filename)
     e = _parse(p, p.expr)
     if not p.at_kind(TokKind.EOF):
         raise p.error("unexpected trailing input")

@@ -46,7 +46,6 @@ class TypedProgram:
     """A checked program and the tables its checker built."""
 
     def __init__(self, checker: Checker) -> None:
-        self.program = checker.program
         self.root_name = checker.program.root_name
         self.enums: Dict[str, List[str]] = checker.enums
         self.modules: Dict[str, ast.ModuleDecl] = checker.modules
@@ -76,16 +75,14 @@ def enum_width(n_variants: int) -> int:
 class TypingCtx:
     """Binds the free variables of an expression and the checking position."""
 
-    def __init__(self, checker: Checker, module: ast.ModuleDecl,
-                 vars: Dict[str, ast.TypeExpr], pure: bool = False,
-                 init_expr: bool = False) -> None:
-        self.checker, self.module, self.vars = checker, module, vars
+    def __init__(self, module: ast.ModuleDecl, vars: Dict[str, ast.TypeExpr],
+                 pure: bool = False, init_expr: bool = False) -> None:
+        self.module, self.vars = module, vars
         self.pure = pure            # inside a pure `fn` body
         self.init_expr = init_expr  # inside a State initializer
 
     def child(self) -> "TypingCtx":
-        return TypingCtx(self.checker, self.module, dict(self.vars),
-                         self.pure, self.init_expr)
+        return TypingCtx(self.module, dict(self.vars), self.pure, self.init_expr)
 
 
 class Checker:
@@ -236,7 +233,7 @@ class Checker:
             elif isinstance(ref, ast.StatePrim):
                 vt = self.resolve_type(ref.value_type, inst.span)
                 self._check_state_value_type(vt, inst.span)
-                ctx = TypingCtx(self, m, {}, pure=True, init_expr=True)
+                ctx = TypingCtx(m, {}, pure=True, init_expr=True)
                 self.check_expr(ctx, ref.init, vt)
             elif isinstance(ref, ast.ArrayPrim):
                 kt = self.resolve_type(ref.key_type, inst.span)
@@ -261,7 +258,7 @@ class Checker:
             self._check_state_value_type(t.elem, span)
 
     def check_fn(self, m: ast.ModuleDecl, f: ast.FnDecl) -> None:
-        ctx = TypingCtx(self, m, {}, pure=not f.is_mut)
+        ctx = TypingCtx(m, {}, pure=not f.is_mut)
         for p in f.params:
             if p.name in ctx.vars:
                 raise self.fail(p.span, f"duplicate parameter {p.name!r}")
@@ -337,8 +334,6 @@ class Checker:
             base = self.check_expr(ctx, e.base)
             if not isinstance(base, ast.BitIntType):
                 raise self.fail(e.span, f"bit slice on non-BitInt type {base}")
-            if e.hi < e.lo:
-                raise self.fail(e.span, "slice bounds must satisfy hi >= lo")
             if e.hi >= base.width:
                 raise self.fail(
                     e.span, f"slice [{e.hi} downto {e.lo}] out of range for {base}")

@@ -101,6 +101,36 @@ def test_check_without_modules_is_located_in_the_file(tmp_path, capsys, text, li
     assert capsys.readouterr().err == f"{path}:{line}:1: error: no root module 'Main'\n"
 
 
+# A printf hole is located in the file: its tokens take the line of the
+# format string and the column of the hole's text, where an escape before
+# the hole counts as its two source characters. A hole that does not lex
+# is reported at the string, as one that does not parse is.
+HOLES = {
+    "unknown name": (["check"], 'printf("value {a.f} and {nope}")',
+                     1, "", ":4:30: error: unknown name 'nope'\n"),
+    "assertion": (["run", "--scenario", "s"], 'printf("v {assert(a.f == 3u8)}")',
+                  2, "FAILED ASSERTION at {path}:4\n", ""),
+    "bad character": (["check"], 'printf("v {a $ 1}")', 1, "",
+                      ":4:12: error: bad format hole {a $ 1}: unexpected character '$'\n"),
+    "after an escape": (["check"], 'printf("x\\ty {a.g}")', 1, "",
+                        ":4:19: error: record { f: BitInt(8) } has no field 'g'\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(HOLES))
+def test_printf_hole_is_located_in_the_file(tmp_path, capsys, case):
+    from soclang import cli
+
+    command, printf, code, out, err = HOLES[case]
+    path = tmp_path / "hole.soc"
+    path.write_text("module Main {\n  mut fn s() {\n    let a = { f: 2u8 };\n"
+                    f"    {printf}\n  }}\n}}\n")
+    assert cli.main([command[0], str(path), *command[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out.format(path=path)
+    assert captured.err == (f"{path}{err}" if err else "")
+
+
 def _deep_parentheses(tmp_path, depth):
     f = tmp_path / "deep.soc"
     expr = "(" * depth + "1u8" + ")" * depth

@@ -13,9 +13,21 @@ def mini_tx1():
     return load_file(CORPUS / "mini_tx1_vulnerable.soc")
 
 
+def _nodes(node):
+    """The nodes of the instance tree under `node`, depth first, each
+    before its children, in declaration order."""
+    yield node
+    for child in node.children.values():
+        yield from _nodes(child)
+
+
+def _node(root, dotted: str):
+    return next(n for n in _nodes(root) if ".".join(n.path) == dotted)
+
+
 def test_instance_tree_paths(mini_tx1):
     _, tree, _ = mini_tx1
-    paths = {".".join(p) for p in tree.by_path if p}
+    paths = {".".join(n.path) for n in _nodes(tree) if n.path}
     for expected in ["miniTX1.cpu", "miniTX1.asc", "miniTX1.asc.region0",
                      "miniTX1.asc.region1", "miniTX1.asc.region2",
                      "miniTX1.asc.region3", "miniTX1.dram"]:
@@ -24,25 +36,34 @@ def test_instance_tree_paths(mini_tx1):
 
 def test_callee_bindings(mini_tx1):
     _, tree, _ = mini_tx1
-    asc = tree.node(("miniTX1", "asc"))
-    assert asc.callees["dram"] == ("miniTX1", "dram")
-    cpu = tree.node(("miniTX1", "cpu"))
-    assert cpu.callees["asc"] == ("miniTX1", "asc")
+    asc = _node(tree, "miniTX1.asc")
+    assert asc.callees["dram"] is _node(tree, "miniTX1.dram")
+    cpu = _node(tree, "miniTX1.cpu")
+    assert cpu.callees["asc"] is asc
 
 
 def test_cell_count_equals_reachable_primitives(mini_tx1):
     _, tree, layout = mini_tx1
-    prim_nodes = [n for n in tree.by_path.values() if n.kind in ("state", "array")]
+    prim_nodes = [n for n in _nodes(tree) if n.kind in ("state", "array")]
     assert len(layout.cells) == len(prim_nodes)
     # 4 regions x 3 registers + cpu flag + dram array
     assert len(layout.cells) == 14
 
 
+def test_cells_are_the_leaves_of_the_tree_in_declaration_order(mini_tx1):
+    _, tree, layout = mini_tx1
+    leaves = [n for n in _nodes(tree) if n.kind in ("state", "array")]
+    assert len(layout.cells) == len(leaves)
+    assert all(c is n for c, n in zip(layout.cells, leaves))
+    # States carry their initializer; arrays start all zero.
+    assert all((c.init is not None) == (c.kind == "state") for c in layout.cells)
+
+
 def test_elaboration_is_deterministic(mini_tx1):
-    tp, _, layout = mini_tx1
+    tp, tree, layout = mini_tx1
     tree2, layout2 = elaborate(tp)
     assert [c.path for c in layout.cells] == [c.path for c in layout2.cells]
-    assert list(tree2.by_path) == list(tree2.by_path)
+    assert [n.path for n in _nodes(tree)] == [n.path for n in _nodes(tree2)]
 
 
 def test_dump_tree_golden(mini_tx1):
@@ -129,8 +150,8 @@ module Main {
   mut fn go() { dev.go() }
 }
 """)
-    dev = tree.node(("dev",))
-    assert dev.callees["north"] == dev.callees["south"] == ("bus",)
+    dev = _node(tree, "dev")
+    assert dev.callees["north"] is dev.callees["south"] is _node(tree, "bus")
 
 
 @pytest.mark.parametrize("case", list(INSTANCE_NESTING))

@@ -272,6 +272,13 @@ def test_a_run_without_events_gives_the_same_result(path, scenario):
     assert (bare.transcript, bare.store) == (recorded.transcript, recorded.store)
 
 
+def test_runs_record_no_events_by_default():
+    tp, tree, layout = load_file(CORPUS / "mini_tx1_vulnerable.soc")
+    scenario = "test_secure_area_unchanged"
+    assert eng.replay(tp, tree, layout, scenario, {}).events == []
+    assert eng.run_scenario(tp, tree, layout, scenario, eng.SeededRandom(0)).events == []
+
+
 def test_empty_model_defaults_to_zero_choices():
     tp, tree, layout = load_file(CORPUS / "mini_tx1_fixed.soc")
     r = eng.replay(tp, tree, layout, "test_secure_area_unchanged", {})

@@ -36,10 +36,11 @@ module Main {
 def test_untouched_cell_is_not_wrapped_in_ite():
     tp, tree, layout = load_source(MERGE_MODEL)
     e = eng.Engine(tp, tree, layout)
-    before = e.store[("untouched",)]
+    touched, untouched = tree.children["touched"], tree.children["untouched"]
+    before = e.store[untouched]
     e.run("s")
-    assert e.store[("untouched",)] is before
-    merged = e.store[("touched",)]
+    assert e.store[untouched] is before
+    merged = e.store[touched]
     assert isinstance(merged, terms.Ite)
     assert isinstance(merged.then, terms.BVC) and merged.then.value == 1
     assert isinstance(merged.other, terms.BVC) and merged.other.value == 2

@@ -180,8 +180,7 @@ def test_infer_and_check_expr_api():
     program = parse_program("module Main { mut fn go() { () } }")
     chk = Checker(program)
     chk.collect_decls()
-    ctx = TypingCtx(chk, program.module("Main"),
-                    {"x": ast.BitIntType(48)})
+    ctx = TypingCtx(program.module("Main"), {"x": ast.BitIntType(48)})
     e = parse_expr("x[6 downto 5]")
     assert chk.check_expr(ctx, e) == ast.BitIntType(2)
     lit = parse_expr("1")
