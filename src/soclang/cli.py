@@ -15,8 +15,7 @@ the program's data forms no reference cycles: reference counting frees each
 object as soon as it is unused. The rule that keeps it so: no nested
 function that refers to itself (a recursive helper is a module-level
 function or a method), and no closure stored on an object it captures
-(`Engine` keeps its compiled closures only while `Engine.run` runs). Only
-a model can make one: callee bindings between instances wired to each other.
+(`Engine` keeps its compiled closures only while `Engine.run` runs).
 `tests/test_gc.py` runs every command under `gc.DEBUG_SAVEALL` and fails on
 any cyclic garbage of the package's own. `main(argv)`, for in-process
 callers, leaves the collector as it finds it.

@@ -1,9 +1,14 @@
 """Elaboration: build the instance tree of the root module, whose State and
 Array leaves are the state cells (`StateLayout.cells`, in depth-first
-declaration order), and bind each callee to the sibling node it is wired to."""
+declaration order), and bind each callee to the sibling node it is wired to.
+
+A binding is a weak reference: siblings may be wired to each other (or an
+instance to itself), and the tree, which owns every node through
+`children`, must form no reference cycle (see `cli`)."""
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from . import ast
@@ -22,7 +27,7 @@ class InstanceNode:
         self.path = path      # dot-path from the root (root itself is ())
         self.kind = kind      # "module" | "state" | "array"
         self.children: Dict[str, InstanceNode] = {}
-        self.callees: Dict[str, InstanceNode] = {}
+        self.callees: Dict[str, weakref.ref] = {}  # callee -> wired sibling
         self.value_type, self.key_type, self.span = value_type, key_type, span
         self.init = init  # a State's initializer; None for arrays (default-zero contents)
 
@@ -33,9 +38,6 @@ class InstanceNode:
 class StateLayout:
     def __init__(self, cells: List[InstanceNode]) -> None:
         self.cells = cells
-
-    def subtree(self, prefix: Tuple[str, ...]) -> List[InstanceNode]:
-        return [c for c in self.cells if c.path[:len(prefix)] == prefix]
 
 
 def elaborate(tp: TypedProgram) -> Tuple[InstanceNode, StateLayout]:
@@ -114,15 +116,17 @@ def _wire(tp: TypedProgram, mod: ast.ModuleDecl, node: InstanceNode) -> None:
         if callee_name in child.callees:
             raise ElabError(w.span, f"duplicate wiring for callee {callee_name!r} "
                                     f"of {child.dotted()}")
-        child.callees[callee_name] = target
+        child.callees[callee_name] = weakref.ref(target)
 
 
 def _check_callees_bound(tp: TypedProgram, node: InstanceNode) -> None:
     if node.kind == "module":
-        for c in tp.modules[node.module].callees:
+        mod = tp.modules[node.module]
+        for c in mod.callees:
             if c.name not in node.callees:
-                raise ElabError(node.span,
-                                f"unbound callee {c.name!r} of instance {node.dotted()}")
+                raise ElabError(
+                    node.span,
+                    f"unbound callee {c.name!r} of instance {node.dotted()}")
         for child in node.children.values():
             _check_callees_bound(tp, child)
 
@@ -137,12 +141,13 @@ def resolve_instance(frm: InstanceNode, prefix) -> InstanceNode:
     The first segment is a local instance, else a callee; later segments
     are children. The type checker accepted the prefix (and with it the
     rule that only root-module code reaches through nested instances), and
-    elaboration bound every callee, so each step exists.
+    elaboration bound every callee, so each step exists (while the root,
+    which owns every node, lives).
     """
     node = frm
     for i, seg in enumerate(prefix):
         if i == 0 and seg not in node.children:
-            node = node.callees[seg]
+            node = node.callees[seg]()
         else:
             node = node.children[seg]
     return node

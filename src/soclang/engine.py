@@ -416,7 +416,9 @@ class Engine:
     def __init__(self, tp: TypedProgram, root: InstanceNode, layout: StateLayout,
                  anys: Optional[AnySource] = None, capacity: int = 64,
                  record_events: bool = False) -> None:
-        self.tp, self.root, self.layout = tp, root, layout
+        self.tp = tp
+        self.root = root
+        self.layout = layout
         self.anys = anys
         self.capacity = capacity
         self.enums = tp.enums
@@ -791,9 +793,14 @@ class Engine:
         return write_array
 
     def _havoc(self, cids: Iterator[ChoiceId], target: InstanceNode) -> None:
-        for cell in self.layout.subtree(target.path):
-            self._write(cell, self.fresh_tree(cids, cell.value_type)
-                        if cell.kind == "state" else self.fresh_array_tree(cids, cell))
+        """Fresh values for the cells under `target`, in layout order."""
+        todo = [target]
+        while todo:
+            node = todo.pop()
+            todo.extend(reversed(node.children.values()))  # a cell has none
+            if node.kind != "module":
+                self._write(node, self.fresh_tree(cids, node.value_type)
+                            if node.kind == "state" else self.fresh_array_tree(cids, node))
 
     # One compiler per expression class; `code` dispatches on the exact class.
     _COMPILE = {

@@ -488,7 +488,9 @@ class _Parser:
 def _split_format(fmt: Token, filename: str):
     """Split a printf format string into literal parts and parsed {expr} holes."""
     text = fmt.text or ""
-    parts, holes, buf = [], [], []
+    parts: list = []
+    holes: list = []
+    buf: list = []
     i = 0
     while i < len(text):
         ch = text[i]
@@ -503,9 +505,11 @@ def _split_format(fmt: Token, filename: str):
             hole_src = text[i + 1:end]
             try:
                 toks = tokenize(hole_src, filename)
-                brace = _source_col(fmt, i)
+                # Each token's offset in the text; a newline in a hole is a `\n`.
+                starts = [0] + [k + 1 for k, c in enumerate(hole_src) if c == "\n"]
                 for t in toks:
-                    t.line, t.col = fmt.line, brace + t.col
+                    offset = i + starts[t.line - 1] + t.col  # i is the `{`
+                    t.line, t.col = fmt.line, _source_col(fmt, offset)
                 holes.append(_expr(toks, filename))
             except (LexError, ParseError) as err:
                 raise ParseError(fmt.span, f"bad format hole {{{hole_src}}}: {err.message}")

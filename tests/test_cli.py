@@ -102,9 +102,10 @@ def test_check_without_modules_is_located_in_the_file(tmp_path, capsys, text, li
 
 
 # A printf hole is located in the file: its tokens take the line of the
-# format string and the column of the hole's text, where an escape before
-# the hole counts as its two source characters. A hole that does not lex
-# is reported at the string, as one that does not parse is.
+# format string and the column of their text in the source, where an
+# escape, before the hole or inside it, counts as its two source characters.
+# A hole that does not lex is reported at the string, as one that does not
+# parse is.
 HOLES = {
     "unknown name": (["check"], 'printf("value {a.f} and {nope}")',
                      1, "", ":4:30: error: unknown name 'nope'\n"),
@@ -114,6 +115,10 @@ HOLES = {
                       ":4:12: error: bad format hole {a $ 1}: unexpected character '$'\n"),
     "after an escape": (["check"], 'printf("x\\ty {a.g}")', 1, "",
                         ":4:19: error: record { f: BitInt(8) } has no field 'g'\n"),
+    "escape inside the hole": (["check"], 'printf("v {\\ta.g}")', 1, "",
+                               ":4:18: error: record { f: BitInt(8) } has no field 'g'\n"),
+    "newline inside the hole": (["check"], 'printf("v {a.f +\\n nope}")', 1, "",
+                                ":4:24: error: unknown name 'nope'\n"),
 }
 
 

@@ -37,9 +37,9 @@ def test_instance_tree_paths(mini_tx1):
 def test_callee_bindings(mini_tx1):
     _, tree, _ = mini_tx1
     asc = _node(tree, "miniTX1.asc")
-    assert asc.callees["dram"] is _node(tree, "miniTX1.dram")
+    assert asc.callees["dram"]() is _node(tree, "miniTX1.dram")
     cpu = _node(tree, "miniTX1.cpu")
-    assert cpu.callees["asc"] is asc
+    assert cpu.callees["asc"]() is asc
 
 
 def test_cell_count_equals_reachable_primitives(mini_tx1):
@@ -151,7 +151,7 @@ module Main {
 }
 """)
     dev = _node(tree, "dev")
-    assert dev.callees["north"] is dev.callees["south"] is _node(tree, "bus")
+    assert dev.callees["north"]() is dev.callees["south"]() is _node(tree, "bus")
 
 
 @pytest.mark.parametrize("case", list(INSTANCE_NESTING))

@@ -96,6 +96,62 @@ def test_engine_commands_leave_no_cycles(case, tmp_path, capsys):
     assert _cyclic_garbage(argv, capsys) == (code, [])
 
 
+# Callee bindings that close a loop: the usual CPU and interrupt-controller
+# shape, where two siblings are wired to each other, and an instance wired
+# to itself.
+WIRED_IN_A_LOOP = {
+    "to each other": """
+module Cpu {
+  callee gic: Gic;
+  instance pc: State<BitInt(8)>(0u8);
+  mut fn read() -> BitInt(8) { pc.get() }
+  mut fn step() { pc.set(gic.pending()) }
+}
+module Gic {
+  callee cpu: Cpu;
+  instance line: State<BitInt(8)>(1u8);
+  mut fn pending() -> BitInt(8) { line.get() }
+  mut fn poll() { line.set(cpu.read()) }
+}
+module Main {
+  instance cpu: Cpu;
+  instance gic: Gic;
+  cpu.gic -> gic;
+  gic.cpu -> cpu;
+  mut fn go() { gic.havoc(); gic.poll(); cpu.step(); assert(cpu.read() == 0u8) }
+}
+""",
+    "to itself": """
+module Node {
+  callee me: Node;
+  instance n: State<BitInt(8)>(0u8);
+  mut fn get() -> BitInt(8) { n.get() }
+  mut fn bump() { n.set(me.get() + 1u8) }
+}
+module Main {
+  instance a: Node;
+  a.me -> a;
+  mut fn go() { a.bump(); assert(a.get() == 1u8) }
+}
+""",
+}
+LOOP_COMMANDS = {
+    "check": (0, []),
+    "dump-tree": (0, []),
+    "run": (0, ["--scenario", "go", "--seed", "1"]),
+    "verify": (3, ["--scenario", "go", "--solver", "sh -c 'echo unknown'"]),
+}
+
+
+@pytest.mark.parametrize("command", list(LOOP_COMMANDS))
+@pytest.mark.parametrize("model", list(WIRED_IN_A_LOOP))
+def test_models_wired_in_a_loop_leave_no_cycles(model, command, tmp_path, capsys):
+    path = tmp_path / "loop.soc"
+    path.write_text(WIRED_IN_A_LOOP[model])
+    code, options = LOOP_COMMANDS[command]
+    assert _cyclic_garbage([command, str(path), *options], capsys) == (code, [])
+
+
 @pytest.mark.parametrize("argv", [["verify", FIXED], ["frob"],
                                   ["run", FIXED, "--scenario", "base_case", "--capacity", "-1"]],
                          ids=["missing option", "unknown command", "negative capacity"])
