@@ -49,7 +49,6 @@ class Token:
     value: Optional[int] = None
     width: Optional[int] = None
     is_hex = False
-    text: Optional[str] = None
 
     def __init__(self, kind: TokKind, lexeme: str, file: str, line: int, col: int) -> None:
         # One statement per field: faster than a tuple assignment of five.
@@ -72,16 +71,21 @@ class Token:
 
 
 class Literal(Token):
-    """An integer literal (value and is_hex, and width from a u<width>
-    suffix) or a string literal (text: the decoded string)."""
+    """An integer literal: its value and is_hex, and its width from a
+    u<width> suffix. A string literal is a plain token; the printf parser
+    reads its escapes from the lexeme."""
 
-    __slots__ = ("value", "width", "is_hex", "text")
+    __slots__ = ("value", "width", "is_hex")
 
     def __init__(self, kind: TokKind, lexeme: str, file: str, line: int, col: int,
                  value: Optional[int] = None, width: Optional[int] = None,
-                 is_hex: bool = False, text: Optional[str] = None) -> None:
+                 is_hex: bool = False) -> None:
         super().__init__(kind, lexeme, file, line, col)
-        self.value, self.width, self.is_hex, self.text = value, width, is_hex, text
+        self.value, self.width, self.is_hex = value, width, is_hex
+
+
+# What each string escape `\<key>` stands for.
+STRING_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "{": "{", "}": "}"}
 
 
 # One match per token: the trivia before it, then one alternative per token
@@ -96,7 +100,7 @@ _TOKEN = re.compile(r"""
       (?P<word>[A-Za-z_][A-Za-z0-9_]*|""" + "|".join(re.escape(p) for p in PUNCT) + r""")
     | (?P<number>(?P<digits>(?P<hex>0[xX][0-9a-fA-F][0-9a-fA-F_]*)|(?!0[xX])[0-9][0-9_]*)
           (?:u(?P<width>[0-9]+))?)
-    | (?P<string>"(?:[^"\\\n]|\\[nt"\\{}])*")
+    | (?P<string>"(?:[^"\\\n]|\\[""" + re.escape("".join(STRING_ESCAPES)) + r"""])*")
     | (?P<eof>\Z)
     | (?P<bad>(?s:.))
     )
@@ -107,11 +111,6 @@ _WORDS = {**{k: (k, TokKind.KEYWORD) for k in KEYWORDS},
           **{p: (p, TokKind.PUNCT) for p in PUNCT}}
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-
-# The braces keep their backslash so the printf hole scanner can tell
-# escaped braces from holes.
-_STRING_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "{": "\\{", "}": "\\}"}
-_ESCAPE = re.compile(r"\\(.)")
 
 
 def decode_source(data: bytes, filename: str) -> str:
@@ -158,11 +157,7 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
         elif kind == "number":
             append(_number(m, filename, line, col, source))
         elif kind == "string":
-            lexeme = m.group(kind)
-            text = lexeme[1:-1]
-            if "\\" in text:
-                text = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], text)
-            append(Literal(TokKind.STRING, lexeme, filename, line, col, text=text))
+            append(Token(TokKind.STRING, m.group(kind), filename, line, col))
         elif kind == "eof":
             break
         else:
@@ -207,7 +202,7 @@ def _bad(source: str, pos: int, filename: str, line: int, col: int) -> NoReturn:
             if source[i] == "\\":
                 if i + 1 == len(source):
                     raise error(i + 1, "unterminated string literal")
-                if source[i + 1] not in _STRING_ESCAPES:
+                if source[i + 1] not in STRING_ESCAPES:
                     raise error(i + 2, f"unknown escape \\{source[i + 1]}")
                 i += 1
             i += 1

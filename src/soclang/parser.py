@@ -11,7 +11,7 @@ from typing import List, Optional
 from . import ast
 from .ast import SourceSpan
 from .diagnostics import LexError, ParseError
-from .lexer import Token, TokKind, tokenize
+from .lexer import STRING_ESCAPES, Token, TokKind, tokenize
 
 # Built-ins taking a <width> argument; `to_int` takes none.
 _WIDTH_BUILTINS = {"zero_extend", "truncate", "from_int"}
@@ -368,11 +368,10 @@ class _Parser:
                         e = ast.SliceUpdate(self.span_from(start), e, hi, lo, value)
                     else:
                         self.expect("]")
-                        if hi < lo:
-                            raise ParseError(
-                                self.span_from(start),
-                                f"slice bounds must satisfy hi >= lo, got {hi} downto {lo}")
                         e = ast.Slice(self.span_from(start), e, hi, lo)
+                    if hi < lo:
+                        raise ParseError(
+                            e.span, f"slice bounds must satisfy hi >= lo, got {hi} downto {lo}")
                 elif self.at(":="):
                     self.advance()
                     value = self.expr()
@@ -486,36 +485,37 @@ class _Parser:
 
 
 def _split_format(fmt: Token, filename: str):
-    """Split a printf format string into literal parts and parsed {expr} holes."""
-    text = fmt.text or ""
+    """Split a printf format string, as written, into literal parts (escapes
+    decoded) and parsed {expr} holes."""
+    src = fmt.lexeme
+    end = len(src) - 1  # src[0] and src[end] are the quotes
     parts: list = []
     holes: list = []
     buf: list = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text) and text[i + 1] in "{}":
-            buf.append(text[i + 1])
+    i = 1
+    while i < end:
+        ch = src[i]
+        if ch == "\\":
+            buf.append(STRING_ESCAPES[src[i + 1]])
             i += 2
             continue
         if ch == "{":
-            end = text.find("}", i + 1)
-            if end < 0:
+            close = src.find("}", i + 1, end)
+            if close < 0:
                 raise ParseError(fmt.span, "unterminated format hole")
-            hole_src = text[i + 1:end]
+            hole_src = src[i + 1:close]
             try:
-                toks = tokenize(hole_src, filename)
-                # Each token's offset in the text; a newline in a hole is a `\n`.
-                starts = [0] + [k + 1 for k, c in enumerate(hole_src) if c == "\n"]
+                # `\n` and `\t` read as two spaces, so a token's column in
+                # the hole is its column in the source.
+                toks = tokenize(hole_src.replace("\\n", "  ").replace("\\t", "  "), filename)
                 for t in toks:
-                    offset = i + starts[t.line - 1] + t.col  # i is the `{`
-                    t.line, t.col = fmt.line, _source_col(fmt, offset)
+                    t.line, t.col = fmt.line, fmt.col + i + t.col  # i is the `{`
                 holes.append(_expr(toks, filename))
             except (LexError, ParseError) as err:
                 raise ParseError(fmt.span, f"bad format hole {{{hole_src}}}: {err.message}")
             parts.append("".join(buf))
             buf = []
-            i = end + 1
+            i = close + 1
             continue
         if ch == "}":
             raise ParseError(fmt.span, "stray '}' in format string (escape as \\})")
@@ -523,17 +523,6 @@ def _split_format(fmt: Token, filename: str):
         i += 1
     parts.append("".join(buf))
     return parts, holes
-
-
-def _source_col(fmt: Token, offset: int) -> int:
-    """The column of text[offset] of a string literal. An escape is two
-    source characters; the text keeps both of `\\{` and `\\}`."""
-    lexeme, i = fmt.lexeme, 1  # lexeme[0] is the opening quote
-    while offset > 0:
-        escape = lexeme[i] == "\\"
-        offset -= 2 if escape and lexeme[i + 1] in "{}" else 1
-        i += 2 if escape else 1
-    return fmt.col + i
 
 
 def _parse(p: _Parser, rule):

@@ -43,6 +43,11 @@ def _sort_text(sort: tuple) -> str:
     raise AssertionError(f"unknown sort {sort}")
 
 
+def _has_int(sort: tuple) -> bool:
+    """Whether `sort` is Int or an array with Int leaves."""
+    return sort == terms.INT_SORT or sort[0] == "arr" and _has_int(sort[2])
+
+
 # The text of each atom class, keyed on the exact class.
 _ATOM_TEXT: Dict[type, Callable[[Term], str]] = {
     terms.BoolC: lambda t: "true" if t.value else "false",
@@ -158,8 +163,7 @@ _NODE_TEXT: Dict[type, Callable[[Term, Callable[[Term], str]], str]] = {
 def emit_smtlib(vc: VerificationCondition) -> str:
     """Self-contained SMT-LIB v2 text for a verification condition."""
     emitter = _Emitter(vc.query_term())
-    has_int = emitter.has_int or any(
-        isinstance(i.type, ast.IntType) for i in vc.registry.infos)
+    has_int = emitter.has_int or any(_has_int(i.sort) for i in vc.registry.infos)
     parts = [f"(set-logic {'ALL' if has_int else 'QF_ABV'})\n"
              "(set-option :produce-models true)\n"]
     for info in vc.registry.infos:

@@ -352,8 +352,6 @@ class Checker:
             if e.hi >= base.length:
                 raise self.fail(
                     e.span, f"slice [{e.hi} downto {e.lo}] out of range for {base}")
-            if e.hi < e.lo:
-                raise self.fail(e.span, "slice bounds must satisfy hi >= lo")
             self.check_expr(ctx, e.value,
                             ast.VectorType(base.elem, e.hi - e.lo + 1))
             return base

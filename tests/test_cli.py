@@ -136,6 +136,30 @@ def test_printf_hole_is_located_in_the_file(tmp_path, capsys, case):
     assert captured.err == (f"{path}{err}" if err else "")
 
 
+# An escaped backslash before a brace is a backslash: the brace after it
+# opens a hole or is a stray one.
+ESCAPED_BACKSLASHES = {
+    "before a hole": (["run", "--scenario", "s"], 'printf("x\\\\{a.f}\\n")',
+                      0, "x\\2\npassed\n", ""),
+    "before a stray brace": (["check"], 'printf("x\\\\}")', 1, "",
+                             ":4:12: error: stray '}' in format string (escape as \\})\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(ESCAPED_BACKSLASHES))
+def test_escaped_backslash_before_a_brace(tmp_path, capsys, case):
+    from soclang import cli
+
+    command, printf, code, out, err = ESCAPED_BACKSLASHES[case]
+    path = tmp_path / "fmt.soc"
+    path.write_text("module Main {\n  mut fn s() {\n    let a = { f: 2u8 };\n"
+                    f"    {printf}\n  }}\n}}\n")
+    assert cli.main([command[0], str(path), *command[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == (f"{path}{err}" if err else "")
+
+
 def _deep_parentheses(tmp_path, depth):
     f = tmp_path / "deep.soc"
     expr = "(" * depth + "1u8" + ")" * depth

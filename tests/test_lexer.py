@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from soclang import lexer
 from soclang.diagnostics import LexError
 from soclang.lexer import TokKind, tokenize
-from soclang.parser import parse_program
+from soclang.parser import parse_expr, parse_program
 
 from conftest import CORPUS
 
@@ -78,8 +78,8 @@ def test_unterminated_string():
 
 
 def test_string_escapes():
-    tok = tokenize(r'"line\n\ttab \"q\" \\"')[0]
-    assert tok.text == 'line\n\ttab "q" \\'
+    e = parse_expr(r'printf("line\n\ttab \"q\" \\")')
+    assert e.parts == ['line\n\ttab "q" \\']
 
 
 def test_arrow_and_downto():
@@ -104,8 +104,11 @@ def test_spans_track_lines():
 # -- parity pins ---------------------------------------------------------------
 # Recorded from the character-at-a-time lexer that the master-regex lexer
 # replaced: every corpus file must give the same tokens, spans and errors.
+# Re-recorded once since, when string tokens stopped carrying a decoded
+# text: the record dropped that field, and the tokens of the lexer before
+# that change give the same digest under it.
 
-CORPUS_TOKENS_SHA256 = "9f1aeec0bdf4b3c3d409fd6e157968a518bd02de83e8bcf35b38c5d5a4f5011d"
+CORPUS_TOKENS_SHA256 = "47ae3221b53de41c9070224e839c1a624799a07b2c3ca86ccbab34a36efe810f"
 
 
 def _fields(span) -> tuple:
@@ -114,7 +117,7 @@ def _fields(span) -> tuple:
 
 def _token_record(tok) -> str:
     return repr((tok.kind.name, tok.lexeme, _fields(tok.span), tok.value,
-                 tok.width, tok.is_hex, tok.text))
+                 tok.width, tok.is_hex))
 
 
 def test_corpus_token_streams_are_pinned():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from soclang import ast
 from soclang.diagnostics import ParseError, SocError
+from soclang.lexer import STRING_ESCAPES
 from soclang.parser import parse_expr, parse_program
 
 from conftest import CORPUS
@@ -100,6 +101,20 @@ def test_reversed_slice_rejected():
         parse_expr("x[2 downto 5]")
 
 
+def test_reversed_slice_update_rejected():
+    with pytest.raises(ParseError, match="hi >= lo, got 2 downto 5"):
+        parse_expr("x[2 downto 5 := [1u8]]")
+
+
+def test_the_first_reversed_slice_in_a_file_is_reported():
+    src = ("module Main {\n  mut fn go() {\n    let v = [1u8, 2u8];\n"
+           "    let w = v[0 downto 1 := [3u8, 4u8]];\n    let x = 0u8;\n"
+           "    x[1 downto 2]\n  }\n}\n")
+    with pytest.raises(ParseError, match="got 0 downto 1") as info:
+        parse_program(src)
+    assert info.value.span.line == 4
+
+
 def test_dotted_call_paths():
     e = parse_expr("miniTX1.dram.storage.get()")
     assert isinstance(e, ast.Call)
@@ -139,6 +154,38 @@ def test_printf_escaped_braces():
     e = parse_expr(r'printf("literal \{x\}\n")')
     assert e.parts == ["literal {x}\n"]
     assert e.holes == []
+
+
+# A piece of a format string: its source text and the text it decodes to,
+# or None for a hole `{a}` with spaces and `\t` escapes around its name.
+_format_pieces = st.one_of(
+    st.text(alphabet="ab $%.:=n", min_size=1, max_size=4).map(lambda t: (t, t)),
+    st.sampled_from(sorted(STRING_ESCAPES)).map(
+        lambda k: ("\\" + k, STRING_ESCAPES[k])),
+    st.tuples(st.sampled_from(["", " ", "\\t", " \\t "]), st.sampled_from(["", " ", "\\t"]))
+    .map(lambda pad: ("{" + pad[0] + "a" + pad[1] + "}", None)),
+)
+
+
+@given(st.lists(_format_pieces, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_random_formats_split_into_decoded_parts_and_located_holes(pieces):
+    prefix = 'printf("'
+    e = parse_expr(prefix + "".join(written for written, _ in pieces) + '")')
+    parts, cols, buf = [], [], ""
+    col = len(prefix) + 1  # the column of the piece's first character
+    for written, decoded in pieces:
+        if decoded is None:
+            parts.append(buf)
+            buf = ""
+            cols.append(col + written.index("a"))
+        else:
+            buf += decoded
+        col += len(written)
+    parts.append(buf)
+    assert e.parts == parts
+    assert "".join(e.parts) == "".join(d for _, d in pieces if d is not None)
+    assert [(h.span.line, h.span.col) for h in e.holes] == [(1, c) for c in cols]
 
 
 def test_vector_literal_and_updates():

@@ -85,6 +85,23 @@ module Main {
     assert f"(declare-const c{vc.registry.infos[0].vid} Int)" in text
 
 
+def test_an_unused_array_with_int_leaves_switches_the_logic():
+    # The havocked table never reaches the query, so only its declared
+    # sort shows that the logic needs Int.
+    _, _, _, vc = vc_of("""
+module Main {
+  instance tbl: Array<BitInt(2), Int>;
+  mut fn s() {
+    tbl.havoc();
+    assert(true)
+  }
+}
+""")
+    text = emit_smtlib(vc)
+    assert "(Array (_ BitVec 2) Int)" in text
+    assert text.startswith("(set-logic ALL)")
+
+
 @requires_z3
 def test_int_logic_is_accepted_by_z3(tmp_path):
     _, _, _, vc = vc_of("""
