@@ -117,10 +117,15 @@ class UnitType(TypeExpr):
 
 
 class EnumRef(TypeExpr):
-    __slots__ = ("name",)
+    __slots__ = ("name", "variants")  # variants: tuple[str, ...], in declaration order
 
     def __str__(self) -> str:
         return self.name
+
+    @property
+    def width(self) -> int:
+        """Backend width: ceil(log2(max(n, 2))) for n variants."""
+        return max(1, (len(self.variants) - 1).bit_length())
 
 
 class AliasRef(TypeExpr):

@@ -19,17 +19,19 @@ operator's constructor, and the mode. One evaluator serves two modes:
   failing assume/assert stops the run. Constant terms are the only value
   model: a run's store, a solver model and a run result are trees of them.
 
-A choice id is (site, (call sites, leaf number)): the node id of the `any`
-or `havoc` that made the choice, the ids of the `Call` nodes from the
-scenario down to it, and the number of the leaf among the values that one
-evaluation of the site makes (a record, a vector or a havocked module has
-several). The language has no loops and no recursion, so a site runs at most
-once per call path, and a choice is named by its position in the inlined
-scenario, not by how many choices ran before it: a symbolic run, which takes
-both arms of every branch, and a concrete run, which takes one, give a choice
-the same id, and replay asks a model for exactly the ids that sym_exec
-registered. The SMT-LIB name of a choice spells its id (`choice_vid`), so a
-model names its choices without the symbolic run that declared them.
+A choice is named by its vid, its SMT-LIB name without the `c`: the node id
+of the `any` or `havoc` that made the choice, the ids of the `Call` nodes
+from the scenario down to it, and the number of the leaf among the values
+that one evaluation of the site makes (a record, a vector or a havocked
+module has several), joined by `_`. The language has no loops and no
+recursion, so a site runs at most once per call path, and a choice is named
+by its position in the inlined scenario, not by how many choices ran before
+it: a symbolic run, which takes both arms of every branch, and a concrete
+run, which takes one, give a choice the same vid, and replay asks a model for
+exactly the vids that sym_exec registered. So a model names its choices
+without the symbolic run that declared them. Both modes draw a choice by its
+vid and the type it is registered with: a scalar, or `ArrayType(key, leaf)`
+for a leaf of an array cell.
 
 The store is keyed by cell, a State or Array leaf of the instance tree.
 Records and vectors are trees of per-leaf terms, mapped leafwise by
@@ -47,7 +49,7 @@ from . import ast, terms
 from .diagnostics import CapacityError, EngineError
 from .elaborate import InstanceNode, StateLayout, resolve_instance
 from .terms import Term
-from .typecheck import EnumVariantRef, PrimCall, TypedProgram, UserCall, enum_width
+from .typecheck import EnumVariantRef, PrimCall, TypedProgram, UserCall
 
 # ---------------------------------------------------------------------------
 # Value trees: records/vectors explode into per-leaf terms. Trees compare by
@@ -93,7 +95,7 @@ def tree_map(fn, tree, *others):
 
 def tree_of_type(t: ast.TypeExpr, leaf):
     """The tree of type t whose leaves are leaf(scalar type), called in
-    field/item order (choice ids and registry vids follow it)."""
+    field/item order (the vids of choices follow it)."""
     if isinstance(t, ast.RecordType):
         return RecV(tuple((n, tree_of_type(ft, leaf)) for n, ft in t.fields))
     if isinstance(t, ast.VectorType):
@@ -127,36 +129,23 @@ def _conjoin(eqs) -> Term:
 # ---------------------------------------------------------------------------
 # Choice registry and nondeterminism sources
 
-CallPath = Tuple[int, ...]  # Call node ids from the scenario down
-ChoiceId = Tuple[int, Tuple[CallPath, int]]  # (site, (call sites, leaf number))
+CallPath = str  # `_` and the id of each Call node from the scenario down
 
 
-def choice_ids(site: int, calls: CallPath) -> Iterator[ChoiceId]:
-    """The ids of the leaves that one evaluation of `site` chooses, in
-    leaf order; the evaluation is the only one on its call path."""
-    return ((site, (calls, leaf)) for leaf in itertools.count())
-
-
-def choice_vid(cid: ChoiceId) -> str:
-    """The suffix of the choice's SMT-LIB name `c<vid>`: its site, call sites
-    and leaf number joined by `_`. The first number is the site and the last
-    the leaf, so every number between them is a call site."""
-    site, (calls, leaf) = cid
-    return "_".join(map(str, (site, *calls, leaf)))
+def choice_ids(site: int, calls: CallPath) -> Iterator[str]:
+    """The vids of the leaves that one evaluation of `site` chooses, in leaf
+    order; the evaluation is the only one on its call path."""
+    prefix = f"{site}{calls}_"
+    return (prefix + str(leaf) for leaf in itertools.count())
 
 
 class ChoiceInfo(ast.Node):
-    __slots__ = ("vid", "site", "occ", "type", "sort")
+    __slots__ = ("vid", "type", "sort")
 
-    def __init__(self, vid: str, site: int, occ: Tuple[CallPath, int],
-                 type: ast.TypeExpr, sort: tuple) -> None:
-        self.vid, self.site, self.occ = vid, site, occ
+    def __init__(self, vid: str, type: ast.TypeExpr, sort: tuple) -> None:
+        self.vid = vid
         self.type = type  # scalar leaf type, or ArrayType(key, leaf) for arrays
         self.sort = sort
-
-    @property
-    def cid(self) -> ChoiceId:
-        return (self.site, self.occ)
 
 
 class Registry(ast.Node):
@@ -165,20 +154,16 @@ class Registry(ast.Node):
     def __init__(self) -> None:
         self.infos: List[ChoiceInfo] = []
 
-    def register(self, site: int, occ: tuple, t: ast.TypeExpr, sort: tuple) -> ChoiceInfo:
-        info = ChoiceInfo(choice_vid((site, occ)), site, occ, t, sort)
-        self.infos.append(info)
-        return info
+    def register(self, vid: str, t: ast.TypeExpr, sort: tuple) -> None:
+        self.infos.append(ChoiceInfo(vid, t, sort))
 
 
 class AnySource:
     """Pluggable source of constant terms for `any` and `havoc` in concrete
-    runs: `scalar` gives a leaf of the scalar type, `array` a SparseConst."""
+    runs: `value` gives the choice named `vid`, of the type it is registered
+    with (a SparseConst for an array type)."""
 
-    def scalar(self, cid: ChoiceId, t: ast.TypeExpr, enums):
-        raise NotImplementedError
-
-    def array(self, cid: ChoiceId, key_width: int, leaf: ast.TypeExpr, enums):
+    def value(self, vid: str, t: ast.TypeExpr) -> Term:
         raise NotImplementedError
 
 
@@ -186,7 +171,11 @@ class SeededRandom(AnySource):
     def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
 
-    def scalar(self, cid, t, enums):
+    def value(self, vid, t):
+        if isinstance(t, ast.ArrayType):
+            # A uniformly random huge array is not representable; draw a
+            # random fill value and no modifications.
+            return terms.mk_const_array(t.key.width, self.value(vid, t.value))
         if isinstance(t, ast.BoolType):
             return terms.mk_bool(self.rng.random() < 0.5)
         if isinstance(t, ast.BitIntType):
@@ -194,18 +183,15 @@ class SeededRandom(AnySource):
         if isinstance(t, ast.IntType):
             return terms.mk_int(self.rng.randint(-(1 << 31), 1 << 31))
         if isinstance(t, ast.EnumRef):
-            n = len(enums[t.name])
-            return terms.mk_bv(enum_width(n), self.rng.randrange(n))
+            return terms.mk_bv(t.width, self.rng.randrange(len(t.variants)))
         raise AssertionError(f"cannot draw {t}")
 
-    def array(self, cid, key_width, leaf, enums):
-        # A uniformly random huge array is not representable; draw a random
-        # fill value and no modifications.
-        return terms.mk_const_array(key_width, self.scalar(cid, leaf, enums))
 
-
-def zero_scalar(t: ast.TypeExpr, enums) -> Term:
-    sort = scalar_sort(t, enums)
+def zero(t: ast.TypeExpr) -> Term:
+    """The zero of a scalar type; of an array type, the array of zeros."""
+    if isinstance(t, ast.ArrayType):
+        return terms.mk_const_array(t.key.width, zero(t.value))
+    sort = sort_of(t)
     if sort == terms.BOOL_SORT:
         return terms.FALSE
     if sort == terms.INT_SORT:
@@ -214,38 +200,29 @@ def zero_scalar(t: ast.TypeExpr, enums) -> Term:
 
 
 class ModelOracle(AnySource):
-    """Replays a solver model; absent choice ids default to zero.
+    """Replays a solver model, keyed by vid; absent choices default to zero.
 
-    Each model value must be a constant of the choice's sort, and an enum
-    value must name a variant.
+    Each model value must be a constant of the choice's sort, and a scalar
+    enum value must name a variant. An array's enum leaves are checked as a
+    run reads them (`Engine._variant`), so keys it never reads may hold any
+    value.
     """
 
-    def __init__(self, values: Dict[ChoiceId, Term]) -> None:
+    def __init__(self, values: Dict[str, Term]) -> None:
         self.values = values
 
-    def scalar(self, cid, t, enums):
-        if cid not in self.values:
-            return zero_scalar(t, enums)
-        v = self.values[cid]
-        if v.sort == scalar_sort(t, enums) and \
-                not (isinstance(t, ast.EnumRef) and v.value >= len(enums[t.name])):
+    def value(self, vid, t):
+        v = self.values.get(vid)
+        if v is None:
+            return zero(t)
+        if v.sort == sort_of(t) and \
+                not (isinstance(t, ast.EnumRef) and v.value >= len(t.variants)):
             return v
-        raise EngineError(f"model value for c{choice_vid(cid)} has the wrong type "
-                          f"(expected {t}, got {_leaf_text(v, None, enums)})")
-
-    def array(self, cid, key_width, leaf, enums):
-        if cid not in self.values:
-            return terms.mk_const_array(key_width, zero_scalar(leaf, enums))
-        v = self.values[cid]
-        if not isinstance(v, terms.SparseConst) or \
-                v.sort != terms.arr_sort(key_width, scalar_sort(leaf, enums)):
-            raise EngineError(f"model value for c{choice_vid(cid)} is not an array "
+        if isinstance(t, ast.ArrayType):
+            raise EngineError(f"model value for c{vid} is not an array "
                               f"of the expected sort")
-        if isinstance(leaf, ast.EnumRef):
-            for x in (v.default, *(x for _, x in v.mods)):
-                if x.value >= len(enums[leaf.name]):
-                    raise EngineError(f"enum value {x.value} out of range for {leaf.name}")
-        return v
+        raise EngineError(f"model value for c{vid} has the wrong type "
+                          f"(expected {t}, got {_leaf_text(v, None)})")
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +278,20 @@ class _Stop(Exception):
 # ---------------------------------------------------------------------------
 
 
-def scalar_sort(t: ast.TypeExpr, enums) -> tuple:
+def sort_of(t: ast.TypeExpr) -> tuple:
+    """The sort of a scalar type, or of an array from a key to a scalar."""
+    if isinstance(t, ast.ArrayType):
+        return terms.arr_sort(t.key.width, sort_of(t.value))
     if isinstance(t, ast.BoolType):
         return terms.BOOL_SORT
-    if isinstance(t, ast.BitIntType):
+    if isinstance(t, (ast.BitIntType, ast.EnumRef)):
         return terms.bv_sort(t.width)
     if isinstance(t, ast.IntType):
         return terms.INT_SORT
-    if isinstance(t, ast.EnumRef):
-        return terms.bv_sort(enum_width(len(enums[t.name])))
-    raise AssertionError(f"no scalar sort for {t}")
+    raise AssertionError(f"no sort for {t}")
 
 
-def format_value(tree, t: ast.TypeExpr, enums, in_array: bool = False) -> str:
+def format_value(tree, t: ast.TypeExpr, in_array: bool = False) -> str:
     """Render a constant value tree of type t the way traces print it.
 
     Records print their fields in declaration order, an array as its updates
@@ -324,31 +302,30 @@ def format_value(tree, t: ast.TypeExpr, enums, in_array: bool = False) -> str:
     if isinstance(t, ast.UnitType):
         return "()"
     if isinstance(t, ast.RecordType):
-        inner = ", ".join(f"{n}: {format_value(tree.get(n), ft, enums, in_array)}"
+        inner = ", ".join(f"{n}: {format_value(tree.get(n), ft, in_array)}"
                           for n, ft in t.fields)
         return "{ " + inner + " }"
     if isinstance(t, ast.VectorType):
-        return "[" + ", ".join(format_value(x, t.elem, enums, in_array)
-                               for x in tree.items) + "]"
+        return "[" + ", ".join(format_value(x, t.elem, in_array) for x in tree.items) + "]"
     if isinstance(t, ast.ArrayType):
-        return format_value(tree, t.value, enums, True)
+        return format_value(tree, t.value, True)
     if in_array and not isinstance(tree, terms.SparseConst):
         raise EngineError("internal: symbolic array in a concrete run")
     if not in_array and isinstance(tree, terms.SparseConst):
         raise EngineError(f"internal: array value for {t} in a concrete run")
-    return _leaf_text(tree, t, enums)
+    return _leaf_text(tree, t)
 
 
-def _leaf_text(v: Term, t: Optional[ast.TypeExpr], enums) -> str:
+def _leaf_text(v: Term, t: Optional[ast.TypeExpr]) -> str:
     """Text of a constant leaf; t, if given, names the variants of an enum.
 
     Small bitvector values print in decimal; larger ones print as grouped
     hex with a u<width> suffix.
     """
     if isinstance(v, terms.SparseConst):
-        mods = ", ".join(f"{k}: {_leaf_text(x, t, enums)}" for k, x in v.mods)
+        mods = ", ".join(f"{k}: {_leaf_text(x, t)}" for k, x in v.mods)
         return "array{" + mods + ("; " if mods else "") + \
-            f"default {_leaf_text(v.default, t, enums)}" + "}"
+            f"default {_leaf_text(v.default, t)}" + "}"
     if isinstance(v, terms.BoolC):
         return "true" if v.value else "false"
     if isinstance(v, terms.IntC):
@@ -356,10 +333,9 @@ def _leaf_text(v: Term, t: Optional[ast.TypeExpr], enums) -> str:
     if not isinstance(v, terms.BVC):
         raise EngineError("internal: symbolic value in a concrete run")
     if isinstance(t, ast.EnumRef):
-        variants = enums[t.name]
-        if v.value >= len(variants):
+        if v.value >= len(t.variants):
             raise EngineError(f"enum value {v.value} out of range for {t.name}")
-        return variants[v.value]
+        return t.variants[v.value]
     if v.value < 256:
         return str(v.value)
     digits = f"{v.value:x}"
@@ -403,7 +379,7 @@ class _Path:
 class _Frame(ast.Node):
     __slots__ = ("inst", "calls")
 
-    def __init__(self, inst: InstanceNode, calls: CallPath = ()) -> None:
+    def __init__(self, inst: InstanceNode, calls: CallPath = "") -> None:
         self.inst, self.calls = inst, calls
 
 
@@ -421,7 +397,6 @@ class Engine:
         self.layout = layout
         self.anys = anys
         self.capacity = capacity
-        self.enums = tp.enums
         self.store: Dict[InstanceNode, object] = {}  # cell -> value tree
         self.path = _Path(None, None, True)
         self.registry = Registry()
@@ -438,15 +413,14 @@ class Engine:
 
     def _init_store(self) -> None:
         frame = _Frame(self.root)
-        enums = self.enums
         for cell in self.layout.cells:
             if cell.kind == "state":
                 # Init expressions are closed and pure; they fold to constants.
                 self.store[cell] = self.code(cell.init)({}, frame)
             else:
-                kw = cell.key_type.width
-                self.store[cell] = tree_of_type(cell.value_type, lambda t: (
-                    terms.mk_const_array(kw, zero_scalar(t, enums))))
+                key = cell.key_type
+                self.store[cell] = tree_of_type(
+                    cell.value_type, lambda t: zero(ast.ArrayType(key, t)))
 
     def concrete_store(self) -> Dict[str, object]:
         return {cell.dotted(): self.store[cell] for cell in self.layout.cells}
@@ -482,33 +456,41 @@ class Engine:
 
     # -- choices ------------------------------------------------------------
 
-    def fresh_scalar(self, cid: ChoiceId, t: ast.TypeExpr) -> Term:
-        if self.anys is not None:
-            return self.anys.scalar(cid, t, self.enums)
-        info = self.registry.register(*cid, t, scalar_sort(t, self.enums))
-        var = terms.Var(scalar_sort(t, self.enums), info.vid)
-        if isinstance(t, ast.EnumRef):
-            n = len(self.enums[t.name])
-            w = enum_width(n)
-            if n < (1 << w):
-                self.assumptions.append((terms.TRUE, terms.mk_ult(var, terms.mk_bv(w, n))))
-        return var
-
-    def fresh_tree(self, cids: Iterator[ChoiceId], t: ast.TypeExpr):
-        return tree_of_type(t, lambda leaf: self.fresh_scalar(next(cids), leaf))
-
-    def fresh_array_tree(self, cids: Iterator[ChoiceId], cell):
-        kw = cell.key_type.width
-
-        def leaf(t: ast.TypeExpr):
-            cid = next(cids)
+    def fresh_tree(self, vids: Iterator[str], t: ast.TypeExpr,
+                   key: Optional[ast.TypeExpr] = None):
+        """A tree of type t of fresh choices named by `vids`, in leaf order.
+        With `key`, the tree is an array cell's: each leaf is an array from
+        key to the leaf type."""
+        def leaf(lt: ast.TypeExpr):
+            vid, ct = next(vids), lt if key is None else ast.ArrayType(key, lt)
             if self.anys is not None:
-                return self.anys.array(cid, kw, t, self.enums)
-            sort = terms.arr_sort(kw, scalar_sort(t, self.enums))
-            info = self.registry.register(*cid, ast.ArrayType(cell.key_type, t), sort)
-            return terms.Var(sort, info.vid)
+                return self.anys.value(vid, ct)
+            sort = sort_of(ct)
+            self.registry.register(vid, ct, sort)
+            return self._variant(terms.Var(sort, vid), ct)
 
-        return tree_of_type(cell.value_type, leaf)
+        return tree_of_type(t, leaf)
+
+    def _variant(self, v: Term, t: ast.TypeExpr) -> Term:
+        """v, a fresh choice or an array read of type t. A value of an enum
+        names a variant, as every leaf of a valid array does: a constant is
+        checked, and a symbolic value is assumed to on every path."""
+        if isinstance(t, ast.EnumRef):
+            n = len(t.variants)
+            if not isinstance(v, terms.BVC):
+                if n < (1 << t.width):
+                    self.assumptions.append(
+                        (terms.TRUE, terms.mk_ult(v, terms.mk_bv(t.width, n))))
+            elif v.value >= n:
+                raise EngineError(f"enum value {v.value} out of range for {t.name}")
+        return v
+
+    def _reader(self, t: ast.TypeExpr):
+        """(array tree, key) -> the value tree at key, of an array whose
+        values have type t."""
+        shape, variant = tree_of_type(t, lambda lt: lt), self._variant
+        return lambda tree, key: tree_map(
+            lambda arr, lt: variant(terms.mk_arr_read(arr, key), lt), tree, shape)
 
     # -- compilation -----------------------------------------------------------
 
@@ -550,7 +532,7 @@ class Engine:
     def _compile_path(self, e: ast.PathExpr):
         res = self.tp.resolutions[e.node_id]
         if isinstance(res, EnumVariantRef):
-            return _const(terms.mk_bv(enum_width(len(self.enums[res.enum])), res.index))
+            return _const(terms.mk_bv(res.enum.width, res.index))
         name, fields = res.name, res.fields
 
         def local(env, frame):
@@ -648,14 +630,14 @@ class Engine:
                 for h in holes:
                     h(env, frame)
             return printf
-        types, parts, enums = [self.tp.types[h.node_id] for h in e.holes], e.parts, self.enums
+        types, parts = [self.tp.types[h.node_id] for h in e.holes], e.parts
         events = self.events if self.record_events else None
 
         def print_text(env, frame):
             values = [h(env, frame) for h in holes]
             pieces = [parts[0]]
             for part, v, t in zip(parts[1:], values, types):
-                pieces.append(format_value(v, t, enums))
+                pieces.append(format_value(v, t))
                 pieces.append(part)
             text = "".join(pieces)
             self.transcript.append(text)
@@ -664,10 +646,9 @@ class Engine:
         return print_text
 
     def _compile_index(self, e: ast.Index):
-        base, index = self.code(e.base), self.code(e.index)
+        base, index, t = self.code(e.base), self.code(e.index), self.tp.types[e.base.node_id]
         # a vector, or an array snapshot (every leaf array is read at the key)
-        read = self._vector_select if isinstance(
-            self.tp.types[e.base.node_id], ast.VectorType) else _read_at
+        read = self._vector_select if isinstance(t, ast.VectorType) else self._reader(t.value)
         return lambda env, frame: read(base(env, frame), index(env, frame))
 
     def _vector_select(self, base: VecV, idx: Term):
@@ -732,7 +713,7 @@ class Engine:
         if isinstance(res, PrimCall):
             return self._compile_prim(e, res.op, target, args)
         decl = self.tp.fns[(res.module, res.fn)]
-        body, names, site = self.code(decl.body), [p.name for p in decl.params], e.node_id
+        body, names, site = self.code(decl.body), [p.name for p in decl.params], f"_{e.node_id}"
         if self.anys is not None and self.record_events:
             # one traced body per fn, kept by its identity
             body = self._code.get(id(decl)) or \
@@ -741,7 +722,7 @@ class Engine:
         def call(env, frame):
             inst = target(frame)
             values = [a(env, frame) for a in args]
-            return body(dict(zip(names, values)), _Frame(inst, frame.calls + (site,)))
+            return body(dict(zip(names, values)), _Frame(inst, frame.calls + site))
         return call
 
     def _traced(self, untraced, decl: ast.FnDecl):
@@ -752,10 +733,10 @@ class Engine:
         def body(env, frame):
             fq = ".".join(frame.inst.path + (fn,)) if frame.inst.path else fn
             self.events.append({"event": "call", "fn": fq, "args": {
-                n: format_value(env[n], t, self.enums) for n, t in params}})
+                n: format_value(env[n], t) for n, t in params}})
             result = untraced(env, frame)
             self.events.append({"event": "return", "fn": fq,
-                                "value": format_value(result, rt, self.enums)})
+                                "value": format_value(result, rt)})
             return result
         return body
 
@@ -770,11 +751,11 @@ class Engine:
             value = args[0]
             return lambda env, frame: write(target(frame), value(env, frame))
         if op == "array_read":
-            key = args[0]
+            key, read_at = args[0], self._reader(self.tp.types[e.node_id])
 
             def read(env, frame):
                 cell, k = target(frame), key(env, frame)
-                return _read_at(store[cell], k)
+                return read_at(store[cell], k)
             return read
         assert op == "array_write", op
         key, value = args
@@ -792,15 +773,14 @@ class Engine:
             write(inst, tree_map(leaf, store[inst], v))
         return write_array
 
-    def _havoc(self, cids: Iterator[ChoiceId], target: InstanceNode) -> None:
+    def _havoc(self, vids: Iterator[str], target: InstanceNode) -> None:
         """Fresh values for the cells under `target`, in layout order."""
         todo = [target]
         while todo:
             node = todo.pop()
             todo.extend(reversed(node.children.values()))  # a cell has none
             if node.kind != "module":
-                self._write(node, self.fresh_tree(cids, node.value_type)
-                            if node.kind == "state" else self.fresh_array_tree(cids, node))
+                self._write(node, self.fresh_tree(vids, node.value_type, node.key_type))
 
     # One compiler per expression class; `code` dispatches on the exact class.
     _COMPILE = {
@@ -841,6 +821,10 @@ class Engine:
             raise EngineError(f"scenario {scenario!r} must be a zero-parameter mut fn")
         try:
             return self.code(decl.body)({}, _Frame(self.root))
+        except RecursionError:
+            # Compiling and running each recurse a few frames per call level.
+            raise EngineError(f"scenario {scenario!r} nests calls too deep for "
+                              f"the interpreter's stack") from None
         finally:
             # The closures refer to the engine (`self`, its bound methods), so
             # keeping them would make a cycle that holds the whole store.
@@ -862,10 +846,6 @@ def _target(inst_path):
             inst = targets[frame.inst] = resolve_instance(frame.inst, inst_path)
         return inst
     return target
-
-
-def _read_at(tree, key: Term):
-    return tree_map(lambda arr: terms.mk_arr_read(arr, key), tree)
 
 
 _SCALAR_TYPES = (ast.BoolType, ast.BitIntType, ast.IntType, ast.EnumRef)
@@ -903,18 +883,20 @@ def sym_exec(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
 
 
 def replay(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
-           scenario: str, model: Dict[ChoiceId, Term],
+           scenario: str, model: Dict[str, Term],
            capacity: int = 64, record_events: bool = False) -> RunResult:
     """Replay a solver model: the symbolic engine with immediate concretization.
 
     Every choice the model names must be an `any` or `havoc` of this program,
-    reached through calls of this program.
+    reached through calls of this program. The numbers of a vid are compared
+    as digit strings, so a name of any length is rejected without int().
     """
-    for cid in model:
-        site, (calls, _) = cid
-        if site not in tp.choice_sites or not all(
-                isinstance(tp.resolutions.get(c), UserCall) for c in calls):
-            raise EngineError(f"model defines c{choice_vid(cid)}, which names no "
+    sites = set(map(str, tp.choice_sites))
+    calls = {str(n) for n, res in tp.resolutions.items() if isinstance(res, UserCall)}
+    for vid in model:
+        numbers = vid.split("_")
+        if numbers[0] not in sites or not calls.issuperset(numbers[1:-1]):
+            raise EngineError(f"model defines c{vid}, which names no "
                               f"choice of this program")
     return run_scenario(tp, root, layout, scenario, ModelOracle(model), capacity,
                         record_events)

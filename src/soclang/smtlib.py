@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ast, terms
 from .diagnostics import ToolError
-from .engine import ChoiceId, Registry, VerificationCondition
+from .engine import Registry, VerificationCondition
 from .terms import Term
 
 DEFAULT_SOLVER = "z3 -smt2 {file}"
@@ -188,7 +188,7 @@ class Unsat(ast.Node):
 
 
 class Sat(ast.Node):
-    __slots__ = ("model", "raw_model")  # choice id -> constant term, model text
+    __slots__ = ("model", "raw_model")  # vid -> constant term, model text
 
 
 class Unknown(ast.Node):
@@ -284,7 +284,7 @@ def parse_sexprs(text: str) -> list:
 
 
 _NUM = "(?:0|[1-9][0-9]*)"
-# The names emit_smtlib declares: `c` and the vid (engine.choice_vid), the
+# The names emit_smtlib declares: `c` and the vid (engine.choice_ids), the
 # site, call sites and leaf number in ASCII digits with no leading zero,
 # joined by `_`. Any other definition is auxiliary, as z3's `k!0` is, except
 # a name of the form choices had before they spelled their ids.
@@ -316,19 +316,10 @@ def _show(node, limit: int = 60) -> str:
     return text if not stack and size <= limit else text[:limit] + "..."
 
 
-def _choice_id(vid: str) -> ChoiceId:
-    """The choice id that `engine.choice_vid` spells as `vid`."""
-    try:
-        site, *calls, leaf = map(int, vid.split("_"))
-    except ValueError:  # more digits than int() converts
-        raise ModelParseError(f"choice name {_show('c' + vid)} is too long") from None
-    return site, (tuple(calls), leaf)
+def parse_model(output: str, registry: Optional[Registry]) -> Dict[str, Term]:
+    """Parse solver `get-model` output into vid -> constant term.
 
-
-def parse_model(output: str, registry: Optional[Registry]) -> Dict[ChoiceId, Term]:
-    """Parse solver `get-model` output into choice-id -> constant term.
-
-    A choice's name spells its id, and its `define-fun` header gives its
+    A choice's name is `c` and its vid, and its `define-fun` header gives its
     sort. Given the registry of the query the model answers, each choice
     must be declared there with that sort. Each value is read by the
     header's sort. Handles bitvector literals (#b, #x, (_ bvN w)) of exactly
@@ -366,14 +357,13 @@ def parse_model(output: str, registry: Optional[Registry]) -> Dict[ChoiceId, Ter
         elif len(d) >= 5:
             aux[name] = d
     declared = None if registry is None else {i.vid: i.sort for i in registry.infos}
-    model: Dict[ChoiceId, Term] = {}
+    model: Dict[str, Term] = {}
     for d in mains:
         name, vid = _show(d[1]), d[1][1:]
         if len(d) < 5:
             raise ModelParseError(f"malformed definition of {name}")
         args, body = d[2], d[4]
-        cid = _choice_id(vid)
-        if cid in model:
+        if vid in model:
             raise ModelParseError(f"model defines {name} twice")
         if args:
             raise ModelParseError(f"unexpected arguments on {name}")
@@ -384,7 +374,7 @@ def parse_model(output: str, registry: Optional[Registry]) -> Dict[ChoiceId, Ter
             if declared is not None and declared[vid] != sort:
                 raise ModelParseError(f"sort {_sort_text(sort)}, but the query "
                                       f"declares {_sort_text(declared[vid])}")
-            model[cid] = _value_of(body, sort, aux)
+            model[vid] = _value_of(body, sort, aux)
         except ModelParseError as err:
             raise ModelParseError(f"model value of {name}: {err}") from None
     return model
@@ -394,16 +384,16 @@ def _parse_sort(node) -> tuple:
     """The sort a choice's `define-fun` header gives: Bool, Int,
     (_ BitVec w), or an array from bitvectors to one of these."""
     if isinstance(node, list) and len(node) == 3 and node[0] == "Array":
-        key, leaf = _scalar_sort(node[1]), _scalar_sort(node[2])
+        key, leaf = _leaf_sort(node[1]), _leaf_sort(node[2])
         if key is not None and key[0] == "bv" and leaf is not None:
             return terms.arr_sort(key[1], leaf)
-    sort = _scalar_sort(node)
+    sort = _leaf_sort(node)
     if sort is None:
         raise ModelParseError(f"unsupported sort {_show(node)}")
     return sort
 
 
-def _scalar_sort(node) -> Optional[tuple]:
+def _leaf_sort(node) -> Optional[tuple]:
     if node == "Bool":
         return terms.BOOL_SORT
     if node == "Int":
@@ -528,7 +518,7 @@ def _sparse_array(sort: tuple, default: Term,
 
 
 def load_model_file(path: str, registry: Optional[Registry] = None
-                    ) -> Dict[ChoiceId, Term]:
+                    ) -> Dict[str, Term]:
     with open(path, "rb") as f:
         data = f.read()
     try:

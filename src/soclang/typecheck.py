@@ -7,7 +7,6 @@ checked for cycles and purity violations.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast
@@ -24,7 +23,7 @@ class LocalRef:
 
 
 class EnumVariantRef:
-    def __init__(self, enum: str, index: int) -> None:
+    def __init__(self, enum: ast.EnumRef, index: int) -> None:
         self.enum, self.index = enum, index
 
 
@@ -47,7 +46,6 @@ class TypedProgram:
 
     def __init__(self, checker: Checker) -> None:
         self.root_name = checker.program.root_name
-        self.enums: Dict[str, List[str]] = checker.enums
         self.modules: Dict[str, ast.ModuleDecl] = checker.modules
         self.fns: Dict[Tuple[str, str], ast.FnDecl] = checker.fns
         self.types: Dict[int, ast.TypeExpr] = checker.types
@@ -62,11 +60,6 @@ class TypedProgram:
     def scenarios(self) -> List[str]:
         root = self.modules[self.root_name]
         return [f.name for f in root.fns if f.is_mut and not f.params]
-
-
-def enum_width(n_variants: int) -> int:
-    """Backend width of an enum with n variants: ceil(log2(max(n, 2)))."""
-    return max(1, math.ceil(math.log2(max(n_variants, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +83,7 @@ class Checker:
         self.program = program
         self.errors: List[TypeCheckError] = []
         self.aliases: Dict[str, ast.TypeExpr] = {}
-        self.enums: Dict[str, List[str]] = {}
+        self.enums: Dict[str, ast.EnumRef] = {}  # one shared type per enum
         self.modules: Dict[str, ast.ModuleDecl] = {}
         self.fns: Dict[Tuple[str, str], ast.FnDecl] = {}
         self.types: Dict[int, ast.TypeExpr] = {}
@@ -137,7 +130,7 @@ class Checker:
                 self.fail(en.span, f"duplicate enum {en.name!r}")
             if len(en.variants) != len(set(en.variants)):
                 self.fail(en.span, f"duplicate variant in enum {en.name!r}")
-            self.enums[en.name] = list(en.variants)
+            self.enums[en.name] = ast.EnumRef(en.name, tuple(en.variants))
         raw_aliases = {}
         for a in p.aliases:
             if a.name in raw_aliases or a.name in self.enums:
@@ -180,7 +173,7 @@ class Checker:
     def _resolve_type(self, t: ast.TypeExpr, raw, stack, span) -> ast.TypeExpr:
         if isinstance(t, ast.AliasRef):
             if t.name in self.enums:
-                return ast.EnumRef(t.name)
+                return self.enums[t.name]
             if t.name in self.aliases:
                 return self.aliases[t.name]
             if raw is not None and t.name in raw:
@@ -459,15 +452,15 @@ class Checker:
                 t = self._field_type(t, name, e.span)
             self.resolutions[e.node_id] = LocalRef(head, tuple(e.names[1:]))
             return t
-        if head in self.enums:
+        enum = self.enums.get(head)
+        if enum is not None:
             if len(e.names) != 2:
                 raise self.fail(e.span, f"expected {head}.<variant>")
             variant = e.names[1]
-            if variant not in self.enums[head]:
+            if variant not in enum.variants:
                 raise self.fail(e.span, f"enum {head} has no variant {variant!r}")
-            self.resolutions[e.node_id] = EnumVariantRef(
-                head, self.enums[head].index(variant))
-            return ast.EnumRef(head)
+            self.resolutions[e.node_id] = EnumVariantRef(enum, enum.variants.index(variant))
+            return enum
         raise self.fail(e.span, f"unknown name {head!r}")
 
     def _index(self, ctx, e: ast.Index) -> ast.TypeExpr:
@@ -518,18 +511,12 @@ class Checker:
         raise self.fail(e.span, f"unknown operator {op!r}")
 
     def _operand_pair(self, ctx, left, right) -> ast.TypeExpr:
-        """Infer one operand, check the other against it: both widths must agree."""
-        try:
-            lt = self.check_expr(ctx, left)
-        except TypeCheckError as first_err:
-            if not self._unwidthed(left):
-                raise
-            self.errors.remove(first_err)
-            rt = self.check_expr(ctx, right)
-            self.check_expr(ctx, left, rt)
-            return rt
-        self.check_expr(ctx, right, lt)
-        return lt
+        """Infer one operand, check the other against it: both widths must
+        agree. The left one is inferred first unless it has no width."""
+        first, second = (right, left) if self._unwidthed(left) else (left, right)
+        t = self.check_expr(ctx, first)
+        self.check_expr(ctx, second, t)
+        return t
 
     def _unwidthed(self, e: ast.Expr) -> bool:
         """Does inference fail on e only because a literal lacks a width?"""
@@ -538,7 +525,7 @@ class Checker:
         if isinstance(e, ast.Unary) and e.op == "-":
             return self._unwidthed(e.operand)
         if isinstance(e, ast.Binary) and e.op in ("+", "-", "*"):
-            return self._unwidthed(e.left) or self._unwidthed(e.right)
+            return self._unwidthed(e.left) and self._unwidthed(e.right)
         return False
 
     def _require_equality_capable(self, t: ast.TypeExpr, span) -> None:
@@ -684,22 +671,29 @@ class Checker:
     # -- recursion ------------------------------------------------------------
 
     def check_recursion(self) -> None:
-        color: Dict[Tuple[str, str], int] = {}
-        for node in sorted(self.call_edges):
-            if color.get(node, 0) == 0:
-                self._visit_calls(node, [node], color)
-
-    def _visit_calls(self, node, stack, color) -> None:
-        color[node] = 1
-        for succ in sorted(self.call_edges.get(node, ())):
-            if color.get(succ, 0) == 1:
-                cycle = stack[stack.index(succ):] + [succ] if succ in stack else [node, succ]
-                pretty = " -> ".join(f"{m}.{f}" for m, f in cycle)
-                decl = self.fns[succ]
-                self.fail(decl.span, f"recursive call cycle: {pretty}")
-            elif color.get(succ, 0) == 0:
-                self._visit_calls(succ, stack + [succ], color)
-        color[node] = 2
+        """Report each call that closes a cycle in a depth-first walk of the
+        call graph. The walk keeps its own stack, so a call chain of any
+        length is checked."""
+        done: Set[Tuple[str, str]] = set()
+        for root in sorted(self.call_edges):
+            if root in done:
+                continue
+            # The functions on the walk's path, root first (a dict keeps
+            # insertion order), and the callees of each left to visit.
+            path, todo = {root: None}, [iter(sorted(self.call_edges[root]))]
+            while todo:
+                succ = next(todo[-1], None)
+                if succ is None:
+                    done.add(path.popitem()[0])
+                    todo.pop()
+                elif succ in path:
+                    names = list(path)
+                    cycle = names[names.index(succ):] + [succ]
+                    pretty = " -> ".join(f"{m}.{f}" for m, f in cycle)
+                    self.fail(self.fns[succ].span, f"recursive call cycle: {pretty}")
+                elif succ not in done:
+                    path[succ] = None
+                    todo.append(iter(sorted(self.call_edges.get(succ, ()))))
 
 
 def type_equal(a: ast.TypeExpr, b: ast.TypeExpr) -> bool:

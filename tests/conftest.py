@@ -50,10 +50,10 @@ def pytest_configure(config) -> None:
         "markers", "without_type_oracle: run `let`s without the type-preservation check")
 
 
-def check_value(tree, t: ast.TypeExpr, enums, where: str, key_width=None) -> None:
+def check_value(tree, t: ast.TypeExpr, where: str, key_width=None) -> None:
     """Fail an assertion unless `tree` is a constant value of type t:
     unit is None, a record has the type's field names, a vector its length,
-    and a leaf is a constant of `scalar_sort(t)` naming a variant if t is an
+    and a leaf is a constant of `sort_of(t)` naming a variant if t is an
     enum. Inside an array snapshot (`key_width` set) a leaf is a constant
     array from `key_width`-bit keys to such constants."""
     def fail(value, t) -> None:
@@ -67,16 +67,16 @@ def check_value(tree, t: ast.TypeExpr, enums, where: str, key_width=None) -> Non
                 {n for n, _ in tree.fields} != {n for n, _ in t.fields}:
             fail(tree, t)
         for n, ft in t.fields:
-            check_value(tree.get(n), ft, enums, where, key_width)
+            check_value(tree.get(n), ft, where, key_width)
     elif isinstance(t, ast.VectorType):
         if not isinstance(tree, eng.VecV) or len(tree.items) != t.length:
             fail(tree, t)
         for x in tree.items:
-            check_value(x, t.elem, enums, where, key_width)
+            check_value(x, t.elem, where, key_width)
     elif isinstance(t, ast.ArrayType):
-        check_value(tree, t.value, enums, where, t.key.width)
+        check_value(tree, t.value, where, t.key.width)
     else:
-        sort, leaves = eng.scalar_sort(t, enums), (tree,)
+        sort, leaves = eng.sort_of(t), (tree,)
         if key_width is not None:
             if not isinstance(tree, terms.SparseConst) or \
                     tree.sort != terms.arr_sort(key_width, sort):
@@ -85,7 +85,7 @@ def check_value(tree, t: ast.TypeExpr, enums, where: str, key_width=None) -> Non
         for leaf in leaves:
             if not isinstance(leaf, (terms.BoolC, terms.BVC, terms.IntC)) or \
                     leaf.sort != sort or \
-                    isinstance(t, ast.EnumRef) and leaf.value >= len(enums[t.name]):
+                    isinstance(t, ast.EnumRef) and leaf.value >= len(t.variants):
                 fail(leaf, t)
 
 
@@ -96,12 +96,12 @@ def _compile_checked_let(engine: eng.Engine, e: ast.Let):
     let = _compile_let(engine, e)
     if engine.anys is None:
         return let
-    name, t, enums = e.name, engine.tp.types[e.value.node_id], engine.enums
+    name, t = e.name, engine.tp.types[e.value.node_id]
     where = f"{e.span}: let {name}"
 
     def checked_let(env, frame):
         let(env, frame)
-        check_value(env[name], t, enums, where)
+        check_value(env[name], t, where)
     return checked_let
 
 
@@ -125,6 +125,12 @@ def _instance_chain(depth: int) -> str:
     """Main instances M0, which instances M1, ... down to M<depth-1>."""
     mods = [f"module M{i} {{ instance x: M{i + 1}; }}\n" for i in range(depth - 1)]
     return "".join(mods) + f"module M{depth - 1} {{ }}\nmodule Main {{ instance x: M0; }}\n"
+
+
+def call_chain(n: int) -> str:
+    """Main with scenario f0, which calls f1, ... down to f<n-1>."""
+    fns = "".join(f"  mut fn f{i}() {{ f{i + 1}() }}\n" for i in range(n - 1))
+    return f"module Main {{\n{fns}  mut fn f{n - 1}() {{ () }}\n}}\n"
 
 
 # Sources that elaboration rejects, each with the location and message of its
@@ -151,10 +157,8 @@ def solve_vc(vc, timeout: float = 120.0, command: str | None = None,
     return smtlib.run_solver(job, vc.registry)
 
 
-def enumerate_assignments(registry, enums):
+def enumerate_assignments(registry):
     """All total assignments to a registry's choice variables (scalars only)."""
-    from soclang.typecheck import enum_width
-
     domains = []
     for info in registry.infos:
         t = info.type
@@ -163,12 +167,11 @@ def enumerate_assignments(registry, enums):
         elif isinstance(t, ast.BitIntType):
             domains.append([terms.mk_bv(t.width, v) for v in range(1 << t.width)])
         elif isinstance(t, ast.EnumRef):
-            n = len(enums[t.name])
-            domains.append([terms.mk_bv(enum_width(n), i) for i in range(n)])
+            domains.append([terms.mk_bv(t.width, i) for i in range(len(t.variants))])
         else:
             raise AssertionError(f"cannot enumerate {t}")
     for combo in itertools.product(*domains):
-        yield {info.cid: v for info, v in zip(registry.infos, combo)}
+        yield {info.vid: v for info, v in zip(registry.infos, combo)}
 
 
 def brute_force_violating(tp, tree, layout, scenario: str) -> bool:
@@ -178,18 +181,16 @@ def brute_force_violating(tp, tree, layout, scenario: str) -> bool:
     solver verdict.
     """
     vc = eng.sym_exec(tp, tree, layout, scenario)
-    bits = registry_bits(vc.registry, tp.enums)
+    bits = registry_bits(vc.registry)
     assert bits <= 16, f"scenario too wide for enumeration: {bits} bits"
-    for model in enumerate_assignments(vc.registry, tp.enums):
+    for model in enumerate_assignments(vc.registry):
         result = eng.replay(tp, tree, layout, scenario, model)
         if isinstance(result.verdict, eng.AssertionFailed):
             return True
     return False
 
 
-def registry_bits(registry, enums) -> int:
-    from soclang.typecheck import enum_width
-
+def registry_bits(registry) -> int:
     total = 0
     for info in registry.infos:
         t = info.type
@@ -198,7 +199,7 @@ def registry_bits(registry, enums) -> int:
         elif isinstance(t, ast.BitIntType):
             total += t.width
         elif isinstance(t, ast.EnumRef):
-            total += enum_width(len(enums[t.name]))
+            total += t.width
         else:
             raise AssertionError(f"array choice in a micro scenario: {t}")
     return total

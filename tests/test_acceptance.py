@@ -124,7 +124,7 @@ def test_criterion_4_brute_force_oracle_agreement(tmp_path):
     for name, source in scenarios:
         tp, tree, layout = load_source(source, name)
         vc = eng.sym_exec(tp, tree, layout, "s")
-        assert registry_bits(vc.registry, tp.enums) <= 16, name
+        assert registry_bits(vc.registry) <= 16, name
         verdict = solve_vc(vc, tmpdir=tmp_path)
         assert isinstance(verdict, (smtlib.Sat, smtlib.Unsat)), (name, verdict)
         solver_sat = isinstance(verdict, smtlib.Sat)

@@ -7,7 +7,7 @@ import pytest
 
 from soclang import engine as eng
 
-from conftest import CORPUS, INSTANCE_NESTING, load_file, requires_z3, run_cli
+from conftest import CORPUS, INSTANCE_NESTING, call_chain, load_file, requires_z3, run_cli
 
 VULN = str(CORPUS / "mini_tx1_vulnerable.soc")
 FIXED = str(CORPUS / "mini_tx1_fixed.soc")
@@ -630,3 +630,104 @@ def test_verify_replay_error_is_an_error_line(tmp_path):
                              "--dump-model", str(tmp_path / "m.smt2"))
     assert (code, out) == (1, "")
     assert err == "error: sparse array cells: capacity of 0 modifications exceeded\n"
+
+
+# An enum-valued array holds only variants: the VC bounds every symbolic
+# read of one, and replay checks only the leaves a run reads.
+ENUM_ARRAY = """\
+enum Mode { A, B, C }
+module Main {
+  instance modes: Array<BitInt(2), Mode>;
+  mut fn probe() {
+    modes.havoc();
+    let m = modes.read(1u2);
+    assert(m == Mode.A || m == Mode.B || m == Mode.C)
+  }
+  mut fn probe_c() {
+    modes.havoc();
+    assert(modes.read(1u2) != Mode.C)
+  }
+  mut fn pick() {
+    let b = any<BitInt(2)>;
+    let m = any<Mode>;
+    modes.havoc();
+    assert(b == 0u2)
+  }
+}
+"""
+
+
+@pytest.fixture
+def enum_array(tmp_path) -> str:
+    path = tmp_path / "e.soc"
+    path.write_text(ENUM_ARRAY)
+    return str(path)
+
+
+def test_verify_bounds_every_read_of_an_enum_valued_array(enum_array):
+    code, out, err = run_cli("verify", enum_array, "--scenario", "probe", "--dump-vc",
+                             "--solver", "sh -c 'echo unknown'")
+    assert (code, err) == (3, "")
+    assert out == """\
+(set-logic QF_ABV)
+(set-option :produce-models true)
+(declare-const c1_0 (Array (_ BitVec 2) (_ BitVec 2)))
+(assert (let ((t0 (select c1_0 (_ bv1 2))))
+  (and (bvult t0 (_ bv3 2)) (not (or (or (= t0 (_ bv0 2)) (= t0 (_ bv1 2))) (= t0 (_ bv2 2)))))))
+(check-sat)
+(get-model)
+unknown: unknown
+"""
+
+
+def _modes(vid: str, stores: str) -> str:
+    """A model that defines the Array<BitInt(2), Mode> choice `vid` as zeros
+    with the given `(key value)` stores."""
+    arr = "((as const (Array (_ BitVec 2) (_ BitVec 2))) #b00)"
+    for store in stores.split(";"):
+        arr = f"(store {arr} {store})"
+    return f"((define-fun {vid} () (Array (_ BitVec 2) (_ BitVec 2)) {arr}))\n"
+
+
+@pytest.mark.parametrize("stores, code, stdout, stderr", [
+    # Junk at key 2, which the run never reads, replays.
+    ("#b01 #b10;#b10 #b11", 2, "FAILED ASSERTION at {file}:11\n", ""),
+    ("#b01 #b10", 2, "FAILED ASSERTION at {file}:11\n", ""),
+    # A leaf the run reads must name a variant.
+    ("#b01 #b11", 1, "", "error: enum value 3 out of range for Mode\n"),
+], ids=["junk at an unread key", "no junk", "junk at the read key"])
+def test_trace_checks_the_enum_leaves_a_run_reads(enum_array, tmp_path, stores, code,
+                                                  stdout, stderr):
+    (vid,) = _choice_names(enum_array, "probe_c")
+    model = tmp_path / "m.smt2"
+    model.write_text(_modes(vid, stores))
+    assert run_cli("trace", enum_array, "--scenario", "probe_c", "--model", str(model)) \
+        == (code, stdout.format(file=enum_array), stderr)
+
+
+# The model values replay rejects, each with its exact message.
+@pytest.mark.parametrize("choice, definition, message", [
+    (0, "(_ BitVec 3) #b101", "has the wrong type (expected BitInt(2), got 5)"),
+    (2, "Bool true", "is not an array of the expected sort"),
+    (1, "(_ BitVec 2) #b11", "has the wrong type (expected Mode, got 3)"),
+], ids=["header sort", "array sort", "enum value"])
+def test_trace_model_value_of_the_wrong_type_exits_1(enum_array, tmp_path, choice,
+                                                     definition, message):
+    vid = _choice_names(enum_array, "pick")[choice]
+    model = tmp_path / "m.smt2"
+    model.write_text(f"((define-fun {vid} () {definition}))\n")
+    assert run_cli("trace", enum_array, "--scenario", "pick", "--model", str(model)) \
+        == (1, "", f"error: model value for {vid} {message}\n")
+
+
+# Calls nested deeper than the interpreter's stack are an error line.
+@pytest.mark.parametrize("command, options", [
+    ("run", []), ("verify", ["--solver", "sh -c 'echo unknown'"]),
+    ("trace", ["--model", "{tmp}/zeros.smt2"])])
+def test_calls_nested_past_the_stack_are_an_error_line(tmp_path, command, options):
+    path = tmp_path / "chain.soc"
+    path.write_text(call_chain(300))
+    (tmp_path / "zeros.smt2").write_text("()\n")
+    options = [o.replace("{tmp}", str(tmp_path)) for o in options]
+    assert run_cli(command, str(path), "--scenario", "f0", *options) == (
+        1, "", "error: scenario 'f0' nests calls too deep for the interpreter's stack\n")

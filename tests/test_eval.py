@@ -104,11 +104,11 @@ def test_snapshots_are_isolated_from_later_writes():
 # -- formatting --------------------------------------------------------------
 
 
-ENUMS = {"Mode": ["Off", "On", "Standby"]}
+MODE = ast.EnumRef("Mode", ("Off", "On", "Standby"))
 
 
 def fmt(value, t):
-    return format_value(value, t, ENUMS)
+    return format_value(value, t)
 
 
 def test_format_request_record_like_attack_trace():
@@ -138,7 +138,7 @@ def test_format_large_values_group_hex_and_carry_width():
 
 
 def test_format_enum_vector_unit_and_record_array():
-    assert fmt(mk_bv(2, 2), ast.EnumRef("Mode")) == "Standby"
+    assert fmt(mk_bv(2, 2), MODE) == "Standby"
     assert fmt(VecV((mk_bv(12, 5), mk_bv(12, 300))),
                ast.VectorType(ast.BitIntType(12), 2)) == "[5, 0x12cu12]"
     assert fmt(None, ast.UNIT) == "()"
@@ -157,7 +157,7 @@ def test_format_rejects_values_that_do_not_match_their_type():
         fmt(terms.Var(terms.arr_sort(3, bv_sort(8)), 0),
             ast.ArrayType(ast.BitIntType(3), ast.BitIntType(8)))
     with pytest.raises(EngineError, match="out of range"):
-        fmt(mk_bv(2, 3), ast.EnumRef("Mode"))
+        fmt(mk_bv(2, 3), MODE)
 
 
 # -- init store --------------------------------------------------------------
@@ -237,13 +237,13 @@ def test_replaying_published_attack_values_reproduces_the_trace():
                      "Bool", "BitInt(48)", "BitInt(64)", "BitInt(64)",
                      "BitInt(31)"]
     model = {
-        infos[0].cid: terms.TRUE,
-        infos[1].cid: mk_bv(48, 0x8000_0000_0070),
-        infos[2].cid: mk_bv(64, 1),
-        infos[4].cid: terms.TRUE,
-        infos[5].cid: mk_bv(48, 0),
-        infos[6].cid: mk_bv(64, 0x48AD_C33C_FDC9_99D4),
-        infos[8].cid: mk_bv(31, 0),
+        infos[0].vid: terms.TRUE,
+        infos[1].vid: mk_bv(48, 0x8000_0000_0070),
+        infos[2].vid: mk_bv(64, 1),
+        infos[4].vid: terms.TRUE,
+        infos[5].vid: mk_bv(48, 0),
+        infos[6].vid: mk_bv(64, 0x48AD_C33C_FDC9_99D4),
+        infos[8].vid: mk_bv(31, 0),
     }
     r = eng.replay(tp, tree, layout, "test_secure_area_unchanged", model)
     assert isinstance(r.verdict, eng.AssertionFailed)

@@ -18,7 +18,7 @@ import pytest
 
 from soclang import cli
 
-from conftest import CORPUS
+from conftest import CORPUS, call_chain
 
 WELL_FORMED = sorted(CORPUS.glob("*.soc"))
 ILL_TYPED = sorted((CORPUS / "ill-typed").glob("*.soc"))
@@ -150,6 +150,17 @@ def test_models_wired_in_a_loop_leave_no_cycles(model, command, tmp_path, capsys
     path.write_text(WIRED_IN_A_LOOP[model])
     code, options = LOOP_COMMANDS[command]
     assert _cyclic_garbage([command, str(path), *options], capsys) == (code, [])
+
+
+# A scenario whose calls nest past the interpreter's stack is an error line;
+# the frames the RecursionError unwound hold no cycle.
+@pytest.mark.parametrize("command, options", [
+    ("run", []), ("verify", ["--solver", "sh -c 'echo unknown'"])])
+def test_calls_nested_past_the_stack_leave_no_cycles(command, options, tmp_path, capsys):
+    path = tmp_path / "chain.soc"
+    path.write_text(call_chain(300))
+    assert _cyclic_garbage([command, str(path), "--scenario", "f0", *options],
+                           capsys) == (1, [])
 
 
 @pytest.mark.parametrize("argv", [["verify", FIXED], ["frob"],

@@ -289,8 +289,10 @@ def test_spans_and_type_nodes_are_hashable_by_value():
     assert table[ast.RecordType((("ok", ast.BoolType()),
                                  ("v", ast.VectorType(ast.BitIntType(8), 4))))] == "record"
     assert table[ast.ArrayType(ast.BitIntType(3), ast.IntType())] == "array"
-    assert ast.BitIntType(16) not in table and ast.EnumRef("Mode") not in table
-    assert ast.EnumRef("Mode") != ast.AliasRef("Mode")
+    mode = ast.EnumRef("Mode", ("Off", "On"))
+    assert ast.BitIntType(16) not in table and mode not in table
+    assert mode == ast.EnumRef("Mode", ("Off", "On")) != ast.AliasRef("Mode")
+    assert hash(mode) == hash(ast.EnumRef("Mode", ("Off", "On")))
     assert ast.BoolType() != ast.IntType()
 
 

@@ -165,18 +165,18 @@ module Main {
   }
 }
 """)
-    # A choice id is (site, (call sites, leaf number)): each `any` keeps its
-    # site in both calls, and the call path tells the two calls apart.
+    # A vid is the site, the call sites and the leaf number joined by `_`:
+    # each `any` keeps its site in both calls, and the call path tells the
+    # two calls apart.
     vc = eng.sym_exec(tp, tree, layout, "s")
     infos = vc.registry.infos
-    assert len({i.cid for i in infos}) == 4
-    first, second = infos[:2], infos[2:]
-    assert [i.site for i in first] == [i.site for i in second]
-    assert first[0].site != first[1].site
-    for a, b in zip(first, second):
-        (calls_a, leaf_a), (calls_b, leaf_b) = a.occ, b.occ
+    assert len({i.vid for i in infos}) == 4
+    first, second = [[i.vid.split("_") for i in half] for half in (infos[:2], infos[2:])]
+    assert [v[0] for v in first] == [v[0] for v in second]
+    assert first[0][0] != first[1][0]
+    for (_, *calls_a, leaf_a), (_, *calls_b, leaf_b) in zip(first, second):
         assert len(calls_a) == len(calls_b) == 1 and calls_a != calls_b
-        assert leaf_a == leaf_b == 0
+        assert leaf_a == leaf_b == "0"
 
 
 def test_ghost_counting_keeps_ids_aligned_across_skipped_arms():
@@ -198,31 +198,27 @@ module Main {
         "Bool", "BitInt(4)", "BitInt(4)", "BitInt(4)"]
     w_info = infos[3]
     # Violate via the then-arm: v = 1, w = 8.
-    model = {infos[0].cid: terms.TRUE, w_info.cid: mk_bv(4, 8)}
+    model = {infos[0].vid: terms.TRUE, w_info.vid: mk_bv(4, 8)}
     r = eng.replay(tp, tree, layout, "s", model)
     assert isinstance(r.verdict, eng.AssertionFailed)
     # And via the else-arm: 2 + 3 + 4 = 9.
-    model = {infos[0].cid: terms.FALSE, infos[1].cid: mk_bv(4, 2),
-             infos[2].cid: mk_bv(4, 3), w_info.cid: mk_bv(4, 4)}
+    model = {infos[0].vid: terms.FALSE, infos[1].vid: mk_bv(4, 2),
+             infos[2].vid: mk_bv(4, 3), w_info.vid: mk_bv(4, 4)}
     r = eng.replay(tp, tree, layout, "s", model)
     assert isinstance(r.verdict, eng.AssertionFailed)
 
 
 class RecordingOracle(eng.ModelOracle):
-    """A ModelOracle that records each choice id it is asked for, with the
-    type the asking run expects (an array as ArrayType(key, leaf))."""
+    """A ModelOracle that records each vid it is asked for, with the type
+    the asking run expects (an array as ArrayType(key, leaf))."""
 
     def __init__(self, values) -> None:
         super().__init__(values)
         self.asked = []
 
-    def scalar(self, cid, t, enums):
-        self.asked.append((cid, t))
-        return super().scalar(cid, t, enums)
-
-    def array(self, cid, key_width, leaf, enums):
-        self.asked.append((cid, ast.ArrayType(ast.BitIntType(key_width), leaf)))
-        return super().array(cid, key_width, leaf, enums)
+    def value(self, vid, t):
+        self.asked.append((vid, t))
+        return super().value(vid, t)
 
 
 def declared_choices(vc) -> dict:
@@ -233,25 +229,23 @@ def declared_choices(vc) -> dict:
 
 def assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model,
                                           declared):
-    """Replay asks only for choice ids that sym_exec registered, each once
-    and with its registered type, and the emitted query declares each under
-    the name that spells the id, with the sort of that type: a model is read
-    by the ids it was solved for, whichever branch arms the replay takes.
-    `declared` is `declared_choices(vc)`."""
-    registered = {i.cid: i.type for i in vc.registry.infos}
-    assert len(registered) == len(vc.registry.infos), "two choices share an id"
+    """Replay asks only for vids that sym_exec registered, each once and
+    with its registered type, and the emitted query declares each under the
+    name `c<vid>`, with the sort of that type: a model is read by the vids it
+    was solved for, whichever branch arms the replay takes. `declared` is
+    `declared_choices(vc)`."""
+    registered = {i.vid: i.type for i in vc.registry.infos}
+    assert len(registered) == len(vc.registry.infos), "two choices share a vid"
     oracle = RecordingOracle(model)
     result = eng.run_scenario(tp, tree, layout, scenario, oracle)
-    asked = [cid for cid, _ in oracle.asked]
-    assert len(set(asked)) == len(asked), "a choice id was asked for twice"
-    for cid, t in oracle.asked:
-        assert cid in registered, f"replay asked for unregistered choice {cid}"
-        assert registered[cid] == t, f"choice {cid}: {registered[cid]} vs {t}"
-        sort = terms.arr_sort(t.key.width, eng.scalar_sort(t.value, tp.enums)) \
-            if isinstance(t, ast.ArrayType) else eng.scalar_sort(t, tp.enums)
-        name = f"c{eng.choice_vid(cid)}"
-        assert declared.get(name) == smtlib._sort_text(sort), \
-            f"choice {cid}: the query declares {name} as {declared.get(name)}"
+    asked = [vid for vid, _ in oracle.asked]
+    assert len(set(asked)) == len(asked), "a vid was asked for twice"
+    for vid, t in oracle.asked:
+        assert vid in registered, f"replay asked for unregistered choice {vid}"
+        assert registered[vid] == t, f"choice {vid}: {registered[vid]} vs {t}"
+        name = f"c{vid}"
+        assert declared.get(name) == smtlib._sort_text(eng.sort_of(t)), \
+            f"choice {vid}: the query declares {name} as {declared.get(name)}"
     return result
 
 
@@ -260,10 +254,10 @@ def assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model,
 def test_replay_asks_registered_choices_on_every_micro_assignment(name, source):
     tp, tree, layout = load_source(source, name)
     vc = eng.sym_exec(tp, tree, layout, "s")
-    assert registry_bits(vc.registry, tp.enums) <= 16
+    assert registry_bits(vc.registry) <= 16
     query = vc.query_term()
     declared = declared_choices(vc)
-    for model in enumerate_assignments(vc.registry, tp.enums):
+    for model in enumerate_assignments(vc.registry):
         r = assert_replay_asks_registered_choices(tp, tree, layout, "s", vc, model,
                                                   declared)
         # A registered id that names the wrong choice shows here: the query
@@ -289,10 +283,7 @@ def test_replay_asks_registered_choices_on_corpus_scenarios(fname, scenario):
     models = [{}]
     for seed in range(4):
         draw = eng.SeededRandom(seed)
-        models.append({
-            i.cid: draw.array(i.cid, i.type.key.width, i.type.value, tp.enums)
-            if isinstance(i.type, ast.ArrayType) else draw.scalar(i.cid, i.type, tp.enums)
-            for i in vc.registry.infos})
+        models.append({i.vid: draw.value(i.vid, i.type) for i in vc.registry.infos})
     declared = declared_choices(vc)
     for model in models:
         assert_replay_asks_registered_choices(tp, tree, layout, scenario, vc, model,
@@ -384,7 +375,7 @@ def _eval_term(t, vc, model):
         return t.value
     if isinstance(t, terms.Var):
         info = next(i for i in vc.registry.infos if i.vid == t.vid)
-        v = model.get(info.cid)
+        v = model.get(info.vid)
         if v is None:
             return 0 if t.sort[0] == "bv" else False
         return v.value
@@ -436,7 +427,7 @@ module Main {
     assert isinstance(verdict, smtlib.Sat)
     arr_info = next(i for i in vc.registry.infos
                     if isinstance(i.type, ast.ArrayType))
-    assert arr_info.cid in verdict.model
+    assert arr_info.vid in verdict.model
     r = eng.replay(tp, tree, layout, "s", verdict.model)
     assert isinstance(r.verdict, eng.AssertionFailed)
 

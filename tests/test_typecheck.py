@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from soclang import ast
@@ -5,7 +7,7 @@ from soclang.diagnostics import TypeErrors
 from soclang.parser import parse_expr, parse_program
 from soclang.typecheck import Checker, TypingCtx, check_program, type_equal
 
-from conftest import CORPUS
+from conftest import CORPUS, call_chain
 from printer import walk
 
 REQUEST_HANDLER = """\
@@ -198,6 +200,41 @@ module Main {
 }
 """)
     assert any("recursive call cycle" in e.message for e in errs)
+
+
+def test_enum_type_carries_its_variants():
+    # Each enum resolves once: every use of it is the one EnumRef, and its
+    # width is ceil(log2(max(n, 2))) for n variants.
+    tp = check_program(parse_program(
+        "enum Mode { Off, On, Standby }\n"
+        "module Main { instance m: State<Mode>(Mode.Off);\n"
+        "  mut fn s() { let x: Mode = any<Mode>; assert(x != Mode.On) } }", "t.soc"))
+    modes = [t for t in (*tp.types.values(), *tp.resolved.values())
+             if isinstance(t, ast.EnumRef)]
+    assert len(modes) > 4 and all(t is modes[0] for t in modes)
+    assert modes[0].variants == ("Off", "On", "Standby")
+    for n in range(1, 70):
+        assert ast.EnumRef("E", ("v",) * n).width == max(1, math.ceil(math.log2(max(n, 2))))
+
+
+def test_call_chain_of_any_length_is_checked():
+    # The call graph is walked with an explicit stack: a chain deeper than
+    # Python's recursion limit checks, and a cycle at its end is named.
+    check_program(parse_program(call_chain(1500), "t.soc"))
+    closed = call_chain(1500).replace("f1499() { () }", "f1499() { f1498() }")
+    (err,) = errors_of(closed)
+    assert err.report() == ("t.soc:1500:3: error: recursive call cycle: "
+                            "Main.f1498 -> Main.f1499 -> Main.f1498")
+
+
+def test_unwidthed_literal_keeps_the_other_operands_error():
+    # Only an operand whose every leaf is a bare literal is inferred second;
+    # `y + 1` has its own error, which must not be replaced by the `3`'s.
+    (err,) = errors_of("module Main {\n  mut fn s() {\n    assert((y + 1) == 3)\n  }\n}\n")
+    assert err.report() == "t.soc:3:13: error: unknown name 'y'"
+    # Both widths come from the other side, on either side of `==`.
+    check_program(parse_program("module Main { mut fn s() { let y = 2u4; "
+                                "assert((1 + 1) == y); assert(y == 1 + 1) } }"))
 
 
 def test_vector_index_width_must_cover_length():
