@@ -67,6 +67,16 @@ module Main {
     assert mem.ref.key_type == ast.BitIntType(31)
 
 
+@pytest.mark.parametrize("ref,message", [
+    ("Array", "1:32: error: expected '<', found ';'"),
+    ("Array<BitInt(2)>", "1:42: error: expected ',', found '>'"),
+], ids=["no parameters", "one parameter"])
+def test_array_instance_needs_a_key_and_a_value_type(ref, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(f"module Main {{ instance a: {ref}; }}", "t.soc")
+    assert exc.value.report() == f"t.soc:{message}"
+
+
 def test_syntax_error_on_missing_expression():
     with pytest.raises(ParseError) as exc:
         parse_program("module Main { mut fn go() { let x = ; () } }")

@@ -493,6 +493,61 @@ def test_deeply_nested_model_value_is_a_short_error(sort, value):
     assert message.endswith("...")
 
 
+# How the definitions of a model may be laid out: bare at the top level, or
+# one level down in a list, which may also hold an `(error ...)` entry or
+# other nodes that are not definitions.
+MODEL_LAYOUTS = {
+    "bare top-level definitions":
+        "(define-fun c100_0 () Bool true)\n(define-fun c101_0 () (_ BitVec 4) #x9)",
+    "an error entry beside the model":
+        '(error "line 3 column 1: unsupported")\n'
+        "((define-fun c100_0 () Bool true) (define-fun c101_0 () (_ BitVec 4) #x9))",
+    "a list that holds a non-definition":
+        "((declare-fun f () Bool) (define-fun c100_0 () Bool true) x!0 () "
+        "(define-fun c101_0 () (_ BitVec 4) #x9))",
+}
+
+
+@pytest.mark.parametrize("case", list(MODEL_LAYOUTS))
+def test_model_layouts(case):
+    reg = _registry((ast.BoolType(), ("bool",)), (ast.BitIntType(4), ("bv", 4)))
+    model = parse_model(MODEL_LAYOUTS[case], reg)
+    assert model == {"100_0": terms.TRUE, "101_0": mk_bv(4, 9)}
+
+
+def test_choice_with_arguments_is_an_error():
+    reg = _registry((ast.BoolType(), ("bool",)))
+    with pytest.raises(ModelParseError) as info:
+        parse_model("((define-fun c100_0 ((x Bool)) Bool x))", reg)
+    assert str(info.value) == "unexpected arguments on c100_0"
+
+
+def test_array_ite_condition_that_is_not_an_equality_is_an_error():
+    reg = _registry(ARRAY_4_8)
+    value = "(lambda ((x (_ BitVec 4))) (ite (bvult x #x3) #x01 #x00))"
+    with pytest.raises(ModelParseError) as info:
+        parse_model(f"((define-fun c100_0 () {ARRAY_4_8_TEXT} {value}))", reg)
+    assert str(info.value) == ("model value of c100_0: unsupported array ite "
+                               "condition (bvult x #x3)")
+
+
+ARRAY_4_8_TEXT = "(Array (_ BitVec 4) (_ BitVec 8))"
+
+
+@pytest.mark.parametrize("value", [
+    f"(store (store (store ((as const {ARRAY_4_8_TEXT}) #x00) #x1 #x05) #x2 #x06) #x1 #x07)",
+    "(lambda ((x (_ BitVec 4))) (ite (= x #x1) #x07 (ite (= x #x2) #x06 "
+    "(ite (= x #x1) #x05 #x00))))",
+], ids=["store chain", "ite chain"])
+def test_repeated_array_key_keeps_its_first_place_and_its_latest_value(value):
+    # The latest write to key 1 is the outermost store, and the first ite
+    # that matches it; key 1 was written before key 2.
+    reg = _registry(ARRAY_4_8)
+    model = parse_model(f"((define-fun c100_0 () {ARRAY_4_8_TEXT} {value}))", reg)
+    assert model["100_0"] == terms.SparseConst(
+        ARRAY_4_8[1], mk_bv(8, 0), ((1, mk_bv(8, 7)), (2, mk_bv(8, 6))))
+
+
 # -- solver driving ----------------------------------------------------------------
 
 

@@ -297,3 +297,37 @@ module Main {
 }
 """)
     assert len(errs) >= 2
+
+
+def test_member_names_are_checked_across_instances_callees_and_fns():
+    # One name space per module: instances, then callees, then fns.
+    errs = errors_of("""\
+module Other { }
+module Main {
+  instance a: Other;
+  instance a: Other;
+  callee a: Other;
+  fn a() { () }
+}
+""")
+    assert [e.report() for e in errs] == [
+        "t.soc:4:3: error: duplicate name 'a' in module Main",
+        "t.soc:5:3: error: duplicate name 'a' in module Main",
+        "t.soc:6:3: error: duplicate name 'a' in module Main",
+    ]
+
+
+def test_array_type_as_a_let_annotation():
+    program = parse_program("""
+module Main {
+  instance m: Array<BitInt(2), BitInt(8)>;
+  mut fn go() {
+    let x: Array<BitInt(2), BitInt(8)> = m.get();
+    assert(x[1u2] == 0u8)
+  }
+}
+""")
+    tp = check_program(program)
+    let = find_expr(program, lambda n: isinstance(n, ast.Let))
+    assert let.annot == ast.ArrayType(ast.BitIntType(2), ast.BitIntType(8))
+    assert tp.types[let.value.node_id] == let.annot
