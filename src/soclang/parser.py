@@ -135,6 +135,9 @@ class _Parser:
         return ast.InstanceDecl(name.lexeme, ref, self.span_from(start))
 
     def instance_ref(self) -> ast.InstanceRef:
+        if self.at("Array"):
+            t = self.type_expr()
+            return ast.ArrayPrim(t.key, t.value)
         name = self.expect_ident("module name")
         if name.lexeme == "State":
             self.expect("<")
@@ -144,13 +147,6 @@ class _Parser:
             init = self.expr()
             self.expect(")")
             return ast.StatePrim(vt, init)
-        if name.lexeme == "Array":
-            self.expect("<")
-            kt = self.type_expr()
-            self.expect(",")
-            vt = self.type_expr()
-            self.expect(">")
-            return ast.ArrayPrim(kt, vt)
         return ast.ModuleRef(name.lexeme)
 
     def callee_decl(self) -> ast.CalleeDecl:

@@ -319,33 +319,23 @@ def _show(node, limit: int = 60) -> str:
 def parse_model(output: str, registry: Optional[Registry]) -> Dict[str, Term]:
     """Parse solver `get-model` output into vid -> constant term.
 
-    A choice's name is `c` and its vid, and its `define-fun` header gives its
+    The definitions are the `define-fun`s at the top level or one level
+    down, in `(model ...)` or a bare list; any other node is skipped. A
+    choice's name is `c` and its vid, and its `define-fun` header gives its
     sort. Given the registry of the query the model answers, each choice
     must be declared there with that sort. Each value is read by the
-    header's sort. Handles bitvector literals (#b, #x, (_ bvN w)) of exactly
-    the sort's width, booleans, integers, and array values given as store
-    chains over ((as const ...) v), as-array references to auxiliary
-    definitions, or index/value ite lambdas.
+    header's sort (`_value_of`): bitvector literals (#b, #x, (_ bvN w)) of
+    exactly the sort's width, booleans, integers, and array values given as
+    store chains, index/value ite lambdas or as-array references to them. An
+    array key that is updated twice keeps the place of its first update and
+    the value of its latest.
     """
-    sexprs = parse_sexprs(output)
-    defs: List[list] = []
-    for node in sexprs:
-        if isinstance(node, list):
-            if node and node[0] == "model":
-                defs.extend(x for x in node[1:] if isinstance(x, list))
-            elif node and node[0] == "define-fun":
-                defs.append(node)
-            elif node and node[0] == "error":
-                continue
-            else:
-                defs.extend(x for x in node if isinstance(x, list)
-                            and x and x[0] == "define-fun")
+    defs = [d for node in parse_sexprs(output) if isinstance(node, list)
+            for d in ([node] if _is_def(node) else node) if _is_def(d)]
     aux: Dict[str, list] = {}
     mains: List[list] = []
     for d in defs:
-        if len(d) < 2 or d[0] != "define-fun":
-            continue
-        name = d[1]
+        name = d[1] if len(d) > 1 else None
         if not isinstance(name, str):
             continue
         if _CHOICE_NAME.fullmatch(name):
@@ -378,6 +368,10 @@ def parse_model(output: str, registry: Optional[Registry]) -> Dict[str, Term]:
         except ModelParseError as err:
             raise ModelParseError(f"model value of {name}: {err}") from None
     return model
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, list) and node[:1] == ["define-fun"]
 
 
 def _parse_sort(node) -> tuple:
@@ -457,60 +451,54 @@ def _parse_int(node) -> int:
     return -value if neg else value
 
 
+def _app(node, head: str, size: int) -> bool:
+    """Whether `node` is the list `(head ...)` of `size` items."""
+    return isinstance(node, list) and len(node) == size and node[0] == head
+
+
 def _value_of(body, sort: tuple, aux: Dict[str, list]) -> Term:
-    if sort[0] == "arr":
-        return _parse_array(body, sort, aux)
-    return _parse_scalar(body, sort)
+    """The constant a model's `define-fun` body gives for `sort`.
 
-
-def _parse_array(body, sort: tuple, aux: Dict[str, list]) -> terms.SparseConst:
-    # (_ as-array k!N): value lives in an auxiliary definition
-    if isinstance(body, list) and len(body) == 3 and body[0] == "_" \
-            and body[1] == "as-array":
+    An array value is a store chain over `((as const ...) v)`, a `lambda`
+    whose body is an `ite` chain over its argument, or an `as-array`
+    reference to an auxiliary definition, which reads as its `lambda`. Both
+    chains list the latest update outermost (a store applies last, the
+    first matching ite wins), so a repeated key keeps the place of its
+    first update and the value of its latest.
+    """
+    if sort[0] != "arr":
+        return _parse_scalar(body, sort)
+    key_width, leaf = sort[1], sort[2]
+    if _app(body, "_", 3) and body[1] == "as-array":
         d = aux.get(body[2]) if isinstance(body[2], str) else None
         if d is None:
             raise ModelParseError(f"as-array references unknown {_show(body[2])}")
-        args, fn_body = d[2], d[4]
-        return _array_from_fn(args, fn_body, sort)
-    if isinstance(body, list) and len(body) == 3 and body[0] == "lambda":
-        return _array_from_fn(body[1], body[2], sort)
-    mods: List[Tuple[int, Term]] = []
-    node = body
-    while isinstance(node, list) and len(node) == 4 and node[0] == "store":
-        mods.append((_parse_bv(node[2], sort[1]), _parse_scalar(node[3], sort[2])))
-        node = node[1]
-    if isinstance(node, list) and len(node) == 2 and isinstance(node[0], list) \
-            and node[0][:2] == ["as", "const"]:
-        default = _parse_scalar(node[1], sort[2])
+        body = ["lambda", d[2], d[4]]
+    mods: List[Tuple[int, Term]] = []  # outermost (latest) first
+    if _app(body, "lambda", 3):
+        args, node = body[1], body[2]
+        if not (isinstance(args, list) and len(args) == 1 and args[0]
+                and isinstance(args[0][0], str)):
+            raise ModelParseError("array function must take one argument")
+        var = args[0][0]
+        while _app(node, "ite", 4):
+            cond = node[1]
+            if not _app(cond, "=", 3):
+                raise ModelParseError(f"unsupported array ite condition {_show(cond)}")
+            key = cond[2] if cond[1] == var else cond[1]
+            mods.append((_parse_bv(key, key_width), _parse_scalar(node[2], leaf)))
+            node = node[3]
+        default = _parse_scalar(node, leaf)
     else:
-        raise ModelParseError(f"unrecognized array value {_show(body)}")
-    return _sparse_array(sort, default, mods)
-
-
-def _array_from_fn(args, body, sort: tuple) -> terms.SparseConst:
-    if not (isinstance(args, list) and len(args) == 1 and args[0]
-            and isinstance(args[0][0], str)):
-        raise ModelParseError("array function must take one argument")
-    var = args[0][0]
-    mods: List[Tuple[int, Term]] = []
-    node = body
-    while isinstance(node, list) and len(node) == 4 and node[0] == "ite":
-        cond, val, rest = node[1], node[2], node[3]
-        if not (isinstance(cond, list) and len(cond) == 3 and cond[0] == "="):
-            raise ModelParseError(f"unsupported array ite condition {_show(cond)}")
-        key_node = cond[2] if cond[1] == var else cond[1]
-        mods.append((_parse_bv(key_node, sort[1]), _parse_scalar(val, sort[2])))
-        node = rest
-    return _sparse_array(sort, _parse_scalar(node, sort[2]), mods)
-
-
-def _sparse_array(sort: tuple, default: Term,
-                  mods: List[Tuple[int, Term]]) -> terms.SparseConst:
-    """The array a model describes by its mods, outermost (latest) first."""
-    sc = terms.SparseConst(sort, default)
-    for k, v in reversed(mods):
-        sc = sc.write(k, v)
-    return sc
+        node = body
+        while _app(node, "store", 4):
+            mods.append((_parse_bv(node[2], key_width), _parse_scalar(node[3], leaf)))
+            node = node[1]
+        if not (isinstance(node, list) and len(node) == 2 and isinstance(node[0], list)
+                and node[0][:2] == ["as", "const"]):
+            raise ModelParseError(f"unrecognized array value {_show(body)}")
+        default = _parse_scalar(node[1], leaf)
+    return terms.SparseConst(sort, default, tuple(dict(reversed(mods)).items()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,29 +16,26 @@ from .diagnostics import TypeCheckError, TypeErrors
 # Resolutions attached to path/call nodes
 
 
-class LocalRef:
+class LocalRef(ast.Node):
+    __slots__ = ("name", "fields")  # fields: record field chain after the variable
+
     def __init__(self, name: str, fields: Tuple[str, ...]) -> None:
-        self.name = name
-        self.fields = fields  # record field chain applied after the variable
+        self.name, self.fields = name, fields  # one per path: no generic init
 
 
-class EnumVariantRef:
-    def __init__(self, enum: ast.EnumRef, index: int) -> None:
-        self.enum, self.index = enum, index
+class EnumVariantRef(ast.Node):
+    __slots__ = ("enum", "index")
 
 
-class UserCall:
-    def __init__(self, inst_path: Tuple[str, ...], module: str, fn: str) -> None:
-        self.inst_path = inst_path  # empty = function of the current module
-        self.module, self.fn = module, fn
+class UserCall(ast.Node):
+    __slots__ = ("inst_path", "module", "fn")  # inst_path empty: the current module
 
 
-class PrimCall:
+class PrimCall(ast.Node):
     """Built-in operation on a state/array cell or instance subtree."""
 
-    def __init__(self, op: str, inst_path: Tuple[str, ...]) -> None:
-        self.op = op  # state_get state_set array_get array_set array_read array_write havoc
-        self.inst_path = inst_path
+    # op: state_get state_set array_get array_set array_read array_write havoc
+    __slots__ = ("op", "inst_path")
 
 
 class TypedProgram:
@@ -147,19 +144,12 @@ class Checker:
                 continue
             self.modules[m.name] = m
             names = set()
-            for inst in m.instances:
-                if inst.name in names:
-                    self.fail(inst.span, f"duplicate name {inst.name!r} in module {m.name}")
-                names.add(inst.name)
-            for c in m.callees:
-                if c.name in names:
-                    self.fail(c.span, f"duplicate name {c.name!r} in module {m.name}")
-                names.add(c.name)
-            for f in m.fns:
-                if f.name in names:
-                    self.fail(f.span, f"duplicate name {f.name!r} in module {m.name}")
-                names.add(f.name)
-                self.fns[(m.name, f.name)] = f
+            for member in (*m.instances, *m.callees, *m.fns):
+                if member.name in names:
+                    self.fail(member.span,
+                              f"duplicate name {member.name!r} in module {m.name}")
+                names.add(member.name)
+            self.fns.update(((m.name, f.name), f) for f in m.fns)
         if self.program.root_name not in self.modules:
             span = p.modules[0].span if p.modules else p.span
             self.fail(span, f"no root module {self.program.root_name!r}")
@@ -396,15 +386,12 @@ class Checker:
                 raise self.fail(e.span, "assume/assert are not allowed here")
             self.check_expr(ctx, e.cond, ast.BOOL)
             return ast.UNIT
-        if isinstance(e, ast.Printf):
-            if ctx.init_expr:
-                raise self.fail(e.span, "printf is not allowed here")
-            for hole in e.holes:
-                self.check_expr(ctx, hole)
-            return ast.UNIT
-        if isinstance(e, ast.Let):
-            raise self.fail(e.span, "let is only allowed directly inside a block")
-        raise self.fail(e.span, f"cannot type {type(e).__name__}")
+        # A Printf: the parser builds a Let only as a block item (`_block`).
+        if ctx.init_expr:
+            raise self.fail(e.span, "printf is not allowed here")
+        for hole in e.holes:
+            self.check_expr(ctx, hole)
+        return ast.UNIT
 
     def _check_record_lit(self, ctx, e: ast.RecordLit, expected: ast.RecordType):
         declared = dict(expected.fields)
@@ -504,11 +491,10 @@ class Checker:
             if not isinstance(left_t, (ast.BitIntType, ast.IntType)):
                 raise self.fail(e.span, f"comparison on non-numeric type {left_t}")
             return ast.BOOL
-        if op in ("+", "-", "*"):
-            if not isinstance(left_t, (ast.BitIntType, ast.IntType)):
-                raise self.fail(e.span, f"arithmetic on non-numeric type {left_t}")
-            return left_t
-        raise self.fail(e.span, f"unknown operator {op!r}")
+        # + - *: the parser builds no other operator.
+        if not isinstance(left_t, (ast.BitIntType, ast.IntType)):
+            raise self.fail(e.span, f"arithmetic on non-numeric type {left_t}")
+        return left_t
 
     def _operand_pair(self, ctx, left, right) -> ast.TypeExpr:
         """Infer one operand, check the other against it: both widths must
