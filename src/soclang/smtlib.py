@@ -322,16 +322,13 @@ def parse_model(output: str, registry: Optional[Registry]) -> Dict[str, Term]:
     The definitions are the `define-fun`s at the top level or one level
     down, in `(model ...)` or a bare list; any other node is skipped. A
     choice's name is `c` and its vid, and its `define-fun` header gives its
-    sort. Given the registry of the query the model answers, each choice
-    must be declared there with that sort. Each value is read by the
-    header's sort (`_value_of`): bitvector literals (#b, #x, (_ bvN w)) of
-    exactly the sort's width, booleans, integers, and array values given as
-    store chains, index/value ite lambdas or as-array references to them. An
-    array key that is updated twice keeps the place of its first update and
-    the value of its latest.
+    sort, by which `_value_of` reads its value. Given the registry of the
+    query the model answers, each choice must be declared there with that
+    sort.
     """
     defs = [d for node in parse_sexprs(output) if isinstance(node, list)
-            for d in ([node] if _is_def(node) else node) if _is_def(d)]
+            for d in ([node] if node[:1] == ["define-fun"] else node)
+            if isinstance(d, list) and d[:1] == ["define-fun"]]
     aux: Dict[str, list] = {}
     mains: List[list] = []
     for d in defs:
@@ -370,14 +367,15 @@ def parse_model(output: str, registry: Optional[Registry]) -> Dict[str, Term]:
     return model
 
 
-def _is_def(node) -> bool:
-    return isinstance(node, list) and node[:1] == ["define-fun"]
+def _app(node, head: str, size: int) -> bool:
+    """Whether `node` is the list `(head ...)` of `size` items."""
+    return isinstance(node, list) and len(node) == size and node[0] == head
 
 
 def _parse_sort(node) -> tuple:
     """The sort a choice's `define-fun` header gives: Bool, Int,
     (_ BitVec w), or an array from bitvectors to one of these."""
-    if isinstance(node, list) and len(node) == 3 and node[0] == "Array":
+    if _app(node, "Array", 3):
         key, leaf = _leaf_sort(node[1]), _leaf_sort(node[2])
         if key is not None and key[0] == "bv" and leaf is not None:
             return terms.arr_sort(key[1], leaf)
@@ -392,7 +390,7 @@ def _leaf_sort(node) -> Optional[tuple]:
         return terms.BOOL_SORT
     if node == "Int":
         return terms.INT_SORT
-    if isinstance(node, list) and len(node) == 3 and node[:2] == ["_", "BitVec"]:
+    if _app(node, "_", 3) and node[1] == "BitVec":
         width = _numeral(node[2])
         if width:
             return terms.bv_sort(width)
@@ -418,8 +416,7 @@ def _parse_bv(node, width: int) -> int:
         digits = node[2:]
         lit = (int(digits, 2), len(digits)) if node[1] == "b" else \
             (int(digits, 16), 4 * len(digits))
-    elif isinstance(node, list) and len(node) == 3 and node[0] == "_" \
-            and isinstance(node[1], str) and node[1].startswith("bv"):
+    elif _app(node, "_", 3) and isinstance(node[1], str) and node[1].startswith("bv"):
         value, w = _numeral(node[1][2:]), _numeral(node[2])
         if value is not None and w is not None:
             lit = value, w
@@ -444,26 +441,20 @@ def _numeral(node) -> Optional[int]:
 
 def _parse_int(node) -> int:
     """The value of a numeral or of a negated one, `(- numeral)`."""
-    neg = isinstance(node, list) and len(node) == 2 and node[0] == "-"
+    neg = _app(node, "-", 2)
     value = _numeral(node[1] if neg else node)
     if value is None:
         raise ModelParseError(f"expected integer, got {_show(node)}")
     return -value if neg else value
 
 
-def _app(node, head: str, size: int) -> bool:
-    """Whether `node` is the list `(head ...)` of `size` items."""
-    return isinstance(node, list) and len(node) == size and node[0] == head
-
-
 def _value_of(body, sort: tuple, aux: Dict[str, list]) -> Term:
-    """The constant a model's `define-fun` body gives for `sort`.
-
-    An array value is a store chain over `((as const ...) v)`, a `lambda`
-    whose body is an `ite` chain over its argument, or an `as-array`
-    reference to an auxiliary definition, which reads as its `lambda`. Both
-    chains list the latest update outermost (a store applies last, the
-    first matching ite wins), so a repeated key keeps the place of its
+    """The constant a `define-fun` body gives for `sort`: a Bool, an integer,
+    a bitvector literal (#b, #x, (_ bvN w)) of exactly the sort's width, or
+    an array given as a store chain over `((as const ...) v)`, as a `lambda`
+    whose body is an ite chain over its argument, or as an `as-array`
+    reference to a definition, read as its `lambda`. Either chain holds the
+    latest update outermost, so a key updated twice keeps the place of its
     first update and the value of its latest.
     """
     if sort[0] != "arr":

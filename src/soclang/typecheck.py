@@ -144,11 +144,10 @@ class Checker:
                 continue
             self.modules[m.name] = m
             names = set()
-            for member in (*m.instances, *m.callees, *m.fns):
-                if member.name in names:
-                    self.fail(member.span,
-                              f"duplicate name {member.name!r} in module {m.name}")
-                names.add(member.name)
+            for x in (*m.instances, *m.callees, *m.fns):
+                if x.name in names:
+                    self.fail(x.span, f"duplicate name {x.name!r} in module {m.name}")
+                names.add(x.name)
             self.fns.update(((m.name, f.name), f) for f in m.fns)
         if self.program.root_name not in self.modules:
             span = p.modules[0].span if p.modules else p.span
