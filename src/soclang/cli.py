@@ -178,6 +178,10 @@ def _capacity(text: str) -> int:
     return value
 
 
+# The VC bounds no array, so replaying a solver model bounds none by default.
+_REPLAY_CAPACITY = "modifications each array may hold in the replay (default: no bound)"
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="soclang",
@@ -193,7 +197,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--capacity", type=_capacity, default=64)
+    p.add_argument("--capacity", type=_capacity, default=64,
+                   help="modifications each array may hold (default 64)")
     p.add_argument("--trace-json", action="store_true")
     p.set_defaults(fn=cmd_run)
 
@@ -206,7 +211,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-model", metavar="PATH")
     p.add_argument("--dump-vc", action="store_true",
                    help="print the SMT-LIB verification condition")
-    p.add_argument("--capacity", type=_capacity, default=64)
+    p.add_argument("--capacity", type=_capacity, help=_REPLAY_CAPACITY)
     p.add_argument("--trace-json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
@@ -214,7 +219,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--capacity", type=_capacity, default=64)
+    p.add_argument("--capacity", type=_capacity, help=_REPLAY_CAPACITY)
     p.add_argument("--trace-json", action="store_true")
     p.set_defaults(fn=cmd_trace)
 

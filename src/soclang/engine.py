@@ -390,7 +390,7 @@ class Engine:
     and result is most of the run's time."""
 
     def __init__(self, tp: TypedProgram, root: InstanceNode, layout: StateLayout,
-                 anys: Optional[AnySource] = None, capacity: int = 64,
+                 anys: Optional[AnySource] = None, capacity: Optional[int] = 64,
                  record_events: bool = False) -> None:
         self.tp = tp
         self.root = root
@@ -863,7 +863,7 @@ _BINARY = {"&&": (terms.mk_and,) * 2, "||": (terms.mk_or,) * 2,
 
 
 def run_scenario(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
-                 scenario: str, anys: AnySource, capacity: int = 64,
+                 scenario: str, anys: AnySource, capacity: Optional[int] = 64,
                  record_events: bool = False) -> RunResult:
     eng = Engine(tp, root, layout, anys=anys, capacity=capacity,
                  record_events=record_events)
@@ -884,8 +884,9 @@ def sym_exec(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
 
 def replay(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
            scenario: str, model: Dict[str, Term],
-           capacity: int = 64, record_events: bool = False) -> RunResult:
+           capacity: Optional[int] = None, record_events: bool = False) -> RunResult:
     """Replay a solver model: the symbolic engine with immediate concretization.
+    The VC bounds no array's modifications, so by default neither does this.
 
     Every choice the model names must be an `any` or `havoc` of this program,
     reached through calls of this program. The numbers of a vid are compared

@@ -731,3 +731,56 @@ def test_calls_nested_past_the_stack_are_an_error_line(tmp_path, command, option
     options = [o.replace("{tmp}", str(tmp_path)) for o in options]
     assert run_cli(command, str(path), "--scenario", "f0", *options) == (
         1, "", "error: scenario 'f0' nests calls too deep for the interpreter's stack\n")
+
+
+# The VC bounds no array's modifications, so replaying a solver model bounds
+# none unless --capacity is given; `run` keeps its default bound of 64.
+CAPACITY = """\
+module Main {
+  instance mem: Array<BitInt(8), BitInt(8)>;
+  mut fn go() {
+    mem.havoc();
+    mem.write(0u8, 1u8);
+    assert(mem.read(200u8) == 0u8)
+  }
+}
+"""
+
+
+def _many_stores() -> str:
+    """A model of `mem` with 66 stores, one of them 200 -> 5, so the write
+    at key 0 makes 67 modifications."""
+    arr = "((as const (Array (_ BitVec 8) (_ BitVec 8))) #x00)"
+    for key in [*range(1, 66), 0xc8]:
+        arr = f"(store {arr} #x{key:02x} #x{5 if key == 0xc8 else 1:02x})"
+    return f"((define-fun c1_0 () (Array (_ BitVec 8) (_ BitVec 8)) {arr}))"
+
+
+@pytest.mark.parametrize("command, options, code, stdout, stderr", [
+    ("trace", [], 2, "FAILED ASSERTION at {file}:6\n", ""),
+    ("trace", ["--capacity", "1000"], 2, "FAILED ASSERTION at {file}:6\n", ""),
+    ("trace", ["--capacity", "64"], 1, "",
+     "error: sparse array mem: capacity of 64 modifications exceeded\n"),
+    ("verify", ["--solver", _sat_with(_many_stores())], 2,
+     "FAILED ASSERTION at {file}:6\nmodel written to {tmp}/m.smt2\n", ""),
+], ids=["trace", "trace with a larger bound", "trace with the run bound", "verify"])
+def test_replay_of_a_solver_model_has_no_capacity_bound_by_default(
+        tmp_path, command, options, code, stdout, stderr):
+    path = tmp_path / "cap.soc"
+    path.write_text(CAPACITY)
+    (tmp_path / "m.smt2").write_text(_many_stores())
+    model = ["--model", str(tmp_path / "m.smt2")] if command == "trace" else \
+        ["--dump-model", str(tmp_path / "m.smt2")]
+    assert run_cli(command, str(path), "--scenario", "go", *model, *options) == (
+        code, stdout.format(file=path, tmp=tmp_path), stderr)
+
+
+def test_run_keeps_its_capacity_bound(tmp_path):
+    path = tmp_path / "full.soc"
+    writes = "".join(f"    cells.write({k}u8, 1u8);\n" for k in range(65))
+    path.write_text("module Main {\n  instance cells: Array<BitInt(8), BitInt(8)>;\n"
+                    f"  mut fn full() {{\n{writes}    ()\n  }}\n}}\n")
+    assert run_cli("run", str(path), "--scenario", "full") == (
+        1, "", "error: sparse array cells: capacity of 64 modifications exceeded\n")
+    assert run_cli("run", str(path), "--scenario", "full", "--capacity", "65") == (
+        0, "passed\n", "")
