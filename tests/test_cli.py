@@ -343,6 +343,72 @@ module Main {
     assert any(e["event"] == "return" and e["value"] == "7" for e in events)
 
 
+# A record flows between equal record types whose fields are declared in
+# different orders, through a symbolic `if` that writes `p` in one arm and
+# `q` in the other; a record holding an empty vector is printed too. The
+# values print in each type's declaration order, and the VC's conjuncts
+# follow the field order of each merged tree.
+FIELD_ORDER_CLI_MODEL = """\
+type A = { x: BitInt(8), y: Bool };
+type B = { y: Bool, x: BitInt(8) };
+type H = { tag: BitInt(2), none: Vector<BitInt(2), 0> };
+module Main {
+  instance p: State<B>({ y: false, x: 0u8 });
+  instance q: State<B>({ x: 5u8, y: true });
+  mut fn s() {
+    let a: A = { x: any<BitInt(8)>, y: any<Bool> };
+    if any<Bool> { p.set(a) } else { q.set(a) };
+    let b = p.get();
+    let c = q.get();
+    printf("a={a} p={b} q={c} eq={b == a} {a == c}\\n");
+    let h: H = { tag: 1u2, none: [] };
+    printf("h={h}\\n");
+    assert(b == a || c == a)
+  }
+}
+"""
+
+FIELD_ORDER_RUNS = {
+    0: ("{ x: 197, y: false }", "{ y: false, x: 197 }", "{ y: true, x: 5 }", "true false"),
+    1: ("{ x: 68, y: false }", "{ y: false, x: 0 }", "{ y: false, x: 68 }", "false true"),
+    2: ("{ x: 28, y: true }", "{ y: true, x: 28 }", "{ y: true, x: 5 }", "true false"),
+    3: ("{ x: 121, y: false }", "{ y: false, x: 121 }", "{ y: true, x: 5 }", "true false"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIELD_ORDER_RUNS))
+def test_records_of_reordered_types_run_and_print_in_declaration_order(tmp_path, seed):
+    f = tmp_path / "fo.soc"
+    f.write_text(FIELD_ORDER_CLI_MODEL)
+    a, p, q, eq = FIELD_ORDER_RUNS[seed]
+    lines = [f"a={a} p={p} q={q} eq={eq}\n", "h={ tag: 1, none: [] }\n"]
+    code, out, err = run_cli("run", str(f), "--scenario", "s", "--seed", str(seed),
+                             "--trace-json")
+    assert (code, err) == (0, "")
+    assert out == "".join(lines) + "".join(
+        json.dumps({"event": "printf", "text": ln}) + "\n" for ln in lines) + "passed\n"
+
+
+def test_records_of_reordered_types_dump_vc(tmp_path):
+    f = tmp_path / "fo.soc"
+    f.write_text(FIELD_ORDER_CLI_MODEL)
+    code, out, err = run_cli("verify", str(f), "--scenario", "s", "--dump-vc",
+                             "--solver", "sh -c 'echo unknown'")
+    assert (code, err) == (3, "")
+    assert out == """\
+(set-logic QF_ABV)
+(set-option :produce-models true)
+(declare-const c6_0 (_ BitVec 8))
+(declare-const c7_0 Bool)
+(declare-const c10_0 Bool)
+(assert (not (or (and (= (ite c10_0 c6_0 (_ bv0 8)) c6_0) (= (ite c10_0 c7_0 false) c7_0)) \
+(and (= (ite c10_0 true c7_0) c7_0) (= (ite c10_0 (_ bv5 8) c6_0) c6_0)))))
+(check-sat)
+(get-model)
+unknown: unknown
+"""
+
+
 @requires_z3
 def test_verify_exit_codes_and_model_cache(tmp_path):
     model = tmp_path / "m.smt2"
@@ -435,6 +501,28 @@ def test_trace_all_zero_model_on_fixed_passes(tmp_path):
                            "--model", str(empty))
     assert code == 0
     assert out.strip().endswith("passed")
+
+
+def test_trace_replays_missing_choices_as_zeros(tmp_path):
+    f, model = tmp_path / "z.soc", tmp_path / "zero.smt2"
+    f.write_text("""\
+enum Mode { Idle, Busy }
+module Mem { instance cells: Array<BitInt(2), BitInt(4)>; }
+module Main {
+  instance m: Mem;
+  mut fn s() {
+    let b = any<Bool>;
+    let x = any<BitInt(8)>;
+    let n = any<Int>;
+    let k = any<Mode>;
+    m.havoc();
+    printf("{b} {x} {n} {k} {m.cells.get()}\\n")
+  }
+}
+""")
+    model.write_text("()\n")
+    assert run_cli("trace", str(f), "--scenario", "s", "--model", str(model)) == \
+        (0, "false 0 0 Idle array{default 0}\npassed\n", "")
 
 
 def test_trace_model_with_wrong_sort_exits_1(tmp_path):

@@ -532,6 +532,14 @@ def test_array_ite_condition_that_is_not_an_equality_is_an_error():
                                "condition (bvult x #x3)")
 
 
+def test_array_ite_condition_may_hold_the_argument_on_either_side():
+    reg = _registry(ARRAY_4_8)
+    value = "(lambda ((x (_ BitVec 4))) (ite (= #x1 x) #x05 #x00))"
+    arr = parse_model(f"((define-fun c100_0 () {ARRAY_4_8_TEXT} {value}))", reg)["100_0"]
+    assert arr == terms.SparseConst(terms.arr_sort(4, ("bv", 8)), mk_bv(8, 0),
+                                    ((1, mk_bv(8, 5)),))
+
+
 ARRAY_4_8_TEXT = "(Array (_ BitVec 4) (_ BitVec 8))"
 
 
