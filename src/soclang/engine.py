@@ -34,8 +34,9 @@ vid and the type it is registered with: a scalar, or `ArrayType(key, leaf)`
 for a leaf of an array cell.
 
 The store is keyed by cell, a State or Array leaf of the instance tree.
-Records and vectors are trees of per-leaf terms, mapped leafwise by
-`tree_map` and built from a type by `tree_of_type`.
+Records and vectors are trees of per-leaf terms: a record is a dict from
+field name to tree, a vector a tuple. `tree_map` maps them leafwise and
+`tree_of_type` builds them from a type.
 """
 
 from __future__ import annotations
@@ -52,44 +53,21 @@ from .terms import Term
 from .typecheck import EnumVariantRef, PrimCall, TypedProgram, UserCall
 
 # ---------------------------------------------------------------------------
-# Value trees: records/vectors explode into per-leaf terms. Trees compare by
-# value, as their constant leaves do. Like the other value classes of this
-# module, they are `ast.Node` classes: slotted, with `==`, `hash` and `repr`
-# over their fields.
-
-
-class RecV(ast.Node):
-    __slots__ = ("fields",)
-
-    def __init__(self, fields: tuple) -> None:
-        self.fields = fields  # tuple[tuple[str, tree], ...]
-
-    def get(self, name: str):
-        for n, v in self.fields:
-            if n == name:
-                return v
-        raise KeyError(name)
-
-
-class VecV(ast.Node):
-    __slots__ = ("items",)
-
-    def __init__(self, items: tuple) -> None:
-        self.items = items
+# Value trees: records/vectors explode into per-leaf terms. A record is a dict
+# from field name to tree, built in its type's field order, and a vector is a
+# tuple. Trees compare by value, as their constant leaves do.
 
 
 def tree_map(fn, tree, *others):
-    """Apply fn leafwise to trees of one shape.
+    """Apply fn leafwise to trees of one shape, in the field order of `tree`.
 
     Records match by field name, not position: types compare fields by name,
     and an inferred record literal may hold them in another order.
     """
-    if isinstance(tree, RecV):
-        return RecV(tuple((n, tree_map(fn, v, *(o.get(n) for o in others)))
-                          for n, v in tree.fields))
-    if isinstance(tree, VecV):
-        return VecV(tuple(tree_map(fn, *xs)
-                          for xs in zip(tree.items, *(o.items for o in others))))
+    if isinstance(tree, dict):
+        return {n: tree_map(fn, v, *(o[n] for o in others)) for n, v in tree.items()}
+    if isinstance(tree, tuple):
+        return tuple(tree_map(fn, *xs) for xs in zip(tree, *others))
     return fn(tree, *others)
 
 
@@ -97,16 +75,16 @@ def tree_of_type(t: ast.TypeExpr, leaf):
     """The tree of type t whose leaves are leaf(scalar type), called in
     field/item order (the vids of choices follow it)."""
     if isinstance(t, ast.RecordType):
-        return RecV(tuple((n, tree_of_type(ft, leaf)) for n, ft in t.fields))
+        return {n: tree_of_type(ft, leaf) for n, ft in t.fields}
     if isinstance(t, ast.VectorType):
-        return VecV(tuple(tree_of_type(t.elem, leaf) for _ in range(t.length)))
+        return tuple(tree_of_type(t.elem, leaf) for _ in range(t.length))
     return leaf(t)
 
 
 def tree_ite(cond: Term, a, b):
     if a is b:
         return a
-    if isinstance(a, (RecV, VecV)):
+    if isinstance(a, (dict, tuple)):
         return tree_map(partial(terms.mk_ite, cond), a, b)
     return terms.mk_ite(cond, a, b)
 
@@ -118,10 +96,10 @@ def tree_eq(a, b) -> Term:
 
 
 def _conjoin(eqs) -> Term:
-    if not isinstance(eqs, RecV):
+    if not isinstance(eqs, dict):
         return eqs
     acc = terms.TRUE
-    for _, v in eqs.fields:
+    for v in eqs.values():
         acc = terms.mk_and(acc, _conjoin(v))
     return acc
 
@@ -302,11 +280,11 @@ def format_value(tree, t: ast.TypeExpr, in_array: bool = False) -> str:
     if isinstance(t, ast.UnitType):
         return "()"
     if isinstance(t, ast.RecordType):
-        inner = ", ".join(f"{n}: {format_value(tree.get(n), ft, in_array)}"
+        inner = ", ".join(f"{n}: {format_value(tree[n], ft, in_array)}"
                           for n, ft in t.fields)
         return "{ " + inner + " }"
     if isinstance(t, ast.VectorType):
-        return "[" + ", ".join(format_value(x, t.elem, in_array) for x in tree.items) + "]"
+        return "[" + ", ".join(format_value(x, t.elem, in_array) for x in tree) + "]"
     if isinstance(t, ast.ArrayType):
         return format_value(tree, t.value, True)
     if in_array and not isinstance(tree, terms.SparseConst):
@@ -518,7 +496,7 @@ class Engine:
 
     def _compile_vector_lit(self, e: ast.VectorLit):
         items = [self.code(x) for x in e.items]
-        return lambda env, frame: VecV(tuple([f(env, frame) for f in items]))
+        return lambda env, frame: tuple([f(env, frame) for f in items])
 
     def _compile_record_lit(self, e: ast.RecordLit):
         written = [(n, self.code(v)) for n, v in e.fields]
@@ -526,7 +504,7 @@ class Engine:
 
         def record(env, frame):
             values = {n: f(env, frame) for n, f in written}
-            return RecV(tuple([(n, values[n]) for n in order]))
+            return {n: values[n] for n in order}
         return record
 
     def _compile_path(self, e: ast.PathExpr):
@@ -538,13 +516,13 @@ class Engine:
         def local(env, frame):
             v = env[name]
             for n in fields:
-                v = v.get(n)
+                v = v[n]
             return v
         return local
 
     def _compile_field(self, e: ast.FieldAccess):
         base, name = self.code(e.base), e.name
-        return lambda env, frame: base(env, frame).get(name)
+        return lambda env, frame: base(env, frame)[name]
 
     def _compile_slice(self, e: ast.Slice):
         base, hi, lo = self.code(e.base), e.hi, e.lo
@@ -559,9 +537,9 @@ class Engine:
         base, value, lo, hi = self.code(e.base), self.code(e.value), e.lo, e.hi
 
         def update(env, frame):
-            items = list(base(env, frame).items)
-            items[lo:hi + 1] = value(env, frame).items
-            return VecV(tuple(items))
+            items = list(base(env, frame))
+            items[lo:hi + 1] = value(env, frame)
+            return tuple(items)
         return update
 
     def _compile_unary(self, e: ast.Unary):
@@ -651,27 +629,25 @@ class Engine:
         read = self._vector_select if isinstance(t, ast.VectorType) else self._reader(t.value)
         return lambda env, frame: read(base(env, frame), index(env, frame))
 
-    def _vector_select(self, base: VecV, idx: Term):
+    def _vector_select(self, base: tuple, idx: Term):
         if isinstance(idx, terms.BVC):
-            return base.items[idx.value]
+            return base[idx.value]
         width = idx.sort[1]
-        acc = base.items[0]
+        acc = base[0]
         for i in range(1, 1 << width):
-            acc = tree_ite(terms.mk_eq(idx, terms.mk_bv(width, i)), base.items[i], acc)
+            acc = tree_ite(terms.mk_eq(idx, terms.mk_bv(width, i)), base[i], acc)
         return acc
 
-    def _vector_update(self, base: VecV, idx: Term, val):
+    def _vector_update(self, base: tuple, idx: Term, val):
         if isinstance(idx, terms.BVC):
-            items = list(base.items)
+            items = list(base)
             items[idx.value] = val
-            return VecV(tuple(items))
+            return tuple(items)
         width = idx.sort[1]
-        items = [
-            tree_ite(terms.mk_eq(idx, terms.mk_bv(width, i)), val, base.items[i])
-            if i < (1 << width) else base.items[i]
-            for i in range(len(base.items))
-        ]
-        return VecV(tuple(items))
+        return tuple(
+            tree_ite(terms.mk_eq(idx, terms.mk_bv(width, i)), val, base[i])
+            if i < (1 << width) else base[i]
+            for i in range(len(base)))
 
     def _compile_binary(self, e: ast.Binary):
         left, right, op = self.code(e.left), self.code(e.right), e.op

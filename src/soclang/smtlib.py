@@ -57,11 +57,6 @@ _ATOM_TEXT: Dict[type, Callable[[Term], str]] = {
 }
 
 
-_BV_OPS = {"add": "bvadd", "sub": "bvsub", "mul": "bvmul",
-           "ult": "bvult", "ule": "bvule"}
-_INT_OPS = {"add": "+", "sub": "-", "mul": "*", "lt": "<", "le": "<="}
-
-
 class _Emitter:
     """Serializes a term DAG, let-binding every shared compound subterm.
 
@@ -127,16 +122,6 @@ class _Emitter:
         return openers + [text(self.root), ")" * len(openers)]
 
 
-def _bin_text(t: terms.Bin, n: Callable[[Term], str]) -> str:
-    if t.op in ("and", "or"):
-        return f"({t.op} {n(t.left)} {n(t.right)})"
-    if t.op == "eq":
-        return f"(= {n(t.left)} {n(t.right)})"
-    ops = _INT_OPS if t.left.sort == terms.INT_SORT else _BV_OPS
-    name = ops.get(t.op) or _INT_OPS[t.op]
-    return f"({name} {n(t.left)} {n(t.right)})"
-
-
 def _sparse_const_text(t: terms.SparseConst, n: Callable[[Term], str]) -> str:
     acc = f"((as const {_sort_text(t.sort)}) {n(t.default)})"
     for k, v in t.mods:
@@ -148,7 +133,7 @@ def _sparse_const_text(t: terms.SparseConst, n: Callable[[Term], str]) -> str:
 # children's texts from `n(child)`.
 _NODE_TEXT: Dict[type, Callable[[Term, Callable[[Term], str]], str]] = {
     terms.Not: lambda t, n: f"(not {n(t.arg)})",
-    terms.Bin: _bin_text,
+    terms.Bin: lambda t, n: f"({t.op} {n(t.left)} {n(t.right)})",
     terms.Ite: lambda t, n: f"(ite {n(t.cond)} {n(t.then)} {n(t.other)})",
     terms.Extract: lambda t, n: f"((_ extract {t.hi} {t.lo}) {n(t.arg)})",
     terms.ZeroExt: lambda t, n: f"((_ zero_extend {t.sort[1] - t.arg.sort[1]}) {n(t.arg)})",

@@ -13,11 +13,13 @@ after construction. Constants (`BoolC`,
 and run results, so they compare and hash by value. Every other term compares
 and hashes by identity (eq=False): large merged states share subterms as a
 DAG, and deep structural equality would be quadratic. `children` gives the
-subterms of any term, in field order.
+subterms of any term, in field order. A `Bin`'s `op` is its operator's
+SMT-LIB name, which the constructor picks from the operand sort.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -76,7 +78,7 @@ class Not(Term):
 @dataclass(eq=False)
 class Bin(Term):
     __slots__ = ("op", "left", "right")
-    op: str  # and or eq ult ule lt le add sub mul
+    op: str  # SMT-LIB name: and or = bvult bvule < <= bvadd + bvsub - bvmul *
     left: Term
     right: Term
 
@@ -237,58 +239,49 @@ def mk_eq(a: Term, b: Term) -> Term:
         return TRUE
     if isinstance(a, (BoolC, BVC, IntC)) and isinstance(b, (BoolC, BVC, IntC)):
         return mk_bool(a.value == b.value)
-    return Bin(BOOL_SORT, "eq", a, b)
+    return Bin(BOOL_SORT, "=", a, b)
+
+
+def _compare(op: str, fold, a: Term, b: Term) -> Term:
+    if isinstance(a, (BVC, IntC)) and isinstance(b, (BVC, IntC)):
+        return mk_bool(fold(a.value, b.value))
+    return Bin(BOOL_SORT, op, a, b)
 
 
 def mk_ult(a: Term, b: Term) -> Term:
-    if isinstance(a, BVC) and isinstance(b, BVC):
-        return mk_bool(a.value < b.value)
-    return Bin(BOOL_SORT, "ult", a, b)
+    return _compare("bvult", operator.lt, a, b)
 
 
 def mk_ule(a: Term, b: Term) -> Term:
-    if isinstance(a, BVC) and isinstance(b, BVC):
-        return mk_bool(a.value <= b.value)
-    return Bin(BOOL_SORT, "ule", a, b)
+    return _compare("bvule", operator.le, a, b)
 
 
 def mk_lt(a: Term, b: Term) -> Term:
-    if isinstance(a, IntC) and isinstance(b, IntC):
-        return mk_bool(a.value < b.value)
-    return Bin(BOOL_SORT, "lt", a, b)
+    return _compare("<", operator.lt, a, b)
 
 
 def mk_le(a: Term, b: Term) -> Term:
-    if isinstance(a, IntC) and isinstance(b, IntC):
-        return mk_bool(a.value <= b.value)
-    return Bin(BOOL_SORT, "le", a, b)
+    return _compare("<=", operator.le, a, b)
 
 
-def _arith(op: str, a: Term, b: Term) -> Term:
+def _arith(bv_op: str, int_op: str, fold, a: Term, b: Term) -> Term:
     if isinstance(a, BVC) and isinstance(b, BVC):
-        width = a.sort[1]
-        v = {"add": a.value + b.value,
-             "sub": a.value - b.value,
-             "mul": a.value * b.value}[op]
-        return mk_bv(width, v)
+        return mk_bv(a.sort[1], fold(a.value, b.value))
     if isinstance(a, IntC) and isinstance(b, IntC):
-        v = {"add": a.value + b.value,
-             "sub": a.value - b.value,
-             "mul": a.value * b.value}[op]
-        return mk_int(v)
-    return Bin(a.sort, op, a, b)
+        return mk_int(fold(a.value, b.value))
+    return Bin(a.sort, int_op if a.sort == INT_SORT else bv_op, a, b)
 
 
 def mk_add(a: Term, b: Term) -> Term:
-    return _arith("add", a, b)
+    return _arith("bvadd", "+", operator.add, a, b)
 
 
 def mk_sub(a: Term, b: Term) -> Term:
-    return _arith("sub", a, b)
+    return _arith("bvsub", "-", operator.sub, a, b)
 
 
 def mk_mul(a: Term, b: Term) -> Term:
-    return _arith("mul", a, b)
+    return _arith("bvmul", "*", operator.mul, a, b)
 
 
 def mk_neg(a: Term) -> Term:

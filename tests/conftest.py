@@ -63,15 +63,14 @@ def check_value(tree, t: ast.TypeExpr, where: str, key_width=None) -> None:
         if tree is not None:
             fail(tree, t)
     elif isinstance(t, ast.RecordType):
-        if not isinstance(tree, eng.RecV) or \
-                {n for n, _ in tree.fields} != {n for n, _ in t.fields}:
+        if not isinstance(tree, dict) or tree.keys() != {n for n, _ in t.fields}:
             fail(tree, t)
         for n, ft in t.fields:
-            check_value(tree.get(n), ft, where, key_width)
+            check_value(tree[n], ft, where, key_width)
     elif isinstance(t, ast.VectorType):
-        if not isinstance(tree, eng.VecV) or len(tree.items) != t.length:
+        if not isinstance(tree, tuple) or len(tree) != t.length:
             fail(tree, t)
-        for x in tree.items:
+        for x in tree:
             check_value(x, t.elem, where, key_width)
     elif isinstance(t, ast.ArrayType):
         check_value(tree, t.value, where, t.key.width)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from soclang import ast, terms
 from soclang import engine as eng
 from soclang.diagnostics import CapacityError, EngineError
-from soclang.engine import RecV, VecV, format_value
+from soclang.engine import format_value
 from soclang.terms import bv_sort, mk_bv, mk_const_array
 
 from conftest import CORPUS, load_file, load_source
@@ -114,12 +114,12 @@ def fmt(value, t):
 def test_format_request_record_like_attack_trace():
     t = ast.RecordType((("is_write", ast.BoolType()), ("is_secure", ast.BoolType()),
                         ("address", ast.BitIntType(48)), ("value", ast.BitIntType(64))))
-    rec = RecV((
-        ("is_write", terms.TRUE),
-        ("is_secure", terms.FALSE),
-        ("address", mk_bv(48, 0x8000_0000_0070)),
-        ("value", mk_bv(64, 1)),
-    ))
+    rec = {
+        "is_write": terms.TRUE,
+        "is_secure": terms.FALSE,
+        "address": mk_bv(48, 0x8000_0000_0070),
+        "value": mk_bv(64, 1),
+    }
     assert fmt(rec, t) == ("{ is_write: true, is_secure: false, "
                            "address: 0x8000_0000_0070u48, value: 1 }")
 
@@ -139,12 +139,12 @@ def test_format_large_values_group_hex_and_carry_width():
 
 def test_format_enum_vector_unit_and_record_array():
     assert fmt(mk_bv(2, 2), MODE) == "Standby"
-    assert fmt(VecV((mk_bv(12, 5), mk_bv(12, 300))),
+    assert fmt((mk_bv(12, 5), mk_bv(12, 300)),
                ast.VectorType(ast.BitIntType(12), 2)) == "[5, 0x12cu12]"
     assert fmt(None, ast.UNIT) == "()"
-    slots = RecV((("tag", mk_const_array(3, mk_bv(4, 0)).write(1, mk_bv(4, 3))),
-                  ("val", mk_const_array(3, mk_bv(8, 0)).write(1, mk_bv(8, 9))
-                   .write(6, mk_bv(8, 255)))))
+    slots = {"tag": mk_const_array(3, mk_bv(4, 0)).write(1, mk_bv(4, 3)),
+             "val": mk_const_array(3, mk_bv(8, 0)).write(1, mk_bv(8, 9))
+             .write(6, mk_bv(8, 255))}
     entry = ast.RecordType((("tag", ast.BitIntType(4)), ("val", ast.BitIntType(8))))
     assert fmt(slots, ast.ArrayType(ast.BitIntType(3), entry)) == \
         "{ tag: array{1: 3; default 0}, val: array{1: 9, 6: 255; default 0} }"
@@ -335,8 +335,8 @@ def test_arrays_of_records_read_write_snapshot():
     r = eng.run_scenario(tp, tree, layout, "s", eng.SeededRandom(0))
     assert isinstance(r.verdict, eng.Passed)
     slots = r.store["t.slots"]
-    assert isinstance(slots, RecV)
-    tag_arr = slots.get("tag")
+    assert isinstance(slots, dict)
+    tag_arr = slots["tag"]
     assert isinstance(tag_arr, terms.SparseConst) and tag_arr.key_width == 3
     assert tag_arr.read(1) == mk_bv(4, 0)
 
@@ -400,9 +400,9 @@ module Main {
     (line,) = r.transcript
     assert line.startswith("mode ")
     store_vec = r.store["log"]
-    assert isinstance(store_vec, VecV)
-    assert len(store_vec.items) == 2
-    for item in store_vec.items:
+    assert isinstance(store_vec, tuple)
+    assert len(store_vec) == 2
+    for item in store_vec:
         assert isinstance(item, terms.BVC) and item.sort == bv_sort(12)
 
 

@@ -99,7 +99,7 @@ def _ill_sorted(root):
             continue
         seen.add(id(t))
         if (isinstance(t, terms.Ite) and t.then.sort != t.other.sort
-                or isinstance(t, terms.Bin) and t.op == "eq" and t.left.sort != t.right.sort
+                or isinstance(t, terms.Bin) and t.op == "=" and t.left.sort != t.right.sort
                 or isinstance(t, terms.ArrWrite) and t.value.sort != t.arr.sort[2]):
             bad.append(t)
         stack.extend(terms.children(t))
@@ -388,14 +388,14 @@ def _eval_term(t, vc, model):
         ops = {
             "and": lambda: l and r,
             "or": lambda: l or r,
-            "eq": lambda: l == r,
-            "ult": lambda: l < r,
-            "ule": lambda: l <= r,
-            "lt": lambda: l < r,
-            "le": lambda: l <= r,
-            "add": lambda: (l + r) & ((1 << width) - 1),
-            "sub": lambda: (l - r) & ((1 << width) - 1),
-            "mul": lambda: (l * r) & ((1 << width) - 1),
+            "=": lambda: l == r,
+            "bvult": lambda: l < r,
+            "bvule": lambda: l <= r,
+            "<": lambda: l < r,
+            "<=": lambda: l <= r,
+            "bvadd": lambda: (l + r) & ((1 << width) - 1),
+            "bvsub": lambda: (l - r) & ((1 << width) - 1),
+            "bvmul": lambda: (l * r) & ((1 << width) - 1),
         }
         return ops[t.op]()
     if isinstance(t, terms.Ite):
