@@ -437,10 +437,10 @@ def _value_of(body, sort: tuple, aux: Dict[str, list]) -> Term:
     """The constant a `define-fun` body gives for `sort`: a Bool, an integer,
     a bitvector literal (#b, #x, (_ bvN w)) of exactly the sort's width, or
     an array given as a store chain over `((as const ...) v)`, as a `lambda`
-    whose body is an ite chain over its argument, or as an `as-array`
-    reference to a definition, read as its `lambda`. Either chain holds the
-    latest update outermost, so a key updated twice keeps the place of its
-    first update and the value of its latest.
+    whose body is an ite chain on `(= x k)` or `(= k x)`, x its argument, or
+    as an `as-array` reference to a definition, read as its `lambda`. Either
+    chain holds the latest update outermost, so a key updated twice keeps the
+    place of its first update and the value of its latest.
     """
     if sort[0] != "arr":
         return _parse_scalar(body, sort)
@@ -459,7 +459,7 @@ def _value_of(body, sort: tuple, aux: Dict[str, list]) -> Term:
         var = args[0][0]
         while _app(node, "ite", 4):
             cond = node[1]
-            if not _app(cond, "=", 3):
+            if not (_app(cond, "=", 3) and var in cond[1:]):
                 raise ModelParseError(f"unsupported array ite condition {_show(cond)}")
             key = cond[2] if cond[1] == var else cond[1]
             mods.append((_parse_bv(key, key_width), _parse_scalar(node[2], leaf)))

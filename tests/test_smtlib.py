@@ -532,6 +532,17 @@ def test_array_ite_condition_that_is_not_an_equality_is_an_error():
                                "condition (bvult x #x3)")
 
 
+def test_array_ite_condition_that_does_not_hold_the_argument_is_an_error():
+    # `(= #x1 #x3)` is false, so this array is the constant #x00; it must not
+    # read as an update at key 1.
+    reg = _registry(ARRAY_4_8)
+    value = "(lambda ((x (_ BitVec 4))) (ite (= #x1 #x3) #x05 #x00))"
+    with pytest.raises(ModelParseError) as info:
+        parse_model(f"((define-fun c100_0 () {ARRAY_4_8_TEXT} {value}))", reg)
+    assert str(info.value) == ("model value of c100_0: unsupported array ite "
+                               "condition (= #x1 #x3)")
+
+
 def test_array_ite_condition_may_hold_the_argument_on_either_side():
     reg = _registry(ARRAY_4_8)
     value = "(lambda ((x (_ BitVec 4))) (ite (= #x1 x) #x05 #x00))"
