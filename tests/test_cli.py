@@ -525,6 +525,28 @@ module Main {
         (0, "false 0 0 Idle array{default 0}\npassed\n", "")
 
 
+def test_trace_replays_an_array_given_as_a_lambda(tmp_path):
+    # A solver may give an array as a function of its key: an ite chain on
+    # the argument, the latest update outermost.
+    f, model = tmp_path / "lam.soc", tmp_path / "lam.smt2"
+    f.write_text("""\
+module Main {
+  instance cells: Array<BitInt(4), BitInt(8)>;
+  mut fn s() {
+    cells.havoc();
+    printf("{cells.read(1u4)} {cells.read(2u4)} {cells.get()}\\n");
+    assert(cells.read(1u4) == 0u8)
+  }
+}
+""")
+    (vid,) = _choice_names(str(f), "s")
+    model.write_text(f"((define-fun {vid} () (Array (_ BitVec 4) (_ BitVec 8))\n"
+                     "  (lambda ((x (_ BitVec 4)))\n"
+                     "    (ite (= x #x1) #x2a (ite (= #x3 x) #x05 #x07)))))\n")
+    assert run_cli("trace", str(f), "--scenario", "s", "--model", str(model)) == \
+        (2, f"42 7 array{{3: 5, 1: 42; default 7}}\nFAILED ASSERTION at {f}:6\n", "")
+
+
 def test_trace_model_with_wrong_sort_exits_1(tmp_path):
     # The first step's Bool choice; give it a bitvector instead.
     bad = tmp_path / "bad.smt2"

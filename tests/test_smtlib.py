@@ -208,6 +208,49 @@ def test_unroll_emission_matches_golden_digest(variant, steps):
     assert hashlib.sha256(text.encode()).hexdigest() == UNROLL_SMTLIB_SHA256[variant, steps]
 
 
+def _vc_of_root(registry: Registry, root: terms.Term) -> eng.VerificationCondition:
+    """A VC whose query term is `root`: its one obligation is `root` failing."""
+    vc = eng.VerificationCondition(registry, [], [(root, terms.FALSE, None)])
+    assert vc.query_term() is root
+    return vc
+
+
+_HEADER = "(set-logic QF_ABV)\n(set-option :produce-models true)\n"
+_FOOTER = "(check-sat)\n(get-model)\n"
+
+
+def test_value_equal_constant_arrays_are_bound_apart():
+    # Constant arrays compare by value, but each object is its own node: two
+    # equal ones, each reached twice, get a let-binding each.
+    sort = terms.arr_sort(2, terms.bv_sort(4))
+    a = terms.SparseConst(sort, mk_bv(4, 0), ((1, mk_bv(4, 5)),))
+    b = terms.SparseConst(sort, mk_bv(4, 0), ((1, mk_bv(4, 5)),))
+    assert a == b and a is not b
+    bool_ = terms.BOOL_SORT
+    root = terms.Bin(bool_, "and", terms.Bin(bool_, "=", a, b), terms.Bin(bool_, "=", b, a))
+    const = "(store ((as const (Array (_ BitVec 2) (_ BitVec 4))) (_ bv0 4)) (_ bv1 2) (_ bv5 4))"
+    assert emit_smtlib(_vc_of_root(Registry(), root)) == (
+        f"{_HEADER}(assert (let ((t0 {const}))\n"
+        f"  (let ((t1 {const}))\n"
+        f"  (and (= t0 t1) (= t1 t0)))))\n{_FOOTER}")
+
+
+def test_query_that_is_an_atom_emits():
+    reg = _registry((ast.BoolType(), terms.BOOL_SORT))
+    root = terms.Var(terms.BOOL_SORT, reg.infos[0].vid)
+    assert emit_smtlib(_vc_of_root(reg, root)) == \
+        f"{_HEADER}(declare-const c100_0 Bool)\n(assert c100_0)\n{_FOOTER}"
+
+
+def test_int_reached_only_through_an_atom_switches_the_logic():
+    # The Int variable is in no registry: only the atom itself shows the sort.
+    n = terms.Var(terms.INT_SORT, "100_0")
+    root = terms.Bin(terms.BOOL_SORT, "=", n, terms.mk_int(-3))
+    assert emit_smtlib(_vc_of_root(Registry(), root)) == (
+        "(set-logic ALL)\n(set-option :produce-models true)\n"
+        f"(assert (= c100_0 (- 3)))\n{_FOOTER}")
+
+
 # -- model parsing ---------------------------------------------------------------
 
 
