@@ -107,17 +107,22 @@ def cmd_verify(args) -> int:
 
     tp, tree, layout = load(args.file)
     vc = eng.sym_exec(tp, tree, layout, args.scenario)
-    text = smtlib.emit_smtlib(vc)
-    if args.dump_vc:
-        sys.stdout.write(text)
     if args.dump_smt:
         smt_path = args.dump_smt
     else:
         fd, smt_path = tempfile.mkstemp(suffix=".smt2", prefix="soclang-")
         os.close(fd)
     command = smtlib.solver_command(args.solver)
-    job = smtlib.SolverJob(command, args.timeout, text, smt_path)
     try:
+        # The query streams into its file (and to stdout for --dump-vc).
+        with open(smt_path, "w") as f:
+            write = f.write
+            if args.dump_vc:
+                def write(piece: str) -> None:
+                    f.write(piece)
+                    sys.stdout.write(piece)
+            smtlib.write_smtlib(vc, write)
+        job = smtlib.SolverJob(command, args.timeout, None, smt_path)
         verdict = smtlib.run_solver(job, vc.registry)
     finally:
         if not args.dump_smt and os.path.exists(smt_path):

@@ -2,6 +2,12 @@
 solver process, parse the model it returns. Jobs and verdicts are `ast.Node`
 classes: slotted, with `==` and `repr` over their fields.
 
+Emission makes two passes over the term DAG. The first counts references
+to each compound node, keyed by the node itself (a `SparseConst`, which
+hashes by value, by its `id()`). The second hands the text to a `write`
+callable, each let-binding as soon as it is made: `verify` streams the
+query into the solver's file.
+
 `run_solver` imports `subprocess` and `shlex` itself: `trace` parses a model
 and never starts a solver, so it does not load them.
 """
@@ -57,69 +63,38 @@ _ATOM_TEXT: Dict[type, Callable[[Term], str]] = {
 }
 
 
-class _Emitter:
-    """Serializes a term DAG, let-binding every shared compound subterm.
+def _count_refs(root: Term) -> Tuple[Dict[object, int], List[Term], bool]:
+    """Pass 1 of the emitter: the references to each compound node, the
+    compound nodes children first, and whether an Int sort is reachable.
 
-    The walk over the DAG is iterative, so term depth has no limit: one
-    post-order pass counts references to each node, orders the nodes
-    children first and notes whether any Int-sorted node is reachable.
+    The walk is iterative, so term depth has no limit. A compound node is
+    its own key, since it hashes by identity, except a `SparseConst`, which
+    hashes by value and is keyed by `id()`. Atoms are never let-bound, so
+    they are not counted; only their sort is looked at.
     """
-
-    def __init__(self, root: Term) -> None:
-        self.root = root
-        self.refcount: Dict[int, int] = {id(root): 1}
-        self.order: List[Term] = []
-        self.has_int = root.sort == terms.INT_SORT
-        refcount = self.refcount
-        children = terms.children
-        done = self.order.append
-        stack = [(root, iter(children(root)))]
-        while stack:
-            node, kids = stack[-1]
-            for child in kids:
-                key = id(child)
-                if key in refcount:
-                    refcount[key] += 1
-                    continue
-                refcount[key] = 1
-                if child.sort == terms.INT_SORT:
-                    self.has_int = True
-                grandkids = children(child)
-                if grandkids:
-                    stack.append((child, iter(grandkids)))
-                    break
-                done(child)  # no children: done as soon as it is met
-            else:
-                stack.pop()
-                done(node)
-
-    def serialize(self) -> List[str]:
-        """The pieces of the term's text, to be joined by the caller once."""
-        names: Dict[int, str] = {}   # atoms and let-bound names
-        # The text of a compound used once: its one parent takes it out, so
-        # each text is held only until it is copied into its parent's.
-        single: Dict[int, str] = {}
-        openers: List[str] = []
-        refcount = self.refcount
-
-        def text(x: Term) -> str:
-            key = id(x)
-            return single.pop(key, None) or names[key]
-
-        for node in self.order:
-            cls = type(node)
-            atom = _ATOM_TEXT.get(cls)
-            if atom is not None:
-                names[id(node)] = atom(node)
+    refcount: Dict[object, int] = {root: 1}  # a Bool: not a SparseConst, not Int
+    order: List[Term] = []
+    has_int = False
+    stack = [] if type(root) in _ATOM_TEXT else [(root, iter(terms.children(root)))]
+    while stack:
+        node, kids = stack[-1]
+        for child in kids:
+            if child.sort == terms.INT_SORT:
+                has_int = True
+            cls = type(child)
+            if cls in _ATOM_TEXT:
                 continue
-            body = _NODE_TEXT[cls](node, text)
-            if refcount[id(node)] > 1:
-                name = f"t{len(openers)}"
-                openers.append(f"(let (({name} {body}))\n  ")
-                names[id(node)] = name
-            else:
-                single[id(node)] = body
-        return openers + [text(self.root), ")" * len(openers)]
+            key = id(child) if cls is terms.SparseConst else child
+            if key in refcount:
+                refcount[key] += 1
+                continue
+            refcount[key] = 1
+            stack.append((child, iter(terms.children(child))))
+            break
+        else:
+            stack.pop()
+            order.append(node)
+    return refcount, order, has_int
 
 
 def _sparse_const_text(t: terms.SparseConst, n: Callable[[Term], str]) -> str:
@@ -145,17 +120,52 @@ _NODE_TEXT: Dict[type, Callable[[Term, Callable[[Term], str]], str]] = {
 }
 
 
-def emit_smtlib(vc: VerificationCondition) -> str:
-    """Self-contained SMT-LIB v2 text for a verification condition."""
-    emitter = _Emitter(vc.query_term())
-    has_int = emitter.has_int or any(_has_int(i.sort) for i in vc.registry.infos)
-    parts = [f"(set-logic {'ALL' if has_int else 'QF_ABV'})\n"
-             "(set-option :produce-models true)\n"]
+def write_smtlib(vc: VerificationCondition, write: Callable[[str], object]) -> None:
+    """Self-contained SMT-LIB v2 text for a verification condition, handed
+    to `write` piece by piece, every shared compound subterm let-bound.
+
+    Pass 1 (`_count_refs`) counts references to the compound nodes. Pass 2
+    writes the header, the declarations and each `(let ((tN ...))` as soon
+    as it is made, then the root. The text of a node used once is held
+    only until its one parent takes it; the whole query is never held.
+    """
+    root = vc.query_term()
+    refcount, order, has_int = _count_refs(root)
+    has_int = has_int or any(_has_int(i.sort) for i in vc.registry.infos)
+    write(f"(set-logic {'ALL' if has_int else 'QF_ABV'})\n"
+          "(set-option :produce-models true)\n")
     for info in vc.registry.infos:
-        parts.append(f"(declare-const c{info.vid} {_sort_text(info.sort)})\n")
-    parts.append("(assert ")
-    parts += emitter.serialize()
-    parts.append(")\n(check-sat)\n(get-model)\n")
+        write(f"(declare-const c{info.vid} {_sort_text(info.sort)})\n")
+    write("(assert ")
+    names: Dict[object, str] = {}   # let-bound nodes
+    single: Dict[object, str] = {}  # texts of nodes used once, until taken
+
+    def text(x: Term) -> str:
+        cls = type(x)
+        atom = _ATOM_TEXT.get(cls)
+        if atom is not None:
+            return atom(x)
+        key = id(x) if cls is terms.SparseConst else x
+        return single.pop(key, None) or names[key]
+
+    lets = 0
+    for node in order:
+        body = _NODE_TEXT[type(node)](node, text)
+        key = id(node) if type(node) is terms.SparseConst else node
+        if refcount[key] > 1:
+            names[key] = name = f"t{lets}"
+            lets += 1
+            write(f"(let (({name} {body}))\n  ")
+        else:
+            single[key] = body
+    write(text(root))
+    write(")" * lets + ")\n(check-sat)\n(get-model)\n")
+
+
+def emit_smtlib(vc: VerificationCondition) -> str:
+    """The text `write_smtlib` writes, joined."""
+    parts: List[str] = []
+    write_smtlib(vc, parts.append)
     return "".join(parts)
 
 
@@ -164,7 +174,8 @@ def emit_smtlib(vc: VerificationCondition) -> str:
 
 
 class SolverJob(ast.Node):
-    # The command is a template containing {file}; the query is `smtlib`.
+    # The command is a template containing {file}; the query is `smtlib`,
+    # which `run_solver` writes to `file_path`, or None if it is there already.
     __slots__ = ("command", "timeout", "smtlib", "file_path")
 
 
@@ -205,8 +216,9 @@ def run_solver(job: SolverJob, registry: Registry):
         raise ToolError(f"bad solver command {job.command!r}: {err}") from None
     if not argv:
         raise ToolError(f"bad solver command {job.command!r}: it names no program")
-    with open(job.file_path, "w") as f:
-        f.write(job.smtlib)
+    if job.smtlib is not None:
+        with open(job.file_path, "w") as f:
+            f.write(job.smtlib)
     try:
         proc = subprocess.run(argv, capture_output=True, timeout=job.timeout)
     except subprocess.TimeoutExpired:

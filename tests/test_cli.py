@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import pytest
 
 from soclang import engine as eng
 
-from conftest import CORPUS, INSTANCE_NESTING, call_chain, load_file, requires_z3, run_cli
+from conftest import (CORPUS, INSTANCE_NESTING, REPO_ROOT, call_chain, load_file, requires_z3,
+                      run_cli)
 
 VULN = str(CORPUS / "mini_tx1_vulnerable.soc")
 FIXED = str(CORPUS / "mini_tx1_fixed.soc")
@@ -485,6 +487,68 @@ def test_verify_reads_an_array_through_many_constant_key_writes(tmp_path):
     code, out, err = run_cli("verify", str(f), "--scenario", "s",
                              "--solver", "sh -c 'echo unknown' {file}")
     assert (code, out, err) == (3, "unknown: unknown\n", "")
+
+
+def _vc_sources():
+    """(id, file name, source, scenario) of every manifest entry and of the
+    pinned mini_tx1 unrolls."""
+    from test_corpus import MANIFEST
+    from test_smtlib import UNROLL_SMTLIB_SHA256, unrolled_mini_tx1
+
+    cases = [(f"{e['file']}::{e['scenario']}", e["file"],
+              (CORPUS / e["file"]).read_text(), e["scenario"]) for e in MANIFEST]
+    cases += [(f"{variant} x{steps}", f"{variant}{steps}.soc",
+               unrolled_mini_tx1(variant, steps), "test_secure_area_unchanged")
+              for variant, steps in sorted(UNROLL_SMTLIB_SHA256)]
+    return cases
+
+
+@pytest.mark.parametrize("name, source, scenario",
+                         [case[1:] for case in _vc_sources()],
+                         ids=[case[0] for case in _vc_sources()])
+def test_dump_vc_and_dump_smt_write_the_emitted_bytes(tmp_path, name, source, scenario):
+    from soclang.smtlib import emit_smtlib
+
+    path, smt = tmp_path / name, tmp_path / "q.smt2"
+    path.write_text(source)
+    proc = subprocess.run([sys.executable, "-m", "soclang.cli", "verify", str(path),
+                           "--scenario", scenario, "--dump-vc", "--dump-smt", str(smt),
+                           "--solver", "sh -c 'echo unknown' {file}"],
+                          capture_output=True, cwd=REPO_ROOT)
+    assert (proc.returncode, proc.stderr) == (3, b"")
+    text = emit_smtlib(eng.sym_exec(*load_file(path), scenario)).encode()
+    assert proc.stdout == text + b"unknown: unknown\n"
+    assert smt.read_bytes() == text
+
+
+# Without --dump-smt the query goes to a temporary file, which is removed
+# whatever the verdict. `tempfile` reads TMPDIR once per process, so each
+# run is a child with its own.
+@pytest.mark.parametrize("options, code", [
+    # The stand-in solver answers only if it finds the query in TMPDIR.
+    (["--solver", "sh -c 'test -s \"$0\" && test \"${0%/*}\" = \"$TMPDIR\" "
+                  "&& echo unknown' {file}"], 3),
+    (["--solver", "sh -c 'echo unknown' {file}", "--timeout", "0"], 1),
+], ids=["unknown", "rejected timeout"])
+def test_verify_leaves_no_temporary_query_file(tmp_path, options, code):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "soclang.cli", "verify", FIXED,
+                           "--scenario", "base_case", *options],
+                          capture_output=True, text=True, cwd=REPO_ROOT,
+                          env={**os.environ, "TMPDIR": str(tmp)})
+    assert proc.returncode == code, proc.stderr
+    assert list(tmp.glob("soclang-*.smt2")) == []
+
+
+def test_rejected_timeout_leaves_the_dump_smt_file_written(tmp_path):
+    # The query is written as it is emitted, before the solver's options
+    # are checked.
+    smt = tmp_path / "q.smt2"
+    code, out, err = run_cli("verify", FIXED, "--scenario", "base_case", "--dump-smt",
+                             str(smt), "--solver", "sh -c 'echo unknown'", "--timeout", "0")
+    assert (code, out) == (1, "") and err.startswith("error: bad solver timeout 0.0")
+    assert smt.read_text().endswith("(check-sat)\n(get-model)\n")
 
 
 def test_verify_solver_error_exits_1(tmp_path):

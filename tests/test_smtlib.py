@@ -1,10 +1,11 @@
 import hashlib
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from soclang import ast
+from soclang import ast, cli
 from soclang import engine as eng
 from soclang import smtlib, terms
 from soclang.engine import Registry
@@ -207,6 +208,38 @@ def test_unroll_emission_matches_golden_digest(variant, steps):
     text = emit_smtlib(eng.sym_exec(tp, tree, layout, "test_secure_area_unchanged"))
     assert hashlib.sha256(text.encode()).hexdigest() == UNROLL_SMTLIB_SHA256[variant, steps]
 
+
+def _distinct_nodes(root: terms.Term) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(terms.children(t))
+    return len(seen)
+
+
+def test_verify_holds_a_bounded_number_of_bytes_per_query_node(tmp_path):
+    # `verify` streams the query into the solver's file and counts only the
+    # compound nodes, each its own key: at 256 steps (32,684 nodes) it peaks
+    # at ≈150 bytes per node, where a joined text and `id()` keys took ≈230.
+    source = unrolled_mini_tx1("vulnerable", 256)
+    tp, tree, layout = load_source(source)
+    nodes = _distinct_nodes(eng.sym_exec(tp, tree, layout,
+                                         "test_secure_area_unchanged").query_term())
+    del tp, tree, layout
+    path = tmp_path / "k256.soc"
+    path.write_text(source)
+    argv = ["verify", str(path), "--scenario", "test_secure_area_unchanged",
+            "--solver", "sh -c 'echo unknown' {file}", "--dump-smt", str(tmp_path / "q.smt2")]
+    assert cli.main(argv) == 3  # loads the modules the measured call uses
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 190 * nodes, f"{peak / nodes:.0f} bytes per node over {nodes} nodes"
 
 def _vc_of_root(registry: Registry, root: terms.Term) -> eng.VerificationCondition:
     """A VC whose query term is `root`: its one obligation is `root` failing."""
