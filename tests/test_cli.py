@@ -213,6 +213,41 @@ def test_check_bad_number_is_a_located_diagnostic(tmp_path, case):
     assert "Traceback" not in err
 
 
+# Syntax errors where the parser looks ahead or runs out of input: each
+# `check` diagnostic is pinned whole, message and location.
+CUT_SHORT = {
+    "block at end of file": ("module Main { fn f() -> Bool { {x",
+                             ":1:34: error: expected '}', found 'end of file'\n"),
+    "record literal at end of file": ("module Main { fn f() -> Bool { { x :",
+                                      ":1:37: error: expected expression, found 'end of file'\n"),
+    "hole that ends early": ('module Main {\n  mut fn s() {\n    let a = { f: 2u8 };\n'
+                             '    printf("{a +}")\n  }\n}\n',
+                             ":4:12: error: bad format hole {a +}: expected expression, "
+                             "found 'end of file'\n"),
+    "unterminated hole": ('module Main {\n  mut fn s() {\n    let a = { f: 2u8 };\n'
+                          '    printf("{a" )\n  }\n}\n',
+                          ":4:12: error: unterminated format hole\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(CUT_SHORT))
+def test_check_cut_short_syntax_is_pinned(tmp_path, case):
+    source, where = CUT_SHORT[case]
+    f = tmp_path / "cut.soc"
+    f.write_text(source, encoding="utf-8")
+    assert run_cli("check", str(f)) == (1, "", f"{f}{where}")
+
+
+# Where the parser runs out of stack depends on the interpreter's depth at
+# entry, so the column is pinned to the nest, which it is reported inside.
+def test_check_300_deep_parentheses_is_nesting_too_deep(tmp_path):
+    f = _deep_parentheses(tmp_path, 300)
+    code, out, err = run_cli("check", str(f))
+    assert (code, out) == (1, "")
+    m = re.fullmatch(re.escape(str(f)) + r":3:(\d+): error: nesting too deep, found '\('\n", err)
+    assert m and 13 <= int(m.group(1)) < 13 + 300, err
+
+
 # The front end alone serves these commands; the engine and SMT-LIB layers,
 # `dataclasses` with the `inspect` it pulls in, and `json`, which only
 # `--trace-json` uses, must not load, since every `check` would pay for
