@@ -49,9 +49,9 @@ _INDUCTION_NOTE = (
 
 
 def load(path: str) -> Tuple[TypedProgram, InstanceNode, StateLayout]:
+    # No name holds the bytes or the text: each is freed once it is used.
     with open(path, "rb") as f:
-        source = decode_source(f.read(), path)
-    program = parse_program(source, path)
+        program = parse_program(decode_source(f.read(), path), path)
     tp = check_program(program)
     tree, layout = elaborate(tp)
     return tp, tree, layout

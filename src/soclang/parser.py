@@ -25,29 +25,34 @@ BINARY_LEVEL = {
 
 class _Parser:
     def __init__(self, tokens: List[Token], filename: str) -> None:
+        tokens.reverse()
         self.toks = tokens
-        self.pos = 0
+        self.prev = tokens[-1]
         self.file = filename
 
     # -- token plumbing -------------------------------------------------
 
-    # The token list ends in EOF and `advance` never moves past it, so the
-    # current token always exists; `peek(ahead)` is only asked past a token
-    # that is not EOF.
+    # The parser owns its token list and consumes it: reversed once, the
+    # current token is the last entry and `advance` pops it, so a token is
+    # freed once the parser has moved past it, and the AST holds nothing of
+    # it. Only `prev`, the token last consumed, stays for `span_from`. The
+    # list starts with EOF, which is never popped, so the current token
+    # always exists; `peek(ahead)` is only asked past a token that is not EOF.
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
+        return self.toks[-1 - ahead]
 
     def at(self, lexeme: str) -> bool:
         # Punctuation and keyword lexemes belong to no other token kind.
-        return self.toks[self.pos].lexeme == lexeme
+        return self.toks[-1].lexeme == lexeme
 
     def at_kind(self, kind: TokKind) -> bool:
-        return self.peek().kind == kind
+        return self.toks[-1].kind == kind
 
     def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind is not TokKind.EOF:
-            self.pos += 1
+        toks = self.toks
+        if len(toks) == 1:  # only EOF is left
+            return toks[0]
+        self.prev = t = toks.pop()
         return t
 
     def expect(self, lexeme: str) -> Token:
@@ -67,7 +72,7 @@ class _Parser:
 
     def span_from(self, start: Token) -> SourceSpan:
         """From `start` to the end of the previous token."""
-        prev = self.toks[max(self.pos - 1, 0)]
+        prev = self.prev
         return SourceSpan(start.file, start.line, start.col, prev.line, prev.end_col)
 
     # -- program structure ------------------------------------------------
@@ -315,11 +320,11 @@ class _Parser:
         start = self.peek()
         left = self.unary_expr()
         while True:
-            op = self.toks[self.pos].lexeme
+            op = self.toks[-1].lexeme
             level = BINARY_LEVEL.get(op, 0)
             if level < min_level:
                 return left
-            self.pos += 1
+            self.prev = self.toks.pop()
             right = self.expr(level + 1)
             left = ast.Binary(self.span_from(start), op, left, right)
 
@@ -531,9 +536,15 @@ def _parse(p: _Parser, rule):
 
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:
     """Parse a whole program; raises LexError/ParseError with spans. Its
-    expressions are numbered from 0."""
+    expressions are numbered from 0.
+
+    The parser owns the token list and frees each token as it consumes it,
+    and the text is dropped once it is tokenized: a caller that keeps no
+    reference to `source` holds neither the text nor the tokens while the
+    AST is built."""
     ast.restart_node_ids()
     p = _Parser(tokenize(source, filename), filename)
+    del source
     return _parse(p, p.program)
 
 

@@ -20,7 +20,7 @@ SMT-LIB name, which the constructor picks from the operand sort.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 BOOL_SORT = ("bool",)
@@ -35,31 +35,48 @@ def arr_sort(key_width: int, leaf):
     return ("arr", key_width, leaf)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Term:
     __slots__ = ("sort",)
     sort: tuple
 
+    def __repr__(self) -> str:
+        # Bounded: a DAG printed as a tree grows exponentially with its depth
+        # of sharing, so a compound child shows only as <ClassName>, and a
+        # constant array shows its first few updates.
+        parts = [repr(self.sort)]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name == "mods":
+                shown = [f"({k}, {_brief(v)})" for k, v in value[:_MODS_SHOWN]]
+                if len(value) > _MODS_SHOWN:
+                    shown.append(f"... {len(value) - _MODS_SHOWN} more")
+                text = f"({', '.join(shown)})"
+            else:
+                text = _brief(value)
+            parts.append(f"{f.name}={text}")
+        return f"{type(self).__name__}({', '.join(parts)})"
 
-@dataclass(unsafe_hash=True)
+
+@dataclass(unsafe_hash=True, repr=False)
 class BoolC(Term):
     __slots__ = ("value",)
     value: bool
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, repr=False)
 class BVC(Term):
     __slots__ = ("value",)
     value: int
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, repr=False)
 class IntC(Term):
     __slots__ = ("value",)
     value: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Var(Term):
     __slots__ = ("vid",)
     vid: str
@@ -69,13 +86,13 @@ class Var(Term):
         return f"c{self.vid}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Not(Term):
     __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Bin(Term):
     __slots__ = ("op", "left", "right")
     op: str  # SMT-LIB name: and or = bvult bvule < <= bvadd + bvsub - bvmul *
@@ -83,7 +100,7 @@ class Bin(Term):
     right: Term
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Ite(Term):
     __slots__ = ("cond", "then", "other")
     cond: Term
@@ -91,7 +108,7 @@ class Ite(Term):
     other: Term
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Extract(Term):
     __slots__ = ("hi", "lo", "arg")
     hi: int
@@ -99,32 +116,32 @@ class Extract(Term):
     arg: Term
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class ZeroExt(Term):
     __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Bv2Int(Term):
     __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Int2Bv(Term):
     __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class ArrRead(Term):
     __slots__ = ("arr", "key")
     arr: Term
     key: Term
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class ArrWrite(Term):
     __slots__ = ("arr", "key", "value")
     arr: Term
@@ -132,7 +149,7 @@ class ArrWrite(Term):
     value: Term
 
 
-@dataclass(init=False, unsafe_hash=True)
+@dataclass(init=False, unsafe_hash=True, repr=False)
 class SparseConst(Term):
     """Constant array: a default leaf plus (key, value) updates, at most one
     per key; capacity is enforced by the engine, not here."""
@@ -178,6 +195,16 @@ _CHILDREN = {
     ArrWrite: lambda t: (t.arr, t.key, t.value),
     SparseConst: lambda t: (t.default, *(v for _, v in t.mods)),
 }
+
+
+_MODS_SHOWN = 4
+
+
+def _brief(v) -> str:
+    """A field's text in a term's repr: a compound term shows as its class."""
+    if isinstance(v, Term) and type(v) in _CHILDREN:
+        return f"<{type(v).__name__}>"
+    return repr(v)
 
 
 def _no_children(t: Term) -> tuple:

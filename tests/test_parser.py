@@ -1,4 +1,7 @@
 import hashlib
+import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -7,11 +10,14 @@ from hypothesis import strategies as st
 
 from soclang import ast
 from soclang.diagnostics import ParseError, SocError
-from soclang.lexer import STRING_ESCAPES
+from soclang.lexer import STRING_ESCAPES, tokenize
 from soclang.parser import parse_expr, parse_program
 
-from conftest import CORPUS
+from conftest import CORPUS, REPO_ROOT
 from printer import expr_source, to_source, walk
+
+sys.path.insert(0, str(REPO_ROOT / "bench"))
+from workloads import fresh_names, wide_model  # noqa: E402
 
 RECORD_TYPES_SOURCE = """\
 type PhysAddr = BitInt(48);
@@ -428,3 +434,21 @@ def test_corpus_asts_with_spans_are_pinned():
         digest.update(_dump(program, -1).encode() + b"\n")
     assert len(paths) == 29
     assert digest.hexdigest() == CORPUS_ASTS_SHA256
+
+
+# The parser frees each token once it has moved past it, so parsing holds
+# little beyond the AST it returns. A parse that kept every token to the end
+# would peak ≈85 bytes per token above its AST.
+def test_parse_peaks_at_most_32_bytes_per_token_above_its_ast():
+    model = (CORPUS / "mini_tx1_vulnerable.soc").read_text(encoding="utf-8")
+    source = wide_model(model, fresh_names(random.Random(1), 12))
+    parse_program(model, "warm-up.soc")
+    tracemalloc.start()
+    try:
+        program = parse_program(source, "wide.soc")
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tokens = len(tokenize(source))
+    assert len(program.modules) > 12 and tokens >= 10_000
+    assert (peak - live) / tokens <= 32

@@ -63,6 +63,22 @@ def test_ite_with_equal_arms_folds():
     assert terms.mk_ite(terms.FALSE, x, terms.mk_bv(4, 2)).value == 2
 
 
+# A term's repr shows its compound children by class only, so a shared DAG
+# prints in bounded text however deep it is; as a tree this one is 2^60 leaves.
+def test_term_repr_is_bounded_on_a_deep_shared_dag():
+    t = terms.Var(terms.BOOL_SORT, "0_0")
+    for _ in range(60):
+        t = terms.mk_and(t, t)
+    assert repr(t) == "Bin(('bool',), op='and', left=<Bin>, right=<Bin>)"
+    arr = terms.SparseConst(terms.arr_sort(4, ("bv", 4)), mk_bv(4, 0))
+    for k in range(16):
+        arr = arr.write(k, terms.mk_ite(t, mk_bv(4, k), mk_bv(4, 0)))
+    text = repr(arr)
+    assert len(text) < 1024 and text.endswith(", ... 12 more))")
+    assert repr(terms.Extract(("bv", 2), 1, 0, arr.read(1))) == \
+        "Extract(('bv', 2), hi=1, lo=0, arg=<Ite>)"
+
+
 def test_assert_of_any_or_true_is_vacuous():
     tp, tree, layout = load_source(
         "module Main { mut fn s() { assert(any<Bool> || true) } }")
