@@ -26,6 +26,23 @@ def restart_node_ids() -> None:
     _node_ids = itertools.count()
 
 
+# How many levels deep a model may nest, in each of three measures:
+# - an expression is one level below the expression or parenthesis that
+#   holds it; a function body's items are at level 1, and a call counts as
+#   its callee inlined, whose body's items are one level below the call;
+# - a type is one level below the type that holds it, with aliases
+#   expanded; a type written in a declaration or an expression is at 1, and
+#   so is the type the checker infers for a literal, whose items' types
+#   are one level below it;
+# - an instance is one level below the instance of the module declaring it;
+#   the root module's instances are at level 1.
+# The parser counts the levels it descends (parentheses too), the checker
+# those of the tree it checks, and elaboration those of instances, each
+# before it recurses past the budget. Every phase recurses a few frames per
+# level, so a model that passes `check` runs within the interpreter's stack.
+MAX_NESTING = 128
+
+
 # Fields that locate or present a node; equality, hashing and repr skip them.
 _UNCOMPARED = frozenset({"span", "node_id", "hex"})
 
@@ -421,9 +438,3 @@ class Program(Node):
                  span: SourceSpan = SYNTHETIC) -> None:
         self.aliases, self.enums, self.modules = aliases, enums, modules
         self.root_name, self.span = root_name, span
-
-    def module(self, name: str) -> Optional[ModuleDecl]:
-        for m in self.modules:
-            if m.name == name:
-                return m
-        return None

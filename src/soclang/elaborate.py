@@ -12,6 +12,7 @@ import weakref
 from typing import Dict, List, Optional, Tuple
 
 from . import ast
+from .ast import MAX_NESTING
 from .diagnostics import ElabError
 from .typecheck import TypedProgram
 
@@ -42,16 +43,13 @@ class StateLayout:
 
 def elaborate(tp: TypedProgram) -> Tuple[InstanceNode, StateLayout]:
     """The instance tree's root and the cell layout, with every wiring bound.
-    Raises ElabError for instance cycles, unbound callees, wirings to
-    nonexistent instances, module mismatches, and duplicate wirings."""
+    Raises ElabError for instance cycles, instances nested past the budget,
+    unbound callees, wirings to nonexistent instances, module mismatches,
+    and duplicate wirings."""
     cells: List[InstanceNode] = []
     root_mod = tp.modules[tp.root_name]
-    try:
-        root = _instantiate(tp, root_mod, (), root_mod.span, cells, {})
-        _check_callees_bound(tp, root)
-    except RecursionError:
-        # Both walks recurse once per level of instance nesting.
-        raise ElabError(root_mod.span, "instance nesting too deep") from None
+    root = _instantiate(tp, root_mod, (), root_mod.span, cells, {})
+    _check_callees_bound(tp, root)
     return root, StateLayout(cells)
 
 
@@ -60,10 +58,12 @@ def _instantiate(tp: TypedProgram, mod: ast.ModuleDecl, path: Tuple[str, ...],
                  active: Dict[str, None]) -> InstanceNode:
     """The instance of `mod` at `path`, with its subtree; appends each leaf
     cell to `cells`. `active` holds the modules being instantiated,
-    outermost first."""
+    outermost first, so its length is the level of their instances."""
     node = InstanceNode(mod.name, path, "module", span)
     active[mod.name] = None
     for inst in mod.instances:
+        if len(active) > MAX_NESTING:
+            raise ElabError(inst.span, "instance nesting too deep")
         child_path = path + (inst.name,)
         ref = inst.ref
         if isinstance(ref, ast.ModuleRef):

@@ -795,12 +795,10 @@ class Engine:
                               f"{self.tp.root_name}; available: {names}")
         if not decl.is_mut or decl.params:
             raise EngineError(f"scenario {scenario!r} must be a zero-parameter mut fn")
+        # The checker bounds how deep the body nests with its calls inlined,
+        # and compiling and running each recurse a few frames per level.
         try:
             return self.code(decl.body)({}, _Frame(self.root))
-        except RecursionError:
-            # Compiling and running each recurse a few frames per call level.
-            raise EngineError(f"scenario {scenario!r} nests calls too deep for "
-                              f"the interpreter's stack") from None
         finally:
             # The closures refer to the engine (`self`, its bound methods), so
             # keeping them would make a cycle that holds the whole store.

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from . import ast
-from .ast import SourceSpan
+from .ast import MAX_NESTING, SourceSpan
 from .diagnostics import LexError, ParseError
 from .lexer import STRING_ESCAPES, Token, TokKind, tokenize
 
@@ -24,11 +24,16 @@ BINARY_LEVEL = {
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], filename: str) -> None:
+    def __init__(self, tokens: List[Token], filename: str, depth: int = 0) -> None:
         tokens.reverse()
         self.toks = tokens
         self.prev = tokens[-1]
         self.file = filename
+        # The level of the expression being parsed (see `ast.MAX_NESTING`),
+        # which `expr` counts; `type_expr` takes its level as an argument.
+        # They are the only rules that recurse. A printf hole's expression
+        # is one level below its printf.
+        self.depth = depth
 
     # -- token plumbing -------------------------------------------------
 
@@ -221,29 +226,42 @@ class _Parser:
         return items
 
     def named_fields(self, value, duplicate: str) -> list:
-        """`{ name: value, ... }` after its `{`; a repeated name is an error."""
+        """`{ name: value, ... }`: one field or more, and a comma may end
+        them, as in a `}`-closed `comma_list`; a repeated name is an error."""
+        self.expect("{")
+        fields: list = []
         seen = set()
-
-        def field():
+        while True:
             name = self.expect_ident("field name")
             self.expect(":")
             v = value()
             if name.lexeme in seen:
                 raise ParseError(name.span, f"{duplicate} {name.lexeme!r}")
             seen.add(name.lexeme)
-            return name.lexeme, v
-        return self.comma_list(field, "}")
+            fields.append((name.lexeme, v))
+            if not self.at(","):
+                break
+            self.advance()
+            if self.at("}"):
+                break
+        self.expect("}")
+        return fields
 
     # -- types ------------------------------------------------------------
 
-    def type_expr(self) -> ast.TypeExpr:
+    def type_expr(self, level: int = 1) -> ast.TypeExpr:
+        """A type at `level`: one below the type that holds it, if any."""
+        if level > MAX_NESTING:
+            raise self.error("nesting too deep")
         t = self.peek()
         if self.at("("):
             self.advance()
             self.expect(")")
             return ast.UNIT
         if self.at("{"):
-            return self.record_type()
+            fields = self.named_fields(lambda: self.type_expr(level + 1),
+                                       "duplicate record field")
+            return ast.RecordType(tuple(fields))
         name = self.expect_ident("type").lexeme
         if name == "Bool":
             return ast.BOOL
@@ -258,24 +276,20 @@ class _Parser:
             return ast.BitIntType(w)
         if name == "Vector":
             self.expect("<")
-            elem = self.type_expr()
+            elem = self.type_expr(level + 1)
             self.expect(",")
             n = self.int_const("vector length")
             self.expect(">")
             return ast.VectorType(elem, n)
         if name == "Array":
             self.expect("<")
-            kt = self.type_expr()
+            kt = self.type_expr(level + 1)
             self.expect(",")
-            vt = self.type_expr()
+            vt = self.type_expr(level + 1)
             self.expect(">")
             return ast.ArrayType(kt, vt)
         # Alias or enum reference, resolved during type checking.
         return ast.AliasRef(name)
-
-    def record_type(self) -> ast.RecordType:
-        self.expect("{")
-        return ast.RecordType(tuple(self.named_fields(self.type_expr, "duplicate record field")))
 
     def int_const(self, what: str) -> int:
         if not self.at_kind(TokKind.INT):
@@ -292,7 +306,18 @@ class _Parser:
         items: list = []
         yields = False
         while not self.at("}"):
-            items.append(self.block_item())
+            if self.at("let"):
+                let = self.advance()
+                name = self.expect_ident("binding name")
+                annot: Optional[ast.TypeExpr] = None
+                if self.at(":"):
+                    self.advance()
+                    annot = self.type_expr()
+                self.expect("=")
+                value = self.expr()
+                items.append(ast.Let(self.span_from(let), name.lexeme, annot, value))
+            else:
+                items.append(self.expr())
             if self.at(";"):
                 self.advance()
                 yields = False
@@ -302,38 +327,35 @@ class _Parser:
         self.expect("}")
         return ast.Block(self.span_from(start), items, yields_value=yields and bool(items))
 
-    def block_item(self) -> ast.Expr:
-        if self.at("let"):
-            start = self.advance()
-            name = self.expect_ident("binding name")
-            annot: Optional[ast.TypeExpr] = None
-            if self.at(":"):
-                self.advance()
-                annot = self.type_expr()
-            self.expect("=")
-            value = self.expr()
-            return ast.Let(self.span_from(start), name.lexeme, annot, value)
-        return self.expr()
-
     def expr(self, min_level: int = 1) -> ast.Expr:
-        """Binary operators by precedence climbing; all are left-associative."""
+        """Binary operators by precedence climbing; all are left-associative.
+        The expression is one level below the one being parsed."""
         start = self.peek()
+        depth = self.depth = self.depth + 1
+        if depth > MAX_NESTING:
+            raise self.error("nesting too deep")
         left = self.unary_expr()
         while True:
             op = self.toks[-1].lexeme
             level = BINARY_LEVEL.get(op, 0)
             if level < min_level:
+                self.depth = depth - 1
                 return left
             self.prev = self.toks.pop()
             right = self.expr(level + 1)
             left = ast.Binary(self.span_from(start), op, left, right)
 
     def unary_expr(self) -> ast.Expr:
-        if self.at("!") or self.at("-"):
-            start = self.advance()
-            operand = self.unary_expr()
-            return ast.Unary(self.span_from(start), start.lexeme, operand)
-        return self.postfix_expr()
+        """Prefix operators, read in a loop and applied innermost first."""
+        if not (self.at("!") or self.at("-")):
+            return self.postfix_expr()
+        ops = []
+        while self.at("!") or self.at("-"):
+            ops.append(self.advance())
+        e = self.postfix_expr()
+        for op in reversed(ops):
+            e = ast.Unary(self.span_from(op), op.lexeme, e)
+        return e
 
     def postfix_expr(self) -> ast.Expr:
         start = self.peek()
@@ -416,7 +438,8 @@ class _Parser:
         if self.at("{"):
             # `{ name:` opens a record literal, anything else a block.
             if self.peek(1).kind is TokKind.IDENT and self.peek(2).lexeme == ":":
-                return self.record_lit()
+                fields = self.named_fields(self.expr, "duplicate field")
+                return ast.RecordLit(self.span_from(t), fields)
             return self.block()
         if self.at("if"):
             return self.if_expr()
@@ -456,23 +479,24 @@ class _Parser:
             return ast.PathExpr(name.span, [name.lexeme])
         raise self.error("expected expression")
 
-    def record_lit(self) -> ast.RecordLit:
-        start = self.expect("{")
-        fields = self.named_fields(self.expr, "duplicate field")
-        return ast.RecordLit(self.span_from(start), fields)
-
     def if_expr(self) -> ast.If:
-        start = self.expect("if")
-        cond = self.expr()
-        then = self.block()
+        """An `if` and each `else if` after it, read in a loop; each `else
+        if` is the `orelse` of the one before, built innermost first."""
+        arms: list = []  # the `if` token, condition and block of each
         orelse: Optional[ast.Expr] = None
-        if self.at("else"):
+        while True:
+            start = self.expect("if")
+            cond = self.expr()
+            arms.append((start, cond, self.block()))
+            if not self.at("else"):
+                break
             self.advance()
-            if self.at("if"):
-                orelse = self.if_expr()
-            else:
+            if not self.at("if"):
                 orelse = self.block()
-        return ast.If(self.span_from(start), cond, then, orelse)
+                break
+        for start, cond, then in reversed(arms):
+            orelse = ast.If(self.span_from(start), cond, then, orelse)
+        return orelse
 
     def printf_expr(self) -> ast.Printf:
         start = self.expect("printf")
@@ -481,13 +505,14 @@ class _Parser:
             raise self.error("expected format string")
         fmt = self.advance()
         self.expect(")")
-        parts, holes = _split_format(fmt, self.file)
+        parts, holes = _split_format(fmt, self.file, self.depth)
         return ast.Printf(self.span_from(start), parts, holes)
 
 
-def _split_format(fmt: Token, filename: str):
+def _split_format(fmt: Token, filename: str, depth: int):
     """Split a printf format string, as written, into literal parts (escapes
-    decoded) and parsed {expr} holes."""
+    decoded) and parsed {expr} holes, each one level below `depth`, the
+    printf's level."""
     src = fmt.lexeme
     end = len(src) - 1  # src[0] and src[end] are the quotes
     parts: list = []
@@ -511,7 +536,7 @@ def _split_format(fmt: Token, filename: str):
                 toks = tokenize(hole_src.replace("\\n", "  ").replace("\\t", "  "), filename)
                 for t in toks:
                     t.line, t.col = fmt.line, fmt.col + i + t.col  # i is the `{`
-                holes.append(_expr(toks, filename))
+                holes.append(_expr(toks, filename, depth))
             except (LexError, ParseError) as err:
                 raise ParseError(fmt.span, f"bad format hole {{{hole_src}}}: {err.message}")
             parts.append("".join(buf))
@@ -526,14 +551,6 @@ def _split_format(fmt: Token, filename: str):
     return parts, holes
 
 
-def _parse(p: _Parser, rule):
-    try:
-        return rule()
-    except RecursionError:
-        # Recursive descent nests as deep as the interpreter's stack allows.
-        raise p.error("nesting too deep") from None
-
-
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:
     """Parse a whole program; raises LexError/ParseError with spans. Its
     expressions are numbered from 0.
@@ -545,16 +562,13 @@ def parse_program(source: str, filename: str = "<input>") -> ast.Program:
     ast.restart_node_ids()
     p = _Parser(tokenize(source, filename), filename)
     del source
-    return _parse(p, p.program)
+    return p.program()
 
 
-def parse_expr(source: str, filename: str = "<expr>") -> ast.Expr:
-    return _expr(tokenize(source, filename), filename)
-
-
-def _expr(toks: List[Token], filename: str) -> ast.Expr:
-    p = _Parser(toks, filename)
-    e = _parse(p, p.expr)
+def _expr(toks: List[Token], filename: str, depth: int) -> ast.Expr:
+    """The one expression of `toks`, one level below `depth`."""
+    p = _Parser(toks, filename, depth)
+    e = p.expr()
     if not p.at_kind(TokKind.EOF):
         raise p.error("unexpected trailing input")
     return e

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast
+from .ast import MAX_NESTING
 from .diagnostics import TypeCheckError, TypeErrors
 
 # ---------------------------------------------------------------------------
@@ -79,16 +80,25 @@ class Checker:
     def __init__(self, program: ast.Program) -> None:
         self.program = program
         self.errors: List[TypeCheckError] = []
-        self.aliases: Dict[str, ast.TypeExpr] = {}
+        self.aliases: Dict[str, Optional[ast.TypeExpr]] = {}  # None if invalid
         self.enums: Dict[str, ast.EnumRef] = {}  # one shared type per enum
         self.modules: Dict[str, ast.ModuleDecl] = {}
         self.fns: Dict[Tuple[str, str], ast.FnDecl] = {}
         self.types: Dict[int, ast.TypeExpr] = {}
         self.resolutions: Dict[int, object] = {}
         self.resolved: Dict[int, ast.TypeExpr] = {}
+        # How many levels deep each vector, record and array type the checker
+        # builds nests, by id; the entry keeps the type, so its id stays its own.
+        self.type_levels: Dict[int, Tuple[ast.TypeExpr, int]] = {}
         self.choice_sites: Set[int] = set()  # node ids of every any and havoc
-        self.call_edges: Dict[Tuple[str, str], set] = {}
+        # Each function's callees, in the order first called, each with the
+        # level and span of its deepest call, and the deepest level of each
+        # function's own body (see `ast.MAX_NESTING`).
+        self.call_edges: Dict[Tuple[str, str], Dict[Tuple[str, str], tuple]] = {}
+        self.body_levels: Dict[Tuple[str, str], int] = {}
         self._current_fn: Optional[Tuple[str, str]] = None
+        self.depth = 0    # the level of the expression being checked
+        self.deepest = 0  # the deepest level checked in the current function
 
     # -- entry ----------------------------------------------------------
 
@@ -133,11 +143,7 @@ class Checker:
             if a.name in raw_aliases or a.name in self.enums:
                 self.fail(a.span, f"duplicate type name {a.name!r}")
             raw_aliases[a.name] = a
-        for a in p.aliases:
-            try:
-                self.aliases[a.name] = self._expand_alias(a.name, raw_aliases, [])
-            except TypeCheckError:
-                pass
+        self._resolve_aliases(raw_aliases)
         for m in p.modules:
             if m.name in self.modules or m.name in ("State", "Array"):
                 self.fail(m.span, f"duplicate module {m.name!r}")
@@ -153,36 +159,75 @@ class Checker:
             span = p.modules[0].span if p.modules else p.span
             self.fail(span, f"no root module {self.program.root_name!r}")
 
-    def _expand_alias(self, name: str, raw, stack: list) -> ast.TypeExpr:
-        if name in stack:
+    def _resolve_aliases(self, raw: Dict[str, ast.AliasDecl]) -> None:
+        """Resolve each alias after the aliases its type names, so a chain
+        of any length is resolved. An alias that closes a cycle is
+        reported; one that fails, or names one that fails, is invalid."""
+        def finish(name: str) -> None:
             decl = raw[name]
-            raise self.fail(decl.span, f"type alias cycle through {name!r}")
-        return self._resolve_type(raw[name].type, raw, stack + [name], raw[name].span)
+            try:
+                self.aliases[name] = self._resolve_type(decl.type, decl.span)
+            except TypeCheckError:
+                self.aliases[name] = None
 
-    def _resolve_type(self, t: ast.TypeExpr, raw, stack, span) -> ast.TypeExpr:
+        def cycle(path: list, name: str) -> None:
+            if name not in self.aliases:
+                self.fail(raw[name].span, f"type alias cycle through {name!r}")
+                self.aliases[name] = None
+
+        _post_order(raw, lambda name: [n for n in _alias_names(raw[name].type, {}) if n in raw],
+                    self.aliases, finish, cycle)
+
+    def _levels(self, t: ast.TypeExpr) -> int:
+        """How many levels deep type t nests. Memoized, so a type built from
+        types already counted is counted without a walk."""
+        if isinstance(t, ast.VectorType):
+            inner = (t.elem,)
+        elif isinstance(t, ast.RecordType):
+            inner = tuple(ft for _, ft in t.fields)
+        elif isinstance(t, ast.ArrayType):
+            inner = (t.key, t.value)
+        else:
+            return 1
+        entry = self.type_levels.get(id(t))
+        if entry is None:
+            entry = self.type_levels[id(t)] = t, 1 + max(map(self._levels, inner), default=0)
+        return entry[1]
+
+    def _built(self, t: ast.TypeExpr, span) -> ast.TypeExpr:
+        """t, a type just built; one that nests past the budget (with its
+        aliases expanded) is an error at `span`."""
+        if self._levels(t) > MAX_NESTING:
+            raise self.fail(span, "nesting too deep")
+        return t
+
+    def _resolve_type(self, t: ast.TypeExpr, span) -> ast.TypeExpr:
+        """Expand aliases and enum references in a written type t; the
+        parser bounds how deep t nests, and `_built` how deep the result."""
         if isinstance(t, ast.AliasRef):
             if t.name in self.enums:
                 return self.enums[t.name]
-            if t.name in self.aliases:
-                return self.aliases[t.name]
-            if raw is not None and t.name in raw:
-                return self._expand_alias(t.name, raw, stack)
-            raise self.fail(span, f"unknown type {t.name!r}")
+            if t.name not in self.aliases:
+                raise self.fail(span, f"unknown type {t.name!r}")
+            alias = self.aliases[t.name]
+            if alias is None:  # reported where it is declared
+                raise TypeCheckError(span, f"invalid type {t.name!r}")
+            return alias
         if isinstance(t, ast.VectorType):
-            return ast.VectorType(self._resolve_type(t.elem, raw, stack, span), t.length)
+            return self._built(ast.VectorType(self._resolve_type(t.elem, span), t.length), span)
         if isinstance(t, ast.RecordType):
-            return ast.RecordType(tuple(
-                (n, self._resolve_type(ft, raw, stack, span)) for n, ft in t.fields))
+            return self._built(ast.RecordType(tuple(
+                (n, self._resolve_type(ft, span)) for n, ft in t.fields)), span)
         if isinstance(t, ast.ArrayType):
-            return ast.ArrayType(self._resolve_type(t.key, raw, stack, span),
-                                 self._resolve_type(t.value, raw, stack, span))
+            return self._built(ast.ArrayType(self._resolve_type(t.key, span),
+                                             self._resolve_type(t.value, span)), span)
         return t
 
     def resolve_type(self, t: ast.TypeExpr, span) -> ast.TypeExpr:
         """Expand aliases and enum references in a written type (memoized)."""
         resolved = self.resolved.get(id(t))
         if resolved is None:
-            resolved = self.resolved[id(t)] = self._resolve_type(t, None, [], span)
+            resolved = self.resolved[id(t)] = self._resolve_type(t, span)
         return resolved
 
     # -- modules ----------------------------------------------------------
@@ -194,16 +239,14 @@ class Checker:
             if c.module not in self.modules:
                 self.fail(c.span, f"callee {c.name!r} names unknown module {c.module!r}")
         for f in m.fns:
-            self._current_fn = (m.name, f.name)
-            self.call_edges.setdefault(self._current_fn, set())
+            key = self._current_fn = (m.name, f.name)
+            self.call_edges.setdefault(key, {})
+            self.depth = self.deepest = 0  # the body; its items are at level 1
             try:
                 self.check_fn(m, f)
             except TypeCheckError:
                 pass  # recorded; continue with the next function
-            except RecursionError:
-                # Outside check_expr, which reports its own: types nested
-                # nearly as deep as the parser allows.
-                self.fail(f.span, "nesting too deep")
+            self.body_levels[key] = self.deepest
         self._current_fn = None
 
     def check_instance(self, m: ast.ModuleDecl, inst: ast.InstanceDecl) -> None:
@@ -216,17 +259,17 @@ class Checker:
                 vt = self.resolve_type(ref.value_type, inst.span)
                 self._check_state_value_type(vt, inst.span)
                 ctx = TypingCtx(m, {}, pure=True, init_expr=True)
+                self.depth = 1  # as the parser counts it
                 self.check_expr(ctx, ref.init, vt)
             elif isinstance(ref, ast.ArrayPrim):
                 kt = self.resolve_type(ref.key_type, inst.span)
                 vt = self.resolve_type(ref.value_type, inst.span)
+                self._built(ast.ArrayType(kt, vt), inst.span)  # as a snapshot
                 if not isinstance(kt, ast.BitIntType):
                     self.fail(inst.span, "Array key type must be BitInt")
                 self._check_state_value_type(vt, inst.span)
         except TypeCheckError:
             pass
-        except RecursionError:
-            self.fail(inst.span, "nesting too deep")
 
     def _check_state_value_type(self, t: ast.TypeExpr, span) -> None:
         if isinstance(t, ast.ArrayType):
@@ -252,13 +295,16 @@ class Checker:
 
     def check_expr(self, ctx: TypingCtx, e: ast.Expr,
                    expected: Optional[ast.TypeExpr] = None) -> ast.TypeExpr:
-        """Type e, against `expected` if given; returns the (annotated) type."""
-        try:
-            t = self.types[e.node_id] = self._type(ctx, e, expected)
-        except RecursionError:
-            # Checking recurses once per nested expression. If reporting
-            # overflows too, the enclosing expression's handler reports.
-            raise self.fail(e.span, "nesting too deep") from None
+        """Type e, against `expected` if given; returns the (annotated) type.
+        e is at level `self.depth`, and its operands one level below."""
+        depth = self.depth
+        if depth > self.deepest:
+            if depth > MAX_NESTING:
+                raise self.fail(e.span, "nesting too deep")
+            self.deepest = depth
+        self.depth = depth + 1
+        t = self.types[e.node_id] = self._type(ctx, e, expected)
+        self.depth = depth
         # Subsumption is type equality only: no implicit widening.
         if expected is not None and t is not expected and not type_equal(t, expected):
             raise self.fail(e.span, f"type mismatch: expected {expected}, found {t}")
@@ -290,7 +336,7 @@ class Checker:
                 first = self.check_expr(ctx, e.items[0])
                 for item in e.items[1:]:
                     self.check_expr(ctx, item, first)
-                return ast.VectorType(first, len(e.items))
+                return self._built(ast.VectorType(first, len(e.items)), e.span)
             if not isinstance(expected, ast.VectorType):
                 raise self.fail(e.span, f"vector literal where {expected} is expected")
             if len(e.items) != expected.length:
@@ -302,7 +348,8 @@ class Checker:
             return expected
         if isinstance(e, ast.RecordLit):
             if expected is None:
-                return ast.RecordType(tuple((n, self.check_expr(ctx, v)) for n, v in e.fields))
+                return self._built(ast.RecordType(
+                    tuple((n, self.check_expr(ctx, v)) for n, v in e.fields)), e.span)
             if not isinstance(expected, ast.RecordType):
                 raise self.fail(e.span, f"record literal where {expected} is expected")
             return self._check_record_lit(ctx, e, expected)
@@ -498,19 +545,22 @@ class Checker:
     def _operand_pair(self, ctx, left, right) -> ast.TypeExpr:
         """Infer one operand, check the other against it: both widths must
         agree. The left one is inferred first unless it has no width."""
-        first, second = (right, left) if self._unwidthed(left) else (left, right)
+        first, second = (right, left) if self._unwidthed(left, self.depth) else (left, right)
         t = self.check_expr(ctx, first)
         self.check_expr(ctx, second, t)
         return t
 
-    def _unwidthed(self, e: ast.Expr) -> bool:
-        """Does inference fail on e only because a literal lacks a width?"""
+    def _unwidthed(self, e: ast.Expr, depth: int) -> bool:
+        """Does inference fail on e, at level `depth`, only because a literal
+        lacks a width? Past the budget it says no: checking e reports that."""
+        if depth > MAX_NESTING:
+            return False
         if isinstance(e, ast.IntLit):
             return e.width is None
         if isinstance(e, ast.Unary) and e.op == "-":
-            return self._unwidthed(e.operand)
+            return self._unwidthed(e.operand, depth + 1)
         if isinstance(e, ast.Binary) and e.op in ("+", "-", "*"):
-            return self._unwidthed(e.left) and self._unwidthed(e.right)
+            return self._unwidthed(e.left, depth + 1) and self._unwidthed(e.right, depth + 1)
         return False
 
     def _require_equality_capable(self, t: ast.TypeExpr, span) -> None:
@@ -606,7 +656,10 @@ class Checker:
             self.check_expr(ctx, arg, self.resolve_type(p.type, p.span))
         self.resolutions[e.node_id] = UserCall(inst_path, module, fn)
         if self._current_fn is not None:
-            self.call_edges.setdefault(self._current_fn, set()).add((module, fn))
+            callees, level = self.call_edges[self._current_fn], self.depth - 1
+            deepest = callees.get((module, fn))
+            if deepest is None or deepest[0] < level:
+                callees[(module, fn)] = (level, e.span)
         ret = decl.ret_type
         return self.resolve_type(ret, decl.span) if ret is not None else ast.UNIT
 
@@ -656,29 +709,43 @@ class Checker:
     # -- recursion ------------------------------------------------------------
 
     def check_recursion(self) -> None:
-        """Report each call that closes a cycle in a depth-first walk of the
-        call graph. The walk keeps its own stack, so a call chain of any
-        length is checked."""
-        done: Set[Tuple[str, str]] = set()
-        for root in sorted(self.call_edges):
-            if root in done:
-                continue
-            # The functions on the walk's path, root first (a dict keeps
-            # insertion order), and the callees of each left to visit.
-            path, todo = {root: None}, [iter(sorted(self.call_edges[root]))]
-            while todo:
-                succ = next(todo[-1], None)
-                if succ is None:
-                    done.add(path.popitem()[0])
-                    todo.pop()
-                elif succ in path:
-                    names = list(path)
-                    cycle = names[names.index(succ):] + [succ]
-                    pretty = " -> ".join(f"{m}.{f}" for m, f in cycle)
-                    self.fail(self.fns[succ].span, f"recursive call cycle: {pretty}")
-                elif succ not in done:
-                    path[succ] = None
-                    todo.append(iter(sorted(self.call_edges.get(succ, ()))))
+        """Report each call that closes a cycle in the call graph, and if
+        there is none, each call that nests past the budget. The walk
+        finishes each function after its callees, so it learns in turn how
+        deep each nests with its calls inlined."""
+        # Each finished function and its levels, None if they pass the budget.
+        done: Dict[Tuple[str, str], Optional[int]] = {}
+        too_deep: list = []  # the span of each call that passes it
+        errors = len(self.errors)
+
+        def finish(fn: Tuple[str, str]) -> None:
+            done[fn] = self._inlined_levels(fn, done, too_deep)
+
+        def cycle(path: list, fn: Tuple[str, str]) -> None:
+            pretty = " -> ".join(f"{m}.{f}" for m, f in path[path.index(fn):] + [fn])
+            self.fail(self.fns[fn].span, f"recursive call cycle: {pretty}")
+
+        _post_order(sorted(self.call_edges), lambda fn: sorted(self.call_edges.get(fn, ())),
+                    done, finish, cycle)
+        if len(self.errors) == errors:
+            for span in too_deep:
+                self.fail(span, "nesting too deep")
+
+    def _inlined_levels(self, fn: Tuple[str, str], done, too_deep: list) -> Optional[int]:
+        """How many levels deep fn nests with its calls inlined: a call at
+        level d of a callee that nests n deep reaches level d + n. None past
+        the budget, and the first call that passes it goes on `too_deep`
+        unless it is in a callee (or a cycle leaves the callee unfinished)."""
+        levels = self.body_levels.get(fn, 0)
+        for callee, (level, span) in self.call_edges.get(fn, {}).items():
+            inner = done.get(callee)
+            if inner is None:
+                return None
+            if level + inner > MAX_NESTING:
+                too_deep.append(span)
+                return None
+            levels = max(levels, level + inner)
+        return levels
 
 
 def type_equal(a: ast.TypeExpr, b: ast.TypeExpr) -> bool:
@@ -698,3 +765,42 @@ def type_equal(a: ast.TypeExpr, b: ast.TypeExpr) -> bool:
 def check_program(program: ast.Program) -> TypedProgram:
     """Type-check a parsed program; raises TypeErrors on failure."""
     return Checker(program).run()
+
+
+def _post_order(roots, successors, finished: dict, finish, cycle) -> None:
+    """Walk depth first from each root not in `finished`, with a stack of
+    its own, so a chain of any length is walked. `finish(node)` adds a node
+    to `finished` once each of its successors is there or on the walk's
+    path; `cycle(path, node)` is called for a successor on the path, which
+    lists the nodes on it from the root."""
+    for root in roots:
+        if root in finished:
+            continue
+        # The nodes on the path, root first (a dict keeps insertion order),
+        # and the successors of each left to visit.
+        path, todo = {root: None}, [iter(successors(root))]
+        while todo:
+            succ = next(todo[-1], None)
+            if succ is None:
+                finish(path.popitem()[0])
+                todo.pop()
+            elif succ in path:
+                cycle(list(path), succ)
+            elif succ not in finished:
+                path[succ] = None
+                todo.append(iter(successors(succ)))
+
+
+def _alias_names(t: ast.TypeExpr, names: dict) -> dict:
+    """`names` with each name that written type t refers to added, in order."""
+    if isinstance(t, ast.AliasRef):
+        names[t.name] = None
+    elif isinstance(t, ast.VectorType):
+        _alias_names(t.elem, names)
+    elif isinstance(t, ast.RecordType):
+        for _, ft in t.fields:
+            _alias_names(ft, names)
+    elif isinstance(t, ast.ArrayType):
+        _alias_names(t.key, names)
+        _alias_names(t.value, names)
+    return names

@@ -10,8 +10,9 @@ import pytest
 
 from soclang import ast, terms
 from soclang import engine as eng
-from soclang import smtlib
+from soclang import parser, smtlib
 from soclang.elaborate import elaborate
+from soclang.lexer import tokenize
 from soclang.parser import parse_program
 from soclang.typecheck import check_program
 
@@ -110,6 +111,15 @@ def type_preservation_oracle(request, monkeypatch) -> None:
         monkeypatch.setitem(eng.Engine._COMPILE, ast.Let, _compile_checked_let)
 
 
+def parse_expr(source: str, filename: str = "<expr>") -> ast.Expr:
+    """One expression, parsed as a printf hole is, at nesting level 1."""
+    return parser._expr(tokenize(source, filename), filename, 0)
+
+
+def module_of(program: ast.Program, name: str) -> ast.ModuleDecl:
+    return next(m for m in program.modules if m.name == name)
+
+
 def load_source(source: str, name: str = "<test>"):
     tp = check_program(parse_program(source, name))
     tree, layout = elaborate(tp)
@@ -120,7 +130,7 @@ def load_file(path):
     return load_source(Path(path).read_text(), str(path))
 
 
-def _instance_chain(depth: int) -> str:
+def instance_chain(depth: int) -> str:
     """Main instances M0, which instances M1, ... down to M<depth-1>."""
     mods = [f"module M{i} {{ instance x: M{i + 1}; }}\n" for i in range(depth - 1)]
     return "".join(mods) + f"module M{depth - 1} {{ }}\nmodule Main {{ instance x: M0; }}\n"
@@ -133,14 +143,15 @@ def call_chain(n: int) -> str:
 
 
 # Sources that elaboration rejects, each with the location and message of its
-# one diagnostic: the instance declaration that closes a cycle, or the root
-# module when the nesting is too deep for the stack.
+# one diagnostic: the instance declaration that closes a cycle, or the one
+# that nests past the budget (`ast.MAX_NESTING`). M0 is at level 1, so that
+# is the declaration of M128, in M127 on line 128.
 INSTANCE_NESTING = {
     "self": ("module Main {\n  instance m: Main;\n}\n",
              ":2:3: error: instance cycle: Main -> Main"),
     "two modules": ("module Main {\n  instance a: A;\n}\nmodule A {\n  instance m: Main;\n}\n",
                     ":5:3: error: instance cycle: Main -> A -> Main"),
-    "1,500-level chain": (_instance_chain(1500), ":1501:1: error: instance nesting too deep"),
+    "1,500-level chain": (instance_chain(1500), ":128:15: error: instance nesting too deep"),
 }
 
 

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from soclang import engine as eng
+from soclang.ast import MAX_NESTING
 
-from conftest import (CORPUS, INSTANCE_NESTING, REPO_ROOT, call_chain, load_file, requires_z3,
-                      run_cli)
+from conftest import (CORPUS, INSTANCE_NESTING, REPO_ROOT, call_chain, instance_chain, load_file,
+                      requires_z3, run_cli)
 
 VULN = str(CORPUS / "mini_tx1_vulnerable.soc")
 FIXED = str(CORPUS / "mini_tx1_fixed.soc")
@@ -238,14 +239,12 @@ def test_check_cut_short_syntax_is_pinned(tmp_path, case):
     assert run_cli("check", str(f)) == (1, "", f"{f}{where}")
 
 
-# Where the parser runs out of stack depends on the interpreter's depth at
-# entry, so the column is pinned to the nest, which it is reported inside.
+# The parser counts its levels: the `let`'s value is at level 1, so the 129th
+# parenthesis opens the first level past the budget.
 def test_check_300_deep_parentheses_is_nesting_too_deep(tmp_path):
     f = _deep_parentheses(tmp_path, 300)
-    code, out, err = run_cli("check", str(f))
-    assert (code, out) == (1, "")
-    m = re.fullmatch(re.escape(str(f)) + r":3:(\d+): error: nesting too deep, found '\('\n", err)
-    assert m and 13 <= int(m.group(1)) < 13 + 300, err
+    assert run_cli("check", str(f)) == (
+        1, "", f"{f}:3:{13 + MAX_NESTING}: error: nesting too deep, found '('\n")
 
 
 # The front end alone serves these commands; the engine and SMT-LIB layers,
@@ -279,18 +278,20 @@ def test_trace_does_not_import_the_solver_process_modules(tmp_path):
     assert proc.stderr.strip() == "0 []"
 
 
+# The chain and its `true` fill the budget: the `let`'s value is at level 1.
 def test_negation_chain_within_the_stack_passes_check_and_run(tmp_path):
     f = tmp_path / "deep.soc"
-    f.write_text("module Main {\n  mut fn go() {\n    let x = " + "!" * 350
-                 + "true;\n    assert(x)\n  }\n}\n")
+    f.write_text("module Main {\n  mut fn go() {\n    let x = " + "!" * (MAX_NESTING - 1)
+                 + "true;\n    assert(!x)\n  }\n}\n")
     assert run_cli("check", str(f)) == (0, "", "")
     code, out, err = run_cli("run", str(f), "--scenario", "go")
     assert (code, out.strip(), err) == (0, "passed", "")
 
 
-# Both parse; the type checker recurses once per nested expression. The
-# diagnostic points into the expression that nests too deep: the `!` chain on
-# line 3, or an `else if` on lines 4 to 503.
+# Both parse: the parser reads a chain of prefix operators or of `else if`s
+# in a loop. The checker counts the levels of the tree; the diagnostic points
+# into the expression that nests too deep: the `!` chain on line 3, or an
+# `else if` on lines 4 to 503.
 DEEP_FOR_THE_CHECKER = {
     "negation": ("    let x = " + "!" * 600 + "true;\n    assert(x)\n", range(3, 4)),
     "else-if": ("    let x = any<Bool>;\n    if x { () }\n"
@@ -929,7 +930,8 @@ def test_trace_model_value_of_the_wrong_type_exits_1(enum_array, tmp_path, choic
         == (1, "", f"error: model value for {vid} {message}\n")
 
 
-# Calls nested deeper than the interpreter's stack are an error line.
+# Calls nested past the budget are `check`'s located diagnostic, at the call
+# that crosses it: f171's, on line 173, which nests 129 levels deep.
 @pytest.mark.parametrize("command, options", [
     ("run", []), ("verify", ["--solver", "sh -c 'echo unknown'"]),
     ("trace", ["--model", "{tmp}/zeros.smt2"])])
@@ -939,7 +941,161 @@ def test_calls_nested_past_the_stack_are_an_error_line(tmp_path, command, option
     (tmp_path / "zeros.smt2").write_text("()\n")
     options = [o.replace("{tmp}", str(tmp_path)) for o in options]
     assert run_cli(command, str(path), "--scenario", "f0", *options) == (
-        1, "", "error: scenario 'f0' nests calls too deep for the interpreter's stack\n")
+        1, "", f"{path}:173:19: error: nesting too deep\n")
+
+
+def _in_go(item: str) -> str:
+    return f"module Main {{\n  mut fn go() {{\n    {item};\n    assert(true)\n  }}\n}}\n"
+
+
+def _alias_chain(levels: int) -> str:
+    """A0 through A<levels - 1>, each a vector of the next, the last Bool;
+    `go` chooses an A0."""
+    aliases = "".join(f"type A{i} = Vector<A{i + 1}, 1>;\n" for i in range(levels - 1))
+    return aliases + f"type A{levels - 1} = Bool;\n" + _in_go("let x = any<A0>")
+
+
+def _let_chain(levels: int, open_: str, close: str) -> str:
+    """v0 = true, then v<i> = `open_` v<i - 1> `close`, so the type of
+    v<levels - 1> nests `levels` deep, and `printf` prints it."""
+    lets = "".join(f"    let v{i} = {open_}v{i - 1}{close};\n" for i in range(1, levels))
+    return "let v0 = true;\n" + lets + f'    printf("{{v{levels - 1}}}")'
+
+
+def _printed_after_calls(levels: int) -> str:
+    """f0 calls f1 and so on, and the last prints a vector that nests to the
+    budget: its hole is at level 2, so the chain fills the budget too."""
+    fns = "".join(f"  mut fn f{i}() {{ f{i + 1}() }}\n" for i in range(levels - 2))
+    last = _let_chain(MAX_NESTING, "[", "]")
+    return f"module Main {{\n{fns}  mut fn f{levels - 2}() {{\n    {last}\n  }}\n}}\n"
+
+
+def _instance_chain_with_go(levels: int) -> str:
+    return instance_chain(levels).replace(
+        "module Main { instance x: M0; }", "module Main { instance x: M0; mut fn go() { () } }")
+
+
+# Each shape of nesting: the function that writes it `levels` deep (see
+# `ast.MAX_NESTING`), the scenario, and the one diagnostic `check` gives one
+# level past the budget, at the token that opens that level, or the
+# expression, type declaration, call or instance there. In the function
+# `go`, the `let`'s value is at level 1.
+NESTING_SHAPES = {
+    "negation": (lambda n: _in_go("let x = " + "!" * (n - 1) + "true"),
+                 "go", ":3:141: error: nesting too deep"),
+    "parentheses": (lambda n: _in_go("let x = " + "(" * (n - 1) + "1u8" + ")" * (n - 1)),
+                    "go", ":3:141: error: nesting too deep, found '1u8'"),
+    "blocks": (lambda n: _in_go("let x = " + "{ " * (n - 1) + "1u8" + " }" * (n - 1)),
+               "go", ":3:269: error: nesting too deep, found '1u8'"),
+    # Each `if` is one level below the one before; the last one's blocks and
+    # the `()` in them are two more.
+    "else if": (lambda n: _in_go("let x = any<Bool>;\n    if x { () }\n"
+                                 + "    else if x { () }\n" * (n - 3) + "    else { () }"),
+                "go", ":130:17: error: nesting too deep"),
+    "records": (lambda n: _in_go("let x = " + "{ a: " * (n - 1) + "1u8" + " }" * (n - 1)),
+                "go", ":3:653: error: nesting too deep, found '1u8'"),
+    "vectors": (lambda n: _in_go("let x = " + "[" * (n - 1) + "1u8" + "]" * (n - 1)),
+                "go", ":3:141: error: nesting too deep, found '1u8'"),
+    # A flat chain nests to the left: its first operand is the deepest.
+    "flat sum": (lambda n: _in_go("let x = " + " + ".join(["1u8"] * n)),
+                 "go", ":3:13: error: nesting too deep"),
+    "flat and": (lambda n: _in_go("let x = " + " && ".join(["true"] * n)),
+                 "go", ":3:13: error: nesting too deep"),
+    "unsuffixed sum": (lambda n: _in_go("let x: BitInt(8) = " + " + ".join(["1"] * n)),
+                       "go", ":3:24: error: nesting too deep"),
+    "vector type": (lambda n: _in_go("let x = any<" + "Vector<" * (n - 1) + "Bool"
+                                     + ", 1>" * (n - 1) + ">"),
+                    "go", ":3:913: error: nesting too deep, found 'Bool'"),
+    "alias chain": (_alias_chain, "go", ":1:1: error: nesting too deep"),
+    # Each `let` is at level 1, yet its value's type is one level deeper than
+    # the last: the diagnostic is at the literal whose type passes the budget.
+    "let-chained vectors": (lambda n: _in_go(_let_chain(n, "[", "]")),
+                            "go", ":131:16: error: nesting too deep"),
+    "let-chained records": (lambda n: _in_go(_let_chain(n, "{ a: ", " }")),
+                            "go", ":131:16: error: nesting too deep"),
+    # f0 calls f1 and so on: f0's call is at level 1 and f<levels - 1>'s `()`
+    # at level `levels`.
+    "call chain": (call_chain, "f0", ":2:17: error: nesting too deep"),
+    # Both budgets at once: the engine's deepest calls print the deepest value.
+    "vector printed after the call chain": (_printed_after_calls, "f0",
+                                            ":2:17: error: nesting too deep"),
+    "instances": (_instance_chain_with_go, "go", ":128:15: error: instance nesting too deep"),
+}
+
+
+# At the budget every command runs the model, from a caller already some
+# frames deep; one level past it every command gives `check`'s diagnostic.
+@pytest.mark.parametrize("shape", list(NESTING_SHAPES))
+def test_nesting_at_the_budget_runs_and_one_level_past_is_rejected(tmp_path, capsys, shape):
+    from soclang import cli
+
+    build, scenario, where = NESTING_SHAPES[shape]
+    f = tmp_path / "deep.soc"
+    model = tmp_path / "zeros.smt2"
+    model.write_text("()\n")
+    commands = {"check": ([], 0), "dump-tree": ([], 0),
+                "run": (["--scenario", scenario], 0),
+                "verify": (["--scenario", scenario, "--solver", "sh -c 'echo unknown'"], 3),
+                "trace": (["--scenario", scenario, "--model", str(model)], 0)}
+    f.write_text(build(MAX_NESTING))
+    for command, (options, code) in commands.items():
+        assert (command, cli.main([command, str(f), *options])) == (command, code)
+        assert capsys.readouterr().err == ""
+    f.write_text(build(MAX_NESTING + 1))
+    for command, (options, _) in commands.items():
+        assert (command, cli.main([command, str(f), *options])) == (command, 1)
+        assert capsys.readouterr() == ("", f"{f}{where}\n")
+
+
+# Shapes that `check` once passed and no other command could run (the alias
+# chain ended every command in a traceback): each is now one diagnostic from
+# `check`, which every command gives.
+PAST_THE_BUDGET = {
+    "1,500 aliases": (NESTING_SHAPES["alias chain"][0](1500), ":1372:1: error: nesting too deep"),
+    "600-deep vector type": (NESTING_SHAPES["vector type"][0](600),
+                             ":3:913: error: nesting too deep, found 'Vector'"),
+    "492-term unsuffixed sum": (NESTING_SHAPES["unsuffixed sum"][0](492),
+                                ":3:24: error: nesting too deep"),
+}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("check", []), ("run", ["--scenario", "go"]),
+    ("verify", ["--scenario", "go", "--solver", "sh -c 'echo unknown'"]),
+    ("trace", ["--scenario", "go", "--model", "{tmp}/zeros.smt2"])])
+@pytest.mark.parametrize("case", list(PAST_THE_BUDGET))
+def test_nesting_that_only_check_passed_is_its_diagnostic(tmp_path, case, command, options):
+    source, where = PAST_THE_BUDGET[case]
+    path = tmp_path / "deep.soc"
+    path.write_text(source)
+    (tmp_path / "zeros.smt2").write_text("()\n")
+    options = [o.replace("{tmp}", str(tmp_path)) for o in options]
+    assert run_cli(command, str(path), *options) == (1, "", f"{path}{where}\n")
+
+
+def _called_deeper(frames: int, argv: list) -> int:
+    from soclang import cli
+
+    return cli.main(argv) if frames == 0 else _called_deeper(frames - 1, argv)
+
+
+# The levels are counted, so a diagnostic does not depend on how deep the
+# caller's stack is: a child process, `cli.main`, and `cli.main` called 100
+# frames deeper all report the same.
+@pytest.mark.parametrize("source, where", [
+    pytest.param("let x = " + "(" * 300 + "1u8" + ")" * 300,
+                 ":3:141: error: nesting too deep, found '('", id="300-deep parentheses"),
+    pytest.param("let x = " + "!" * 600 + "true", ":3:141: error: nesting too deep",
+                 id="600-deep negation"),
+    pytest.param(None, ":2:17: error: nesting too deep", id="call chain past the budget")])
+def test_nesting_diagnostic_is_the_same_at_every_entry_depth(tmp_path, capsys, source, where):
+    path = tmp_path / "deep.soc"
+    path.write_text(call_chain(MAX_NESTING + 1) if source is None else _in_go(source))
+    expected = f"{path}{where}\n"
+    assert run_cli("check", str(path)) == (1, "", expected)
+    for frames in (0, 100):
+        assert _called_deeper(frames, ["check", str(path)]) == 1
+        assert capsys.readouterr() == ("", expected)
 
 
 # The VC bounds no array's modifications, so replaying a solver model bounds

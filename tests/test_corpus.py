@@ -9,7 +9,7 @@ import pytest
 from soclang import ast
 from soclang.parser import parse_program
 
-from conftest import CORPUS, requires_z3, run_cli
+from conftest import CORPUS, module_of, requires_z3, run_cli
 from printer import walk
 
 
@@ -145,7 +145,7 @@ def test_ill_typed_file_rejected_on_the_marked_line(path: Path):
 
 def test_region_setup_constants():
     program = parse_program((CORPUS / "mini_tx1_vulnerable.soc").read_text(), "v")
-    main = program.module("Main")
+    main = module_of(program, "Main")
     setup = next(f for f in main.fns if f.name == "setup_regions")
     writes = []
     for node in walk(setup.body):
@@ -165,7 +165,7 @@ def test_region_setup_constants():
 def test_scenario_probe_bound():
     for name in ("mini_tx1_vulnerable.soc", "mini_tx1_fixed.soc"):
         program = parse_program((CORPUS / name).read_text(), name)
-        main = program.module("Main")
+        main = module_of(program, "Main")
         scen = next(f for f in main.fns if f.name == "test_secure_area_unchanged")
         bounds = [n for n in walk(scen.body)
                   if isinstance(n, ast.IntLit) and n.width == 31]

@@ -152,8 +152,8 @@ def test_models_wired_in_a_loop_leave_no_cycles(model, command, tmp_path, capsys
     assert _cyclic_garbage([command, str(path), *options], capsys) == (code, [])
 
 
-# A scenario whose calls nest past the interpreter's stack is an error line;
-# the frames the RecursionError unwound hold no cycle.
+# A scenario whose calls nest past the budget is `check`'s diagnostic, from
+# every command; the checker's tables it leaves behind hold no cycle.
 @pytest.mark.parametrize("command, options", [
     ("run", []), ("verify", ["--solver", "sh -c 'echo unknown'"])])
 def test_calls_nested_past_the_stack_leave_no_cycles(command, options, tmp_path, capsys):

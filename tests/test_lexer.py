@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from soclang import lexer
 from soclang.diagnostics import LexError
 from soclang.lexer import TokKind, tokenize
-from soclang.parser import parse_expr, parse_program
+from soclang.parser import parse_program
 
-from conftest import CORPUS
+from conftest import CORPUS, parse_expr
 
 
 def kinds(toks):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from soclang import ast
 from soclang.diagnostics import ParseError, SocError
 from soclang.lexer import STRING_ESCAPES, tokenize
-from soclang.parser import parse_expr, parse_program
+from soclang.parser import parse_program
 
-from conftest import CORPUS, REPO_ROOT
+from conftest import CORPUS, REPO_ROOT, module_of, parse_expr
 from printer import expr_source, to_source, walk
 
 sys.path.insert(0, str(REPO_ROOT / "bench"))
@@ -54,7 +54,7 @@ module Main {
   asc.dram -> dram;
 }
 """)
-    w = p.module("Main").wirings[0]
+    w = module_of(p, "Main").wirings[0]
     assert w.child_path == ["asc", "dram"]
     assert w.target_path == ["dram"]
 
@@ -66,7 +66,7 @@ module Main {
   instance mem: Array<BitInt(31), BitInt(64)>;
 }
 """)
-    flag, mem = p.module("Main").instances
+    flag, mem = module_of(p, "Main").instances
     assert isinstance(flag.ref, ast.StatePrim)
     assert flag.ref.value_type == ast.BOOL
     assert isinstance(mem.ref, ast.ArrayPrim)

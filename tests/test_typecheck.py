@@ -4,10 +4,10 @@ import pytest
 
 from soclang import ast
 from soclang.diagnostics import TypeErrors
-from soclang.parser import parse_expr, parse_program
+from soclang.parser import parse_program
 from soclang.typecheck import Checker, TypingCtx, check_program, type_equal
 
-from conftest import CORPUS, call_chain
+from conftest import CORPUS, call_chain, module_of, parse_expr
 from printer import walk
 
 REQUEST_HANDLER = """\
@@ -182,7 +182,7 @@ def test_infer_and_check_expr_api():
     program = parse_program("module Main { mut fn go() { () } }")
     chk = Checker(program)
     chk.collect_decls()
-    ctx = TypingCtx(program.module("Main"), {"x": ast.BitIntType(48)})
+    ctx = TypingCtx(module_of(program, "Main"), {"x": ast.BitIntType(48)})
     e = parse_expr("x[6 downto 5]")
     assert chk.check_expr(ctx, e) == ast.BitIntType(2)
     lit = parse_expr("1")
@@ -218,13 +218,28 @@ def test_enum_type_carries_its_variants():
 
 
 def test_call_chain_of_any_length_is_checked():
-    # The call graph is walked with an explicit stack: a chain deeper than
-    # Python's recursion limit checks, and a cycle at its end is named.
-    check_program(parse_program(call_chain(1500), "t.soc"))
+    # The call graph is walked with an explicit stack, so a chain deeper than
+    # Python's recursion limit is checked. It nests past the budget at the
+    # call in f1371, which nests 129 deep, and only there: its callers are
+    # not reported again. A cycle at its end is named, and the depth is not.
+    (err,) = errors_of(call_chain(1500))
+    assert err.report() == "t.soc:1373:20: error: nesting too deep"
     closed = call_chain(1500).replace("f1499() { () }", "f1499() { f1498() }")
     (err,) = errors_of(closed)
     assert err.report() == ("t.soc:1500:3: error: recursive call cycle: "
                             "Main.f1498 -> Main.f1499 -> Main.f1498")
+
+
+def test_an_invalid_alias_is_reported_once():
+    # Each alias is resolved once, after the aliases it names: one that
+    # closes a cycle or names an unknown type is one diagnostic, at its
+    # declaration, and an alias or a use that names it adds none.
+    (err,) = errors_of("type A = B;\ntype B = A;\ntype C = Vector<A, 2>;\n"
+                       "module Main { mut fn go() { let x: C = any<C>; () } }\n")
+    assert err.report() == "t.soc:1:1: error: type alias cycle through 'A'"
+    (err,) = errors_of("type A = { a: Nope };\ntype B = Vector<A, 2>;\n"
+                       "module Main { mut fn go() { let x = any<B>; () } }\n")
+    assert err.report() == "t.soc:1:1: error: unknown type 'Nope'"
 
 
 def test_unwidthed_literal_keeps_the_other_operands_error():
