@@ -447,6 +447,45 @@ unknown: unknown
 """
 
 
+# Each comparison on BitInt(8) and on Int operands, and an enum-valued `any`,
+# whose range bound is a `bvult`: the emitted names are pinned byte for byte.
+COMPARISONS_MODEL = """\
+enum Mode { Off, Idle, On }
+module Main {
+  mut fn go() {
+    let a = any<BitInt(8)>;
+    let b = any<BitInt(8)>;
+    let m = any<Int>;
+    let n = any<Int>;
+    let k = any<Mode>;
+    assert(a < b || a <= b || a > b || a >= b || k == Mode.On);
+    assert(m < n || m <= n || m > n || m >= n)
+  }
+}
+"""
+
+
+def test_comparisons_dump_vc(tmp_path):
+    f = tmp_path / "cmp.soc"
+    f.write_text(COMPARISONS_MODEL)
+    assert run_cli("verify", str(f), "--scenario", "go", "--dump-vc",
+                   "--solver", "sh -c 'echo unknown'") == (3, """\
+(set-logic ALL)
+(set-option :produce-models true)
+(declare-const c0_0 (_ BitVec 8))
+(declare-const c2_0 (_ BitVec 8))
+(declare-const c4_0 Int)
+(declare-const c6_0 Int)
+(declare-const c8_0 (_ BitVec 2))
+(assert (and (bvult c8_0 (_ bv3 2)) (or (not (or (or (or (or (bvult c0_0 c2_0) \
+(bvule c0_0 c2_0)) (bvult c2_0 c0_0)) (bvule c2_0 c0_0)) (= c8_0 (_ bv2 2)))) \
+(not (or (or (or (< c4_0 c6_0) (<= c4_0 c6_0)) (< c6_0 c4_0)) (<= c6_0 c4_0))))))
+(check-sat)
+(get-model)
+unknown: unknown
+""", "")
+
+
 @requires_z3
 def test_verify_exit_codes_and_model_cache(tmp_path):
     model = tmp_path / "m.smt2"

@@ -131,6 +131,24 @@ def test_the_first_reversed_slice_in_a_file_is_reported():
     assert info.value.span.line == 4
 
 
+# Each index and slice form's syntax errors, message and location.
+@pytest.mark.parametrize("item, report", [
+    ("let y = x[2 downto 3]",
+     "4:13: error: slice bounds must satisfy hi >= lo, got 2 downto 3"),
+    ("let y = x[2 downto 3 := v]",
+     "4:13: error: slice bounds must satisfy hi >= lo, got 2 downto 3"),
+    ("let y = x[i := v", "4:21: error: expected ']', found ';'"),
+    ("let y = x[1 downto y]", "4:24: error: expected slice bound, found 'y'"),
+    ("let y = x[y downto 1]", "4:15: error: slice bounds must be plain integer literals"),
+    ("let y = x[1 downto 0u1]", "4:24: error: slice bound takes no width suffix"),
+])
+def test_index_and_slice_syntax_errors_are_pinned(item, report):
+    source = f"module Main {{\n  mut fn go() {{\n    let x = 0u8;\n    {item};\n  }}\n}}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_program(source, "t.soc")
+    assert exc.value.report() == f"t.soc:{report}"
+
+
 def test_dotted_call_paths():
     e = parse_expr("miniTX1.dram.storage.get()")
     assert isinstance(e, ast.Call)
@@ -338,6 +356,18 @@ def test_parse_pretty_roundtrip_on_corpus(path: Path):
     reparsed = parse_program(printed, path.name)
     assert reparsed == program  # structural equality ignores spans
     assert to_source(reparsed) == printed  # pretty-print fixpoint
+
+
+# The round trip catches a printer that writes a record type's fields in
+# another order, though record types compare their fields as a set.
+@pytest.mark.parametrize("name", ["mini_tx1_fixed.soc", "mini_tx1_vulnerable.soc"])
+def test_roundtrip_fails_for_a_printer_that_reverses_record_type_fields(monkeypatch, name):
+    def reversed_fields(t: ast.RecordType) -> str:
+        return "{ " + ", ".join(f"{n}: {ft}" for n, ft in reversed(t.fields)) + " }"
+
+    monkeypatch.setattr(ast.RecordType, "__str__", reversed_fields)
+    with pytest.raises(AssertionError):
+        test_parse_pretty_roundtrip_on_corpus(CORPUS / name)
 
 
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)

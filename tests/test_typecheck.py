@@ -292,6 +292,50 @@ module Main {
     assert any("narrows" in e.message for e in errs)
 
 
+def _in_go(item: str) -> str:
+    return ("module Main {\n  mut fn go() {\n    let x = any<BitInt(8)>;\n    "
+            f"{item};\n    ()\n  }}\n}}\n")
+
+
+# Each built-in's diagnostics, message and location: the target width is
+# checked first, then the argument.
+@pytest.mark.parametrize("item, report", [
+    ("let y = to_int(true)", "4:13: error: to_int takes a BitInt, found Bool"),
+    ("let y = zero_extend<0>(x)", "4:13: error: target width must be at least 1"),
+    ("let y = from_int<8>(true)", "4:25: error: type mismatch: expected Int, found Bool"),
+    ("let y = truncate<9>(x)", "4:13: error: truncate<9> widens BitInt(8)"),
+    ("let y = zero_extend<4>(x)", "4:13: error: zero_extend<4> narrows BitInt(8)"),
+    ("let y = to_int<8>(x)", "4:13: error: unknown name 'to_int'"),
+    ("let y = zero_extend(x)", "4:13: error: unknown function 'zero_extend'"),
+])
+def test_builtin_diagnostics_are_pinned(item, report):
+    assert [e.report() for e in errors_of(_in_go(item))] == [f"t.soc:{report}"]
+
+
+# A type's parts are searched in order, the type before its parts: the
+# first offending part names the message.
+@pytest.mark.parametrize("decl, report", [
+    ("instance s: State<{ u: (), a: Array<BitInt(2), Bool> }>(());",
+     "2:3: error: state values may not have unit type"),
+    ("instance s: State<{ a: Array<BitInt(2), Bool>, u: () }>(());",
+     "2:3: error: state values may not contain arrays"),
+    ("instance s: State<{ u: (), v: Vector<Bool, 2> }>(());",
+     "2:3: error: state values may not have unit type"),
+    ("instance s: Array<BitInt(2), { u: (), a: Array<BitInt(2), Bool> }>;",
+     "2:3: error: state values may not have unit type"),
+    ("fn f(r: { u: (), v: Vector<Bool, 2> }) -> Bool { r == r }",
+     "2:52: error: equality on unit values is not supported"),
+    ("fn f(r: { u: (), a: Array<BitInt(2), Bool> }) -> Bool { r == r }",
+     "2:59: error: equality on unit values is not supported"),
+    ("fn f(r: { v: Vector<(), 2>, u: () }) -> Bool { r == r }",
+     "2:50: error: equality on indexed collections is not supported "
+     "(compare elements at an any-chosen index instead)"),
+])
+def test_the_first_offending_part_of_a_type_is_reported(decl, report):
+    source = f"module Main {{\n  {decl}\n}}\n"
+    assert [e.report() for e in errors_of(source)] == [f"t.soc:{report}"]
+
+
 def test_scenarios_listed():
     tp = check_program(parse_program("""
 module Main {
