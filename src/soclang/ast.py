@@ -5,7 +5,8 @@ Every node class derives from `Node`. A class names its own fields in
 `hash` and `repr` read the fields of `_fields` except source spans, node ids
 and the hex flag of a literal, so `==` is structural equality modulo
 locations, which is what the round-trip tests compare, and type nodes and
-spans are hashable by value.
+spans are hashable by value. A record type is the set of its (name, type)
+fields, so `==` on types is the language's type equality.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ class TypeExpr(Node):
 
     __slots__ = ()
 
+    def parts(self) -> tuple:
+        """The types this type is made of, in order; none for a scalar."""
+        return ()
+
 
 class BoolType(TypeExpr):
     __slots__ = ()
@@ -158,13 +163,27 @@ class VectorType(TypeExpr):
     def __str__(self) -> str:
         return f"Vector<{self.elem}, {self.length}>"
 
+    def parts(self) -> tuple:
+        return (self.elem,)
+
 
 class RecordType(TypeExpr):
-    __slots__ = ("fields",)  # tuple[tuple[str, TypeExpr], ...], order-preserving
+    __slots__ = ("fields",)  # tuple[tuple[str, TypeExpr], ...], names unique
+
+    def __eq__(self, other: object):  # the fields as a set; their order presents the type
+        if other.__class__ is not RecordType:
+            return NotImplemented
+        return dict(self.fields) == dict(other.fields)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.fields))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n}: {t}" for n, t in self.fields)
         return "{ " + inner + " }"
+
+    def parts(self) -> tuple:
+        return tuple(t for _, t in self.fields)
 
     def field_type(self, name: str) -> Optional[TypeExpr]:
         for n, t in self.fields:
@@ -180,6 +199,9 @@ class ArrayType(TypeExpr):
 
     def __str__(self) -> str:
         return f"Array<{self.key}, {self.value}>"
+
+    def parts(self) -> tuple:
+        return (self.key, self.value)
 
 
 BOOL = BoolType()

@@ -458,7 +458,7 @@ class Engine:
             if not isinstance(v, terms.BVC):
                 if n < (1 << t.width):
                     self.assumptions.append(
-                        (terms.TRUE, terms.mk_ult(v, terms.mk_bv(t.width, n))))
+                        (terms.TRUE, terms.mk_lt(v, terms.mk_bv(t.width, n))))
             elif v.value >= n:
                 raise EngineError(f"enum value {v.value} out of range for {t.name}")
         return v
@@ -650,13 +650,11 @@ class Engine:
             for i in range(len(base)))
 
     def _compile_binary(self, e: ast.Binary):
-        left, right, op = self.code(e.left), self.code(e.right), e.op
-        lt = self.tp.types[e.left.node_id]
-        if op in ("==", "!="):
-            eq = terms.mk_eq if isinstance(lt, _SCALAR_TYPES) else tree_eq
-            mk = eq if op == "==" else lambda a, b: terms.mk_not(eq(a, b))
-        else:
-            mk = _BINARY[op][isinstance(lt, ast.IntType)]
+        left, right, mk = self.code(e.left), self.code(e.right), _BINARY.get(e.op)
+        if mk is None:  # == or !=
+            scalar = isinstance(self.tp.types[e.left.node_id], _SCALAR_TYPES)
+            eq = terms.mk_eq if scalar else tree_eq
+            mk = eq if e.op == "==" else lambda a, b: terms.mk_not(eq(a, b))
         return lambda env, frame: mk(left(env, frame), right(env, frame))
 
     def _compile_builtin(self, e: ast.Builtin):
@@ -721,19 +719,19 @@ class Engine:
         if op == "havoc":
             site, havoc = e.node_id, self._havoc
             return lambda env, frame: havoc(choice_ids(site, frame.calls), target(frame))
-        if op in ("state_get", "array_get"):
+        if op == "get":
             return lambda env, frame: store[target(frame)]
-        if op in ("state_set", "array_set"):
+        if op == "set":
             value = args[0]
             return lambda env, frame: write(target(frame), value(env, frame))
-        if op == "array_read":
+        if op == "read":
             key, read_at = args[0], self._reader(self.tp.types[e.node_id])
 
             def read(env, frame):
                 cell, k = target(frame), key(env, frame)
                 return read_at(store[cell], k)
             return read
-        assert op == "array_write", op
+        assert op == "write", op
         key, value = args
         capacity = self.capacity if self.anys is not None else None
 
@@ -823,13 +821,12 @@ def _target(inst_path):
 
 
 _SCALAR_TYPES = (ast.BoolType, ast.BitIntType, ast.IntType, ast.EnumRef)
-# The constructor of each operator but equality: for other operands, for Int
-# operands. `l > r` is `r < l`, and `l` is still evaluated first.
-_BINARY = {"&&": (terms.mk_and,) * 2, "||": (terms.mk_or,) * 2,
-           "+": (terms.mk_add,) * 2, "-": (terms.mk_sub,) * 2, "*": (terms.mk_mul,) * 2,
-           "<": (terms.mk_ult, terms.mk_lt), "<=": (terms.mk_ule, terms.mk_le),
-           ">": (lambda l, r: terms.mk_ult(r, l), lambda l, r: terms.mk_lt(r, l)),
-           ">=": (lambda l, r: terms.mk_ule(r, l), lambda l, r: terms.mk_le(r, l))}
+# The constructor of each operator but equality; each picks its SMT-LIB name
+# from the operand sort. `l > r` is `r < l`, and `l` is still evaluated first.
+_BINARY = {"&&": terms.mk_and, "||": terms.mk_or,
+           "+": terms.mk_add, "-": terms.mk_sub, "*": terms.mk_mul,
+           "<": terms.mk_lt, "<=": terms.mk_le,
+           ">": lambda l, r: terms.mk_lt(r, l), ">=": lambda l, r: terms.mk_le(r, l)}
 
 
 # ---------------------------------------------------------------------------

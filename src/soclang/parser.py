@@ -378,31 +378,27 @@ class _Parser:
                 else:
                     e = ast.FieldAccess(self.span_from(start), e, name.lexeme)
             elif self.at("["):
+                # `[index]`, `[hi downto lo]`, either followed by `:= value`
                 self.advance()
-                first = self.expr()
+                index = self.expr()
+                hi = value = None
                 if self.at("downto"):
                     self.advance()
-                    hi = self._const_of(first)
-                    lo = self.int_const("slice bound")
-                    if self.at(":="):
-                        self.advance()
-                        value = self.expr()
-                        self.expect("]")
-                        e = ast.SliceUpdate(self.span_from(start), e, hi, lo, value)
-                    else:
-                        self.expect("]")
-                        e = ast.Slice(self.span_from(start), e, hi, lo)
-                    if hi < lo:
-                        raise ParseError(
-                            e.span, f"slice bounds must satisfy hi >= lo, got {hi} downto {lo}")
-                elif self.at(":="):
+                    hi, lo = self._const_of(index), self.int_const("slice bound")
+                if self.at(":="):
                     self.advance()
                     value = self.expr()
-                    self.expect("]")
-                    e = ast.IndexUpdate(self.span_from(start), e, first, value)
+                self.expect("]")
+                span = self.span_from(start)
+                if hi is None:
+                    e = ast.Index(span, e, index) if value is None else \
+                        ast.IndexUpdate(span, e, index, value)
+                elif hi < lo:
+                    raise ParseError(
+                        span, f"slice bounds must satisfy hi >= lo, got {hi} downto {lo}")
                 else:
-                    self.expect("]")
-                    e = ast.Index(self.span_from(start), e, first)
+                    e = ast.Slice(span, e, hi, lo) if value is None else \
+                        ast.SliceUpdate(span, e, hi, lo, value)
             else:
                 return e
 
@@ -460,19 +456,17 @@ class _Parser:
             return self.printf_expr()
         if self.at_kind(TokKind.IDENT):
             name = self.advance()
-            if name.lexeme in _WIDTH_BUILTINS and self.at("<"):
-                self.advance()
-                w = self.int_const("target width")
-                self.expect(">")
+            if name.lexeme in _WIDTH_BUILTINS and self.at("<") or \
+                    name.lexeme == "to_int" and self.at("("):
+                width = None
+                if self.at("<"):
+                    self.advance()
+                    width = self.int_const("target width")
+                    self.expect(">")
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return ast.Builtin(self.span_from(t), name.lexeme, w, arg)
-            if name.lexeme == "to_int" and self.at("("):
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return ast.Builtin(self.span_from(t), "to_int", None, arg)
+                return ast.Builtin(self.span_from(t), name.lexeme, width, arg)
             if self.at("("):
                 args = self.call_args()
                 return ast.Call(self.span_from(t), [name.lexeme], args)

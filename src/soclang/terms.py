@@ -269,26 +269,18 @@ def mk_eq(a: Term, b: Term) -> Term:
     return Bin(BOOL_SORT, "=", a, b)
 
 
-def _compare(op: str, fold, a: Term, b: Term) -> Term:
+def _compare(bv_op: str, int_op: str, fold, a: Term, b: Term) -> Term:
     if isinstance(a, (BVC, IntC)) and isinstance(b, (BVC, IntC)):
         return mk_bool(fold(a.value, b.value))
-    return Bin(BOOL_SORT, op, a, b)
-
-
-def mk_ult(a: Term, b: Term) -> Term:
-    return _compare("bvult", operator.lt, a, b)
-
-
-def mk_ule(a: Term, b: Term) -> Term:
-    return _compare("bvule", operator.le, a, b)
+    return Bin(BOOL_SORT, int_op if a.sort == INT_SORT else bv_op, a, b)
 
 
 def mk_lt(a: Term, b: Term) -> Term:
-    return _compare("<", operator.lt, a, b)
+    return _compare("bvult", "<", operator.lt, a, b)
 
 
 def mk_le(a: Term, b: Term) -> Term:
-    return _compare("<=", operator.le, a, b)
+    return _compare("bvule", "<=", operator.le, a, b)
 
 
 def _arith(bv_op: str, int_op: str, fold, a: Term, b: Term) -> Term:

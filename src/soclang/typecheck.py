@@ -7,7 +7,7 @@ checked for cycles and purity violations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from . import ast
 from .ast import MAX_NESTING
@@ -32,10 +32,19 @@ class UserCall(ast.Node):
     __slots__ = ("inst_path", "module", "fn")  # inst_path empty: the current module
 
 
+# What a position forbids in a type: a message for each class of part.
+_STATE_VALUE = {ast.ArrayType: "state values may not contain arrays",
+                ast.UnitType: "state values may not have unit type"}
+_INDEXED = ("equality on indexed collections is not supported "
+            "(compare elements at an any-chosen index instead)")
+_EQUALITY = {ast.VectorType: _INDEXED, ast.ArrayType: _INDEXED,
+             ast.UnitType: "equality on unit values is not supported"}
+
+
 class PrimCall(ast.Node):
     """Built-in operation on a state/array cell or instance subtree."""
 
-    # op: state_get state_set array_get array_set array_read array_write havoc
+    # op: the method called, get set read write or havoc
     __slots__ = ("op", "inst_path")
 
 
@@ -175,23 +184,15 @@ class Checker:
                 self.fail(raw[name].span, f"type alias cycle through {name!r}")
                 self.aliases[name] = None
 
-        _post_order(raw, lambda name: [n for n in _alias_names(raw[name].type, {}) if n in raw],
+        _post_order(raw, lambda name: [n for n in _alias_names(raw[name].type) if n in raw],
                     self.aliases, finish, cycle)
 
     def _levels(self, t: ast.TypeExpr) -> int:
         """How many levels deep type t nests. Memoized, so a type built from
         types already counted is counted without a walk."""
-        if isinstance(t, ast.VectorType):
-            inner = (t.elem,)
-        elif isinstance(t, ast.RecordType):
-            inner = tuple(ft for _, ft in t.fields)
-        elif isinstance(t, ast.ArrayType):
-            inner = (t.key, t.value)
-        else:
-            return 1
         entry = self.type_levels.get(id(t))
         if entry is None:
-            entry = self.type_levels[id(t)] = t, 1 + max(map(self._levels, inner), default=0)
+            entry = self.type_levels[id(t)] = t, 1 + max(map(self._levels, t.parts()), default=0)
         return entry[1]
 
     def _built(self, t: ast.TypeExpr, span) -> ast.TypeExpr:
@@ -257,7 +258,7 @@ class Checker:
                     self.fail(inst.span, f"unknown module {ref.name!r}")
             elif isinstance(ref, ast.StatePrim):
                 vt = self.resolve_type(ref.value_type, inst.span)
-                self._check_state_value_type(vt, inst.span)
+                self._forbid(vt, _STATE_VALUE, inst.span)
                 ctx = TypingCtx(m, {}, pure=True, init_expr=True)
                 self.depth = 1  # as the parser counts it
                 self.check_expr(ctx, ref.init, vt)
@@ -267,20 +268,17 @@ class Checker:
                 self._built(ast.ArrayType(kt, vt), inst.span)  # as a snapshot
                 if not isinstance(kt, ast.BitIntType):
                     self.fail(inst.span, "Array key type must be BitInt")
-                self._check_state_value_type(vt, inst.span)
+                self._forbid(vt, _STATE_VALUE, inst.span)
         except TypeCheckError:
             pass
 
-    def _check_state_value_type(self, t: ast.TypeExpr, span) -> None:
-        if isinstance(t, ast.ArrayType):
-            raise self.fail(span, "state values may not contain arrays")
-        if isinstance(t, ast.UnitType):
-            raise self.fail(span, "state values may not have unit type")
-        if isinstance(t, ast.RecordType):
-            for _, ft in t.fields:
-                self._check_state_value_type(ft, span)
-        if isinstance(t, ast.VectorType):
-            self._check_state_value_type(t.elem, span)
+    def _forbid(self, t: ast.TypeExpr, messages: dict, span) -> None:
+        """Fail at `span` with the message of the first part of t, in
+        `_walk` order, whose class `messages` names."""
+        for part in _walk(t):
+            message = messages.get(type(part))
+            if message is not None:
+                raise self.fail(span, message)
 
     def check_fn(self, m: ast.ModuleDecl, f: ast.FnDecl) -> None:
         ctx = TypingCtx(m, {}, pure=not f.is_mut)
@@ -306,7 +304,7 @@ class Checker:
         t = self.types[e.node_id] = self._type(ctx, e, expected)
         self.depth = depth
         # Subsumption is type equality only: no implicit widening.
-        if expected is not None and t is not expected and not type_equal(t, expected):
+        if expected is not None and t is not expected and t != expected:
             raise self.fail(e.span, f"type mismatch: expected {expected}, found {t}")
         return t
 
@@ -531,7 +529,7 @@ class Checker:
             return ast.BOOL
         left_t = self._operand_pair(ctx, e.left, e.right)
         if op in ("==", "!="):
-            self._require_equality_capable(left_t, e.span)
+            self._forbid(left_t, _EQUALITY, e.span)
             return ast.BOOL
         if op in ("<", "<=", ">", ">="):
             if not isinstance(left_t, (ast.BitIntType, ast.IntType)):
@@ -563,26 +561,10 @@ class Checker:
             return self._unwidthed(e.left, depth + 1) and self._unwidthed(e.right, depth + 1)
         return False
 
-    def _require_equality_capable(self, t: ast.TypeExpr, span) -> None:
-        if isinstance(t, (ast.VectorType, ast.ArrayType)):
-            raise self.fail(span, "equality on indexed collections is not supported "
-                                  "(compare elements at an any-chosen index instead)")
-        if isinstance(t, ast.UnitType):
-            raise self.fail(span, "equality on unit values is not supported")
-        if isinstance(t, ast.RecordType):
-            for _, ft in t.fields:
-                self._require_equality_capable(ft, span)
-
     # -- calls --------------------------------------------------------------
 
     def _builtin(self, ctx, e: ast.Builtin) -> ast.TypeExpr:
-        if e.name == "to_int":
-            at = self.check_expr(ctx, e.arg)
-            if not isinstance(at, ast.BitIntType):
-                raise self.fail(e.span, f"to_int takes a BitInt, found {at}")
-            return ast.INT
-        assert e.width is not None
-        if e.width < 1:
+        if e.width is not None and e.width < 1:
             raise self.fail(e.span, "target width must be at least 1")
         if e.name == "from_int":
             self.check_expr(ctx, e.arg, ast.INT)
@@ -590,6 +572,8 @@ class Checker:
         at = self.check_expr(ctx, e.arg)
         if not isinstance(at, ast.BitIntType):
             raise self.fail(e.span, f"{e.name} takes a BitInt, found {at}")
+        if e.name == "to_int":
+            return ast.INT
         if e.name == "zero_extend" and e.width < at.width:
             raise self.fail(e.span, f"zero_extend<{e.width}> narrows {at}")
         if e.name == "truncate" and e.width > at.width:
@@ -603,26 +587,18 @@ class Checker:
         target = self._resolve_instance_path(ctx, prefix, e.span)
         if isinstance(target, ast.ModuleDecl):
             if last == "havoc":
-                prim = PrimCall("havoc", tuple(prefix))
-                return self._check_prim_call(ctx, e, prim, [])
+                return self._check_prim_call(ctx, e, PrimCall(last, tuple(prefix)), [])
             return self._check_user_call(ctx, e, target.name, last, tuple(prefix))
         kind, vt, kt = target
-        if kind == "state":
-            ops = {"get": ("state_get", [], vt),
-                   "set": ("state_set", [vt], ast.UNIT),
-                   "havoc": ("havoc", [], ast.UNIT)}
-        else:
-            snapshot = ast.ArrayType(kt, vt)
-            ops = {"get": ("array_get", [], snapshot),
-                   "set": ("array_set", [snapshot], ast.UNIT),
-                   "read": ("array_read", [kt], vt),
-                   "write": ("array_write", [kt, vt], ast.UNIT),
-                   "havoc": ("havoc", [], ast.UNIT)}
+        snapshot = vt if kind == "state" else ast.ArrayType(kt, vt)
+        # Each method of a cell: its parameter types and its result.
+        ops = {"get": ([], snapshot), "set": ([snapshot], ast.UNIT), "havoc": ([], ast.UNIT)}
+        if kind == "array":
+            ops.update(read=([kt], vt), write=([kt, vt], ast.UNIT))
         if last not in ops:
             raise self.fail(e.span, f"unknown operation {last!r} on a {kind} cell")
-        op, param_types, ret = ops[last]
-        prim = PrimCall(op, tuple(prefix))
-        self._check_prim_call(ctx, e, prim, param_types)
+        param_types, ret = ops[last]
+        self._check_prim_call(ctx, e, PrimCall(last, tuple(prefix)), param_types)
         return ret
 
     def _check_prim_call(self, ctx, e: ast.Call, prim: PrimCall, param_types) -> ast.TypeExpr:
@@ -748,20 +724,6 @@ class Checker:
         return levels
 
 
-def type_equal(a: ast.TypeExpr, b: ast.TypeExpr) -> bool:
-    """Structural equality; record fields compare by name, not order."""
-    if isinstance(a, ast.RecordType) and isinstance(b, ast.RecordType):
-        if len(a.fields) != len(b.fields):
-            return False
-        bmap = dict(b.fields)
-        return all(n in bmap and type_equal(t, bmap[n]) for n, t in a.fields)
-    if isinstance(a, ast.VectorType) and isinstance(b, ast.VectorType):
-        return a.length == b.length and type_equal(a.elem, b.elem)
-    if isinstance(a, ast.ArrayType) and isinstance(b, ast.ArrayType):
-        return type_equal(a.key, b.key) and type_equal(a.value, b.value)
-    return a == b
-
-
 def check_program(program: ast.Program) -> TypedProgram:
     """Type-check a parsed program; raises TypeErrors on failure."""
     return Checker(program).run()
@@ -791,16 +753,18 @@ def _post_order(roots, successors, finished: dict, finish, cycle) -> None:
                 todo.append(iter(successors(succ)))
 
 
-def _alias_names(t: ast.TypeExpr, names: dict) -> dict:
-    """`names` with each name that written type t refers to added, in order."""
-    if isinstance(t, ast.AliasRef):
-        names[t.name] = None
-    elif isinstance(t, ast.VectorType):
-        _alias_names(t.elem, names)
-    elif isinstance(t, ast.RecordType):
-        for _, ft in t.fields:
-            _alias_names(ft, names)
-    elif isinstance(t, ast.ArrayType):
-        _alias_names(t.key, names)
-        _alias_names(t.value, names)
-    return names
+def _walk(t: ast.TypeExpr) -> Iterator[ast.TypeExpr]:
+    """t, then each type it is made of, in pre-order. A part that occurs
+    twice (through an alias, say) is walked once."""
+    seen, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            yield t
+            todo.extend(reversed(t.parts()))
+
+
+def _alias_names(t: ast.TypeExpr) -> dict:
+    """The names that written type t refers to, in order."""
+    return dict.fromkeys(p.name for p in _walk(t) if isinstance(p, ast.AliasRef))

@@ -5,7 +5,7 @@ import pytest
 from soclang import ast
 from soclang.diagnostics import TypeErrors
 from soclang.parser import parse_program
-from soclang.typecheck import Checker, TypingCtx, check_program, type_equal
+from soclang.typecheck import Checker, TypingCtx, check_program
 
 from conftest import CORPUS, call_chain, module_of, parse_expr
 from printer import walk
@@ -175,7 +175,7 @@ def test_operands_widths_always_equal_on_corpus():
                             "+", "-", "*", "<", "<=", ">", ">=", "==", "!="):
                         lt = tp.types[node.left.node_id]
                         rt = tp.types[node.right.node_id]
-                        assert type_equal(lt, rt), (path.name, node.op, lt, rt)
+                        assert lt == rt, (path.name, node.op, lt, rt)
 
 
 def test_infer_and_check_expr_api():
