@@ -43,6 +43,18 @@ def restart_node_ids() -> None:
 # level, so a model that passes `check` runs within the interpreter's stack.
 MAX_NESTING = 128
 
+# The widest bit width a model may name, in a `BitInt(w)` type, a `u<w>`
+# suffix or a built-in's `<w>`: far past any register, and narrow enough
+# that a value of every width is cheap to build.
+MAX_WIDTH = 4096
+
+
+def width_problem(width: int) -> Optional[str]:
+    """Why `width` is not a bit width (`must be ...`), or None if it is."""
+    if width < 1:
+        return "must be at least 1"
+    return f"must be at most {MAX_WIDTH}" if width > MAX_WIDTH else None
+
 
 # Fields that locate or present a node; equality, hashing and repr skip them.
 _UNCOMPARED = frozenset({"span", "node_id", "hex"})

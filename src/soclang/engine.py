@@ -307,7 +307,7 @@ def _leaf_text(v: Term, t: Optional[ast.TypeExpr]) -> str:
     if isinstance(v, terms.BoolC):
         return "true" if v.value else "false"
     if isinstance(v, terms.IntC):
-        return str(v.value)
+        return terms.decimal(v.value)
     if not isinstance(v, terms.BVC):
         raise EngineError("internal: symbolic value in a concrete run")
     if isinstance(t, ast.EnumRef):

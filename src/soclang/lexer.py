@@ -12,7 +12,7 @@ import re
 from enum import Enum, auto
 from typing import List, NoReturn, Optional
 
-from .ast import SourceSpan
+from .ast import SourceSpan, width_problem
 from .diagnostics import LexError
 
 KEYWORDS = {
@@ -169,13 +169,17 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
 def _number(m: re.Match, filename: str, line: int, col: int, source: str) -> Token:
     tok = Literal(TokKind.INT, m.group("number"), filename, line, col,
                   is_hex=m.group("hex") is not None)
-    body = m.group("digits")
-    tok.value = int(body.replace("_", ""), 16 if tok.is_hex else 10)
-    # A u<width> suffix binds to the literal: 0x1f_ffffu31
-    if m.group("width") is not None:
-        tok.width = int(m.group("width"))
-        if tok.width < 1:
-            raise LexError(tok.span, "bit width must be at least 1")
+    body, width = m.group("digits"), m.group("width")
+    try:
+        tok.value = int(body.replace("_", ""), 16 if tok.is_hex else 10)
+        # A u<width> suffix binds to the literal: 0x1f_ffffu31
+        tok.width = None if width is None else int(width)
+    except ValueError:  # more decimal digits than int() converts
+        raise LexError(tok.span, "number literal has too many digits") from None
+    if tok.width is not None:
+        problem = width_problem(tok.width)
+        if problem is not None:
+            raise LexError(tok.span, f"bit width {problem}")
         if tok.value >= (1 << tok.width):
             raise LexError(tok.span, f"literal {body} does not fit in {tok.width} bits")
     if source[m.end():m.end() + 1] in _IDENT_START:

@@ -271,8 +271,9 @@ class _Parser:
             self.expect("(")
             w = self.int_const("bit width")
             self.expect(")")
-            if w < 1:
-                raise ParseError(t.span, "BitInt width must be at least 1")
+            problem = ast.width_problem(w)
+            if problem is not None:
+                raise ParseError(t.span, f"BitInt width {problem}")
             return ast.BitIntType(w)
         if name == "Vector":
             self.expect("<")

@@ -58,7 +58,8 @@ def _has_int(sort: tuple) -> bool:
 _ATOM_TEXT: Dict[type, Callable[[Term], str]] = {
     terms.BoolC: lambda t: "true" if t.value else "false",
     terms.BVC: lambda t: f"(_ bv{t.value} {t.sort[1]})",
-    terms.IntC: lambda t: str(t.value) if t.value >= 0 else f"(- {-t.value})",
+    terms.IntC: lambda t: (terms.decimal(t.value) if t.value >= 0
+                           else f"(- {terms.decimal(-t.value)})"),
     terms.Var: lambda t: t.name,
 }
 
@@ -389,7 +390,7 @@ def _leaf_sort(node) -> Optional[tuple]:
         return terms.INT_SORT
     if _app(node, "_", 3) and node[1] == "BitVec":
         width = _numeral(node[2])
-        if width:
+        if width is not None and ast.width_problem(width) is None:
             return terms.bv_sort(width)
     return None
 

@@ -23,6 +23,8 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Tuple
 
+from .diagnostics import ToolError
+
 BOOL_SORT = ("bool",)
 INT_SORT = ("int",)
 
@@ -235,6 +237,15 @@ def mk_bv(width: int, value: int) -> Term:
 
 def mk_int(value: int) -> Term:
     return IntC(INT_SORT, value)
+
+
+def decimal(value: int) -> str:
+    """An Int constant's decimal text; past str()'s digit limit, a ToolError."""
+    try:
+        return str(value)
+    except ValueError:
+        bits = value.bit_length()
+        raise ToolError(f"Int value of {bits} bits is too long to write in decimal") from None
 
 
 def mk_not(a: Term) -> Term:

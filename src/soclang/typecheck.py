@@ -564,8 +564,9 @@ class Checker:
     # -- calls --------------------------------------------------------------
 
     def _builtin(self, ctx, e: ast.Builtin) -> ast.TypeExpr:
-        if e.width is not None and e.width < 1:
-            raise self.fail(e.span, "target width must be at least 1")
+        problem = None if e.width is None else ast.width_problem(e.width)
+        if problem is not None:
+            raise self.fail(e.span, f"target width {problem}")
         if e.name == "from_int":
             self.check_expr(ctx, e.arg, ast.INT)
             return ast.BitIntType(e.width)

@@ -214,6 +214,62 @@ def test_check_bad_number_is_a_located_diagnostic(tmp_path, case):
     assert "Traceback" not in err
 
 
+# Numbers the toolchain does not build, each one `error:` line and exit 1
+# from every command that reaches it: a bit width past `ast.MAX_WIDTH`,
+# checked where the width is read; decimal text past the interpreter's digit
+# limit; an Int constant too long to print or to emit in decimal; and a model
+# sort past the width budget. `{file}` is the model, `{tmp}` the test's
+# directory, and `zeros.smt2` there an empty solver model.
+HUGE, DIGITS, HEX_INT = "100000000000000", "9" * 5000, "0x" + "f" * 4000
+HUGE_NUMBERS = {
+    "BitInt width": (f"let x: BitInt({HUGE}) = 5", ["check", "{file}"],
+                     ":3:12: error: BitInt width must be at most 4096"),
+    "u suffix": (f"let x = 5u{HUGE}", ["check", "{file}"],
+                 ":3:13: error: bit width must be at most 4096"),
+    "built-in width": (f"let x = zero_extend<{HUGE}>(1u8)", ["check", "{file}"],
+                       ":3:13: error: target width must be at most 4096"),
+    "run of a wide any": (f"let x = any<BitInt({HUGE}000000)>",
+                          ["run", "{file}", "--scenario", "go"],
+                          ":3:17: error: BitInt width must be at most 4096"),
+    "trace of a wide any": (f"let x = any<BitInt({HUGE}000000)>",
+                            ["trace", "{file}", "--scenario", "go", "--model", "{tmp}/zeros.smt2"],
+                            ":3:17: error: BitInt width must be at most 4096"),
+    "5,000-digit value": (f"let x: Int = {DIGITS}", ["check", "{file}"],
+                          ":3:18: error: number literal has too many digits"),
+    "5,000-digit BitInt width": (f"let x: BitInt({DIGITS}) = 1", ["check", "{file}"],
+                                 ":3:19: error: number literal has too many digits"),
+    "5,000-digit suffix": (f"let x = 1u{DIGITS}", ["check", "{file}"],
+                           ":3:13: error: number literal has too many digits"),
+    "Int too long to print": (f'let n: Int = {HEX_INT};\n    printf("{{n}}")',
+                              ["run", "{file}", "--scenario", "go"],
+                              "error: Int value of 16000 bits is too long to write in decimal"),
+    "Int too long to emit": (f"let n = any<Int>;\n    assert(n != {HEX_INT})",
+                             ["verify", "{file}", "--scenario", "go",
+                              "--solver", "sh -c 'echo unknown'"],
+                             "error: Int value of 16000 bits is too long to write in decimal"),
+    "model sort past the width budget": (
+        None, ["trace", FIXED, "--scenario", "base_case", "--model", "{tmp}/wide.smt2"],
+        "error: model value of c5_0: unsupported sort (_ BitVec 100000000000000000000)"),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_NUMBERS))
+def test_numbers_past_the_budget_are_one_error_line(tmp_path, capsys, case):
+    from soclang import cli
+
+    item, argv, where = HUGE_NUMBERS[case]
+    path = tmp_path / "n.soc"
+    path.write_text(_in_go(item or "()"))
+    (tmp_path / "zeros.smt2").write_text("")
+    (tmp_path / "wide.smt2").write_text(
+        "((define-fun c5_0 () (_ BitVec 100000000000000000000) (_ bv0 100000000000000000000)))")
+    argv = [a.replace("{file}", str(path)).replace("{tmp}", str(tmp_path)) for a in argv]
+    expected = (where if where.startswith("error:") else f"{path}{where}") + "\n"
+    assert run_cli(*argv) == (1, "", expected)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", expected)
+
+
 # Syntax errors where the parser looks ahead or runs out of input: each
 # `check` diagnostic is pinned whole, message and location.
 CUT_SHORT = {

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soclang import lexer
+from soclang.ast import MAX_WIDTH
 from soclang.diagnostics import LexError
 from soclang.lexer import TokKind, tokenize
 from soclang.parser import parse_program
@@ -55,6 +56,10 @@ def test_literal_exceeding_declared_width_is_an_error():
 
 def test_width_boundary_is_accepted():
     assert tokenize("0xffffu16")[0].value == 0xFFFF
+
+
+def test_width_budget_boundary_is_accepted():
+    assert tokenize(f"1u{MAX_WIDTH}")[0].width == MAX_WIDTH
 
 
 def test_zero_width_suffix_rejected():
@@ -149,6 +154,10 @@ MALFORMED = {
     "hex underscore first": ("0x_1", "expected hex digits after 0x", (1, 1, 1, 3)),
     "hex without digits": ("0xg", "expected hex digits after 0x", (1, 1, 1, 3)),
     "zero width": ("1u0", "bit width must be at least 1", (1, 1, 1, 4)),
+    "width past the budget": ("1u4097", "bit width must be at most 4096", (1, 1, 1, 7)),
+    "5,000-digit value": ("9" * 5000, "number literal has too many digits", (1, 1, 1, 5001)),
+    "5,000-digit width": ("1u" + "9" * 5000, "number literal has too many digits",
+                          (1, 1, 1, 5003)),
     "too wide": ("0x1_0000u16", "literal 0x1_0000 does not fit in 16 bits",
                  (1, 1, 1, 12)),
     "decimal too wide": ("x = 256u8;", "literal 256 does not fit in 8 bits",
