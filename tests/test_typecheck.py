@@ -336,6 +336,34 @@ def test_the_first_offending_part_of_a_type_is_reported(decl, report):
     assert [e.report() for e in errors_of(source)] == [f"t.soc:{report}"]
 
 
+# Type equality is `==`: a record type is the set of its (name, type) fields.
+def test_record_types_are_equal_as_sets_of_fields():
+    ab = ast.RecordType((("a", ast.BOOL), ("b", ast.INT)))
+    ba = ast.RecordType((("b", ast.INT), ("a", ast.BOOL)))
+    assert ab == ba and hash(ab) == hash(ba)
+    assert ast.VectorType(ab, 2) == ast.VectorType(ba, 2)
+    assert ab != ast.RecordType((("a", ast.BOOL), ("b", ast.BOOL)))
+    assert ab != ast.RecordType((("a", ast.BOOL),))
+    assert ab != ast.RecordType((("a", ast.BOOL), ("c", ast.INT)))
+    assert ab != ast.VectorType(ast.BOOL, 2)
+
+
+# T<i> holds T<i-1> twice, so T60 written out has 2^60 leaves; the checks
+# that search a type walk each of its 61 distinct parts once.
+def test_a_type_that_shares_its_parts_is_walked_once_per_part(monkeypatch):
+    n = 60
+    source = "type T0 = Bool;\n" + "".join(
+        f"type T{i} = {{ a: T{i - 1}, b: T{i - 1} }};\n" for i in range(1, n + 1)) + (
+        f"module Main {{\n  instance s: Array<BitInt(2), T{n}>;\n"
+        f"  fn f(x: T{n}) -> Bool {{ x == x }}\n}}\n")
+    walked, parts = [], ast.RecordType.parts
+    monkeypatch.setattr(ast.RecordType, "parts", lambda t: walked.append(t) or parts(t))
+    check_program(parse_program(source))
+    # The aliases' written types, then the resolved type's levels, the
+    # state value's walk and equality's walk.
+    assert len(walked) == 4 * n
+
+
 def test_scenarios_listed():
     tp = check_program(parse_program("""
 module Main {
