@@ -188,11 +188,12 @@ class Checker:
                     self.aliases, finish, cycle)
 
     def _levels(self, t: ast.TypeExpr) -> int:
-        """How many levels deep type t nests. Memoized, so a type built from
-        types already counted is counted without a walk."""
-        entry = self.type_levels.get(id(t))
+        """How many levels deep type t nests. Memoized for a composite type,
+        so one built from types already counted is counted without a walk."""
+        parts = t.parts()
+        entry = self.type_levels.get(id(t)) if parts else (t, 1)
         if entry is None:
-            entry = self.type_levels[id(t)] = t, 1 + max(map(self._levels, t.parts()), default=0)
+            entry = self.type_levels[id(t)] = t, 1 + max(map(self._levels, parts))
         return entry[1]
 
     def _built(self, t: ast.TypeExpr, span) -> ast.TypeExpr:
