@@ -284,6 +284,109 @@ def test_int_reached_only_through_an_atom_switches_the_logic():
         f"(assert (= c100_0 (- 3)))\n{_FOOTER}")
 
 
+# Emission marks each compound node in place; these pin that the marks of
+# one emission never change the text of the next.
+
+
+def _unrolled_vc(variant: str, steps: int) -> eng.VerificationCondition:
+    tp, tree, layout = load_source(unrolled_mini_tx1(variant, steps))
+    return eng.sym_exec(tp, tree, layout, "test_secure_area_unchanged")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_a_vc_emitted_twice_gives_its_pinned_bytes_both_times():
+    vc = _unrolled_vc("vulnerable", 8)
+    pin = UNROLL_SMTLIB_SHA256["vulnerable", 8]
+    assert _sha256(emit_smtlib(vc)) == pin
+    assert _sha256(emit_smtlib(vc)) == pin
+
+
+def test_vcs_sharing_subterms_emitted_alternately_give_their_own_bytes():
+    # `s` and `arr` are bound in the first VC, which reaches each twice, and
+    # written in place in the second, which reaches each once.
+    bool_, bv4 = terms.BOOL_SORT, terms.bv_sort(4)
+    x, y = terms.Var(bv4, "100_0"), terms.Var(bv4, "101_0")
+    s = terms.Bin(bv4, "bvadd", x, y)
+    arr = terms.SparseConst(terms.arr_sort(2, bv4), mk_bv(4, 0), ((1, s),))
+    read = terms.ArrRead(bv4, arr, mk_bv(2, 1))
+    first = terms.Bin(bool_, "and", terms.Bin(bool_, "=", s, read),
+                      terms.Bin(bool_, "=", read, terms.ArrRead(bv4, arr, x)))
+    second = terms.Not(bool_, terms.Bin(bool_, "bvult", read, y))
+    const = "(store ((as const (Array (_ BitVec 2) (_ BitVec 4))) (_ bv0 4)) (_ bv1 2) t0)"
+    texts = {
+        first: (f"{_HEADER}(assert (let ((t0 (bvadd c100_0 c101_0)))\n"
+                f"  (let ((t1 {const}))\n"
+                f"  (let ((t2 (select t1 (_ bv1 2))))\n"
+                f"  (and (= t0 t2) (= t2 (select t1 c100_0)))))))\n{_FOOTER}"),
+        second: (f"{_HEADER}(assert (not (bvult (select (store ((as const (Array "
+                 f"(_ BitVec 2) (_ BitVec 4))) (_ bv0 4)) (_ bv1 2) (bvadd c100_0 "
+                 f"c101_0)) (_ bv1 2)) c101_0)))\n{_FOOTER}"),
+    }
+    for root in [first, second, first, second, second, first]:
+        assert emit_smtlib(_vc_of_root(Registry(), root)) == texts[root]
+
+
+class _Cut(Exception):
+    pass
+
+
+def test_an_emission_cut_short_does_not_change_the_next():
+    vc = _unrolled_vc("vulnerable", 8)
+    pieces: list = []
+    smtlib.write_smtlib(vc, pieces.append)
+    pin = UNROLL_SMTLIB_SHA256["vulnerable", 8]
+    assert _sha256("".join(pieces)) == pin
+    for cut in [0, 1, 3, len(pieces) // 2, len(pieces) - 2, len(pieces) - 1]:
+        written: list = []
+
+        def write(text: str) -> None:
+            if len(written) == cut:
+                raise _Cut
+            written.append(text)
+
+        with pytest.raises(_Cut):
+            smtlib.write_smtlib(vc, write)
+        assert written == pieces[:cut]
+        assert _sha256(emit_smtlib(vc)) == pin
+
+
+# Each term class's dataclass fields, which `Term.__repr__`, constant
+# equality and hashing, and the benchmark's DAG counts read.
+TERM_FIELDS = {
+    terms.Term: ("sort",),
+    terms.BoolC: ("sort", "value"),
+    terms.BVC: ("sort", "value"),
+    terms.IntC: ("sort", "value"),
+    terms.Var: ("sort", "vid"),
+    terms.Not: ("sort", "arg"),
+    terms.Bin: ("sort", "op", "left", "right"),
+    terms.Ite: ("sort", "cond", "then", "other"),
+    terms.Extract: ("sort", "hi", "lo", "arg"),
+    terms.ZeroExt: ("sort", "arg"),
+    terms.Bv2Int: ("sort", "arg"),
+    terms.Int2Bv: ("sort", "arg"),
+    terms.ArrRead: ("sort", "arr", "key"),
+    terms.ArrWrite: ("sort", "arr", "key", "value"),
+    terms.SparseConst: ("sort", "default", "mods"),
+}
+
+
+def test_the_emitters_mark_is_no_term_field():
+    import dataclasses
+    for cls, names in TERM_FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    # Emission marks one of two equal constant arrays, which stay equal.
+    sort = terms.arr_sort(2, terms.bv_sort(4))
+    a = terms.SparseConst(sort, mk_bv(4, 0), ((1, mk_bv(4, 5)),))
+    b = terms.SparseConst(sort, mk_bv(4, 0), ((1, mk_bv(4, 5)),))
+    emit_smtlib(_vc_of_root(Registry(), terms.Bin(terms.BOOL_SORT, "=", a, a)))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+
+
 # -- model parsing ---------------------------------------------------------------
 
 
