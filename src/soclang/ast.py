@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Optional
+from typing import Iterable, List, Optional
 
 _node_ids = itertools.count()
 
@@ -54,6 +54,21 @@ def width_problem(width: int) -> Optional[str]:
     if width < 1:
         return "must be at least 1"
     return f"must be at most {MAX_WIDTH}" if width > MAX_WIDTH else None
+
+
+def number_text(value: int) -> str:
+    """A literal's value as a message writes it: in decimal, or in hex past
+    the digits `str()` converts, since a hex literal may be that long."""
+    try:
+        return str(value)
+    except ValueError:
+        return hex(value)
+
+
+# A type's text in a message is cut after this many characters: a type that
+# names one alias twice per level is a DAG whose text as a tree doubles in
+# length with each level.
+TYPE_TEXT_LIMIT = 200
 
 
 # Fields that locate or present a node; equality, hashing and repr skip them.
@@ -110,13 +125,36 @@ SYNTHETIC = SourceSpan("<synthetic>", 0, 0, 0, 0, synthetic=True)
 
 
 class TypeExpr(Node):
-    """Base class for type expressions."""
+    """Base class for type expressions. A scalar type gives its text by
+    `__str__`, a composite one by `pieces`."""
 
     __slots__ = ()
 
     def parts(self) -> tuple:
         """The types this type is made of, in order; none for a scalar."""
         return ()
+
+    def pieces(self) -> Iterable:
+        """This type's text: strings, with the types it is made of between."""
+        return (str(self),)
+
+    def __str__(self) -> str:
+        """The text of a composite type, cut after `TYPE_TEXT_LIMIT`
+        characters. The walk stops there, so its time is linear in what it
+        writes, and it keeps its own stack, so any depth writes."""
+        out: List[str] = []
+        size, stack = 0, [iter(self.pieces())]
+        while stack and size <= TYPE_TEXT_LIMIT:
+            piece = next(stack[-1], None)
+            if piece is None:
+                stack.pop()
+            elif isinstance(piece, str):
+                out.append(piece)
+                size += len(piece)
+            else:
+                stack.append(iter(piece.pieces()))
+        text = "".join(out)
+        return text if size <= TYPE_TEXT_LIMIT else text[:TYPE_TEXT_LIMIT] + "..."
 
 
 class BoolType(TypeExpr):
@@ -172,8 +210,8 @@ class AliasRef(TypeExpr):
 class VectorType(TypeExpr):
     __slots__ = ("elem", "length")  # length >= 0
 
-    def __str__(self) -> str:
-        return f"Vector<{self.elem}, {self.length}>"
+    def pieces(self) -> Iterable:
+        return ("Vector<", self.elem, f", {number_text(self.length)}>")
 
     def parts(self) -> tuple:
         return (self.elem,)
@@ -190,9 +228,12 @@ class RecordType(TypeExpr):
     def __hash__(self) -> int:
         return hash(frozenset(self.fields))
 
-    def __str__(self) -> str:
-        inner = ", ".join(f"{n}: {t}" for n, t in self.fields)
-        return "{ " + inner + " }"
+    def pieces(self) -> Iterable:
+        yield "{ "
+        for i, (n, t) in enumerate(self.fields):
+            yield f", {n}: " if i else f"{n}: "
+            yield t
+        yield " }"
 
     def parts(self) -> tuple:
         return tuple(t for _, t in self.fields)
@@ -209,8 +250,8 @@ class ArrayType(TypeExpr):
 
     __slots__ = ("key", "value")
 
-    def __str__(self) -> str:
-        return f"Array<{self.key}, {self.value}>"
+    def pieces(self) -> Iterable:
+        return ("Array<", self.key, ", ", self.value, ">")
 
     def parts(self) -> tuple:
         return (self.key, self.value)

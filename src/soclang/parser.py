@@ -396,7 +396,8 @@ class _Parser:
                         ast.IndexUpdate(span, e, index, value)
                 elif hi < lo:
                     raise ParseError(
-                        span, f"slice bounds must satisfy hi >= lo, got {hi} downto {lo}")
+                        span, f"slice bounds must satisfy hi >= lo, "
+                        f"got {ast.number_text(hi)} downto {ast.number_text(lo)}")
                 else:
                     e = ast.Slice(span, e, hi, lo) if value is None else \
                         ast.SliceUpdate(span, e, hi, lo, value)

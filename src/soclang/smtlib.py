@@ -2,11 +2,11 @@
 solver process, parse the model it returns. Jobs and verdicts are `ast.Node`
 classes: slotted, with `==` and `repr` over their fields.
 
-Emission makes two passes over the term DAG. The first counts references
-to each compound node, keyed by the node itself (a `SparseConst`, which
-hashes by value, by its `id()`). The second hands the text to a `write`
-callable, each let-binding as soon as it is made: `verify` streams the
-query into the solver's file.
+Emission makes two passes over the term DAG and keeps no table of its
+nodes and no `id()` key: each pass marks a compound node in its own `mark`
+slot. The first stamps each node as reached once or again. The second hands
+the text to a `write` callable, each let-binding as soon as it is made:
+`verify` streams the query into the solver's file.
 
 `run_solver` imports `subprocess` and `shlex` itself: `trace` parses a model
 and never starts a solver, so it does not load them.
@@ -64,38 +64,38 @@ _ATOM_TEXT: Dict[type, Callable[[Term], str]] = {
 }
 
 
-def _count_refs(root: Term) -> Tuple[Dict[object, int], List[Term], bool]:
-    """Pass 1 of the emitter: the references to each compound node, the
-    compound nodes children first, and whether an Int sort is reachable.
+def _mark_refs(root: Term, once: object, again: object) -> Tuple[List[Term], bool]:
+    """Pass 1 of the emitter: the compound nodes children first, and whether
+    an Int sort is reachable.
 
-    The walk is iterative, so term depth has no limit. A compound node is
-    its own key, since it hashes by identity, except a `SparseConst`, which
-    hashes by value and is keyed by `id()`. Atoms are never let-bound, so
-    they are not counted; only their sort is looked at.
+    The walk is iterative, so term depth has no limit. A compound node's
+    mark becomes `once` when first reached and `again` when reached again;
+    a mark left by another call, whole or cut short, reads as not seen.
+    Atoms are never let-bound, so they are not marked; only their sort is
+    looked at. The root is reached once, so it needs no stamp.
     """
-    refcount: Dict[object, int] = {root: 1}  # a Bool: not a SparseConst, not Int
     order: List[Term] = []
     has_int = False
+    # The root is a Bool: not a SparseConst, not Int.
     stack = [] if type(root) in _ATOM_TEXT else [(root, iter(terms.children(root)))]
     while stack:
         node, kids = stack[-1]
         for child in kids:
             if child.sort == terms.INT_SORT:
                 has_int = True
-            cls = type(child)
-            if cls in _ATOM_TEXT:
+            if type(child) in _ATOM_TEXT:
                 continue
-            key = id(child) if cls is terms.SparseConst else child
-            if key in refcount:
-                refcount[key] += 1
+            mark = child.mark
+            if mark is once or mark is again:
+                child.mark = again
                 continue
-            refcount[key] = 1
+            child.mark = once
             stack.append((child, iter(terms.children(child))))
             break
         else:
             stack.pop()
             order.append(node)
-    return refcount, order, has_int
+    return order, has_int
 
 
 def _sparse_const_text(t: terms.SparseConst, n: Callable[[Term], str]) -> str:
@@ -125,40 +125,40 @@ def write_smtlib(vc: VerificationCondition, write: Callable[[str], object]) -> N
     """Self-contained SMT-LIB v2 text for a verification condition, handed
     to `write` piece by piece, every shared compound subterm let-bound.
 
-    Pass 1 (`_count_refs`) counts references to the compound nodes. Pass 2
-    writes the header, the declarations and each `(let ((tN ...))` as soon
-    as it is made, then the root. The text of a node used once is held
-    only until its one parent takes it; the whole query is never held.
+    Pass 1 (`_mark_refs`) stamps the compound nodes with this call's own
+    stamps. Pass 2 writes the header, the declarations and each
+    `(let ((tN ...))` as soon as it is made, then the root. A let-bound
+    node's mark holds its name; a node used once holds its text only until
+    its one parent takes it, so the whole query is never held.
     """
+    once, again = object(), object()
     root = vc.query_term()
-    refcount, order, has_int = _count_refs(root)
+    order, has_int = _mark_refs(root, once, again)
     has_int = has_int or any(_has_int(i.sort) for i in vc.registry.infos)
     write(f"(set-logic {'ALL' if has_int else 'QF_ABV'})\n"
           "(set-option :produce-models true)\n")
     for info in vc.registry.infos:
         write(f"(declare-const c{info.vid} {_sort_text(info.sort)})\n")
     write("(assert ")
-    names: Dict[object, str] = {}   # let-bound nodes
-    single: Dict[object, str] = {}  # texts of nodes used once, until taken
 
     def text(x: Term) -> str:
-        cls = type(x)
-        atom = _ATOM_TEXT.get(cls)
+        atom = _ATOM_TEXT.get(type(x))
         if atom is not None:
             return atom(x)
-        key = id(x) if cls is terms.SparseConst else x
-        return single.pop(key, None) or names[key]
+        t = x.mark
+        if t[0] == "(":  # a node's text, not a let name `tN`: taken once
+            x.mark = None
+        return t
 
     lets = 0
     for node in order:
         body = _NODE_TEXT[type(node)](node, text)
-        key = id(node) if type(node) is terms.SparseConst else node
-        if refcount[key] > 1:
-            names[key] = name = f"t{lets}"
+        if node.mark is again:
+            node.mark = name = f"t{lets}"
             lets += 1
             write(f"(let (({name} {body}))\n  ")
         else:
-            single[key] = body
+            node.mark = body
     write(text(root))
     write(")" * lets + ")\n(check-sat)\n(get-model)\n")
 

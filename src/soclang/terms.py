@@ -8,7 +8,10 @@ everything else is left to the solver.
 Terms are dataclasses with hand-written `__slots__` (`slots=True` would
 build each class twice and leave the first as cyclic garbage), cheap to
 build, and immutable by convention: no code assigns to a term's field
-after construction. Constants (`BoolC`,
+after construction. The one exception is the emitter's scratch slot,
+`Compound.mark`, which is no field: only `smtlib.write_smtlib` reads or
+writes it, it means something only during one such call, and only one
+emission may run at a time on a DAG. Constants (`BoolC`,
 `BVC`, `IntC`, `SparseConst`) are the values of concrete runs, solver models
 and run results, so they compare and hash by value. Every other term compares
 and hashes by identity (eq=False): large merged states share subterms as a
@@ -88,14 +91,25 @@ class Var(Term):
         return f"c{self.vid}"
 
 
+class Compound(Term):
+    """A term with subterms, which the emitter may let-bind. `mark` is the
+    emitter's scratch slot (see the module docstring): not a dataclass
+    field, so no repr, equality, hash or `fields` sees it."""
+
+    __slots__ = ("mark",)
+
+    def __post_init__(self) -> None:
+        self.mark = None
+
+
 @dataclass(eq=False, repr=False)
-class Not(Term):
+class Not(Compound):
     __slots__ = ("arg",)
     arg: Term
 
 
 @dataclass(eq=False, repr=False)
-class Bin(Term):
+class Bin(Compound):
     __slots__ = ("op", "left", "right")
     op: str  # SMT-LIB name: and or = bvult bvule < <= bvadd + bvsub - bvmul *
     left: Term
@@ -103,7 +117,7 @@ class Bin(Term):
 
 
 @dataclass(eq=False, repr=False)
-class Ite(Term):
+class Ite(Compound):
     __slots__ = ("cond", "then", "other")
     cond: Term
     then: Term
@@ -111,7 +125,7 @@ class Ite(Term):
 
 
 @dataclass(eq=False, repr=False)
-class Extract(Term):
+class Extract(Compound):
     __slots__ = ("hi", "lo", "arg")
     hi: int
     lo: int
@@ -119,32 +133,32 @@ class Extract(Term):
 
 
 @dataclass(eq=False, repr=False)
-class ZeroExt(Term):
+class ZeroExt(Compound):
     __slots__ = ("arg",)
     arg: Term
 
 
 @dataclass(eq=False, repr=False)
-class Bv2Int(Term):
+class Bv2Int(Compound):
     __slots__ = ("arg",)
     arg: Term
 
 
 @dataclass(eq=False, repr=False)
-class Int2Bv(Term):
+class Int2Bv(Compound):
     __slots__ = ("arg",)
     arg: Term
 
 
 @dataclass(eq=False, repr=False)
-class ArrRead(Term):
+class ArrRead(Compound):
     __slots__ = ("arr", "key")
     arr: Term
     key: Term
 
 
 @dataclass(eq=False, repr=False)
-class ArrWrite(Term):
+class ArrWrite(Compound):
     __slots__ = ("arr", "key", "value")
     arr: Term
     key: Term
@@ -152,7 +166,7 @@ class ArrWrite(Term):
 
 
 @dataclass(init=False, unsafe_hash=True, repr=False)
-class SparseConst(Term):
+class SparseConst(Compound):
     """Constant array: a default leaf plus (key, value) updates, at most one
     per key; capacity is enforced by the engine, not here."""
 
@@ -163,6 +177,7 @@ class SparseConst(Term):
     def __init__(self, sort: tuple, default: Term,
                  mods: Tuple[Tuple[int, Term], ...] = ()) -> None:
         self.sort, self.default, self.mods = sort, default, mods
+        self.mark = None
 
     @property
     def key_width(self) -> int:

@@ -321,8 +321,8 @@ class Checker:
             if not numeric:
                 raise self.fail(e.span, f"integer literal where {expected} is expected")
             if isinstance(expected, ast.BitIntType) and e.value >= (1 << expected.width):
-                raise self.fail(
-                    e.span, f"literal {e.value} does not fit in {expected.width} bits")
+                raise self.fail(e.span, f"literal {ast.number_text(e.value)} "
+                                        f"does not fit in {expected.width} bits")
             return expected
         if isinstance(e, ast.BoolLit):
             return ast.BOOL
@@ -341,7 +341,8 @@ class Checker:
             if len(e.items) != expected.length:
                 raise self.fail(
                     e.span,
-                    f"vector literal has {len(e.items)} elements, expected {expected.length}")
+                    f"vector literal has {len(e.items)} elements, "
+                    f"expected {ast.number_text(expected.length)}")
             for item in e.items:
                 self.check_expr(ctx, item, expected.elem)
             return expected
@@ -364,7 +365,8 @@ class Checker:
                 raise self.fail(e.span, f"bit slice on non-BitInt type {base}")
             if e.hi >= base.width:
                 raise self.fail(
-                    e.span, f"slice [{e.hi} downto {e.lo}] out of range for {base}")
+                    e.span, f"slice [{ast.number_text(e.hi)} downto {ast.number_text(e.lo)}] "
+                    f"out of range for {base}")
             return ast.BitIntType(e.hi - e.lo + 1)
         if isinstance(e, ast.IndexUpdate):
             base = self.check_expr(ctx, e.base)
@@ -379,7 +381,8 @@ class Checker:
                 raise self.fail(e.span, f"slice update on non-vector type {base}")
             if e.hi >= base.length:
                 raise self.fail(
-                    e.span, f"slice [{e.hi} downto {e.lo}] out of range for {base}")
+                    e.span, f"slice [{ast.number_text(e.hi)} downto {ast.number_text(e.lo)}] "
+                    f"out of range for {base}")
             self.check_expr(ctx, e.value,
                             ast.VectorType(base.elem, e.hi - e.lo + 1))
             return base
@@ -509,7 +512,8 @@ class Checker:
         if isinstance(index, ast.IntLit) and index.width is None:
             # A bare literal index just needs to be in range.
             if index.value >= base.length:
-                raise self.fail(span, f"index {index.value} out of range for {base}")
+                raise self.fail(
+                    span, f"index {ast.number_text(index.value)} out of range for {base}")
             w = max(1, (max(base.length, 2) - 1).bit_length())
             self.check_expr(ctx, index, ast.BitIntType(w))
             return
@@ -519,7 +523,8 @@ class Checker:
         if (1 << it.width) > base.length:
             raise self.fail(
                 span,
-                f"index width {it.width} can exceed vector length {base.length} "
+                f"index width {it.width} can exceed vector length "
+                f"{ast.number_text(base.length)} "
                 f"(need 2^width <= length)")
 
     def _binary(self, ctx, e: ast.Binary) -> ast.TypeExpr:

@@ -240,6 +240,15 @@ HUGE_NUMBERS = {
                                  ":3:19: error: number literal has too many digits"),
     "5,000-digit suffix": (f"let x = 1u{DIGITS}", ["check", "{file}"],
                            ":3:13: error: number literal has too many digits"),
+    "hex literal past the digit limit": (
+        f"let x: BitInt(8) = {HEX_INT}", ["check", "{file}"],
+        f":3:24: error: literal {HEX_INT} does not fit in 8 bits"),
+    "hex index past the digit limit": (
+        f"let v = [true, false];\n    let b = v[{HEX_INT}]", ["check", "{file}"],
+        f":4:13: error: index {HEX_INT} out of range for Vector<Bool, 2>"),
+    "hex vector length past the digit limit": (
+        f"let v: Vector<Bool, {HEX_INT}> = [true]", ["check", "{file}"],
+        f":3:{29 + len(HEX_INT)}: error: vector literal has 1 elements, expected {HEX_INT}"),
     "Int too long to print": (f'let n: Int = {HEX_INT};\n    printf("{{n}}")',
                               ["run", "{file}", "--scenario", "go"],
                               "error: Int value of 16000 bits is too long to write in decimal"),
@@ -267,6 +276,28 @@ def test_numbers_past_the_budget_are_one_error_line(tmp_path, capsys, case):
     expected = (where if where.startswith("error:") else f"{path}{where}") + "\n"
     assert run_cli(*argv) == (1, "", expected)
     assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", expected)
+
+
+def _tree_text(levels: int) -> str:
+    return "Bool" if levels == 0 else \
+        f"{{ a: {_tree_text(levels - 1)}, b: {_tree_text(levels - 1)} }}"
+
+
+def test_a_type_that_doubles_per_level_is_one_short_error_line(tmp_path, capsys):
+    # T<i> names T<i - 1> twice, so the text of T20 as a tree is 16.8 MB;
+    # a message cuts a type's text after `ast.TYPE_TEXT_LIMIT` characters.
+    from soclang import ast, cli
+
+    aliases = "".join(f"type T{i} = {{ a: T{i - 1}, b: T{i - 1} }};\n" for i in range(1, 21))
+    path = tmp_path / "t20.soc"
+    path.write_text("type T0 = Bool;\n" + aliases
+                    + "module Main {\n  fn f(x: T20) -> Bool { x }\n}\n")
+    # The first 14 levels open before T6's text begins; T6's text is longer than the cut.
+    found = ("{ a: " * 14 + _tree_text(6))[:ast.TYPE_TEXT_LIMIT] + "..."
+    expected = f"{path}:23:26: error: type mismatch: expected Bool, found {found}\n"
+    assert run_cli("check", str(path)) == (1, "", expected)
+    assert cli.main(["check", str(path)]) == 1
     assert capsys.readouterr() == ("", expected)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 import time
@@ -220,9 +221,10 @@ def _distinct_nodes(root: terms.Term) -> int:
 
 
 def test_verify_holds_a_bounded_number_of_bytes_per_query_node(tmp_path):
-    # `verify` streams the query into the solver's file and counts only the
-    # compound nodes, each its own key: at 256 steps (32,684 nodes) it peaks
-    # at ≈150 bytes per node, where a joined text and `id()` keys took ≈230.
+    # `verify` streams the query into the solver's file and marks each
+    # compound node in place, with no table of them: at 256 steps (32,684
+    # nodes) it peaks at ≈108 bytes per node, the DAG included, where
+    # tables keyed by node took ≈150, and a joined text and `id()` keys ≈230.
     source = unrolled_mini_tx1("vulnerable", 256)
     tp, tree, layout = load_source(source)
     nodes = _distinct_nodes(eng.sym_exec(tp, tree, layout,
@@ -239,7 +241,7 @@ def test_verify_holds_a_bounded_number_of_bytes_per_query_node(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 190 * nodes, f"{peak / nodes:.0f} bytes per node over {nodes} nodes"
+    assert peak <= 130 * nodes, f"{peak / nodes:.0f} bytes per node over {nodes} nodes"
 
 def _vc_of_root(registry: Registry, root: terms.Term) -> eng.VerificationCondition:
     """A VC whose query term is `root`: its one obligation is `root` failing."""
@@ -305,8 +307,8 @@ def test_a_vc_emitted_twice_gives_its_pinned_bytes_both_times():
 
 
 def test_vcs_sharing_subterms_emitted_alternately_give_their_own_bytes():
-    # `s` and `arr` are bound in the first VC, which reaches each twice, and
-    # written in place in the second, which reaches each once.
+    # `s`, `arr` and `read` are let-bound in the first VC, which reaches
+    # each twice, and written in place in the second, which reaches each once.
     bool_, bv4 = terms.BOOL_SORT, terms.bv_sort(4)
     x, y = terms.Var(bv4, "100_0"), terms.Var(bv4, "101_0")
     s = terms.Bin(bv4, "bvadd", x, y)
@@ -375,7 +377,6 @@ TERM_FIELDS = {
 
 
 def test_the_emitters_mark_is_no_term_field():
-    import dataclasses
     for cls, names in TERM_FIELDS.items():
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
     # Emission marks one of two equal constant arrays, which stay equal.
