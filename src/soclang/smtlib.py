@@ -503,4 +503,5 @@ def load_model_file(path: str, registry: Optional[Registry] = None
     except UnicodeDecodeError as err:
         raise ModelParseError(f"invalid UTF-8 byte 0x{data[err.start]:02x} "
                               f"at offset {err.start} of {path}") from None
+    del data  # freed before the parse, as `cli.load` frees a source's bytes
     return parse_model(text, registry)

@@ -5,25 +5,27 @@ which is exactly what makes replay (concrete) mode a special case of the
 symbolic executor. Ite additionally folds equal arms and constant conditions;
 everything else is left to the solver.
 
-Terms are dataclasses with hand-written `__slots__` (`slots=True` would
-build each class twice and leave the first as cyclic garbage), cheap to
-build, and immutable by convention: no code assigns to a term's field
-after construction. The one exception is the emitter's scratch slot,
-`Compound.mark`, which is no field: only `smtlib.write_smtlib` reads or
-writes it, it means something only during one such call, and only one
-emission may run at a time on a DAG. Constants (`BoolC`,
-`BVC`, `IntC`, `SparseConst`) are the values of concrete runs, solver models
-and run results, so they compare and hash by value. Every other term compares
-and hashes by identity (eq=False): large merged states share subterms as a
-DAG, and deep structural equality would be quadratic. `children` gives the
-subterms of any term, in field order. A `Bin`'s `op` is its operator's
-SMT-LIB name, which the constructor picks from the operand sort.
+Terms are plain slotted classes, each with a `_fields` tuple of its slots in
+constructor order, cheap to build, and immutable by convention: no code
+assigns to a term's field after construction. The one exception is the
+emitter's scratch slot, `Compound.mark`, which is no field: only
+`smtlib.write_smtlib` reads or writes it, it means something only during one
+such call, and only one emission may run at a time on a DAG. Constants
+(`BoolC`, `BVC`, `IntC`, `SparseConst`) are the values of concrete runs,
+solver models and run results, so they compare and hash by value, equal only
+to a constant of their own class. Every other term compares and hashes by
+identity: large merged states share subterms as a DAG, and deep structural
+equality would be quadratic. `children` gives the subterms of any term, in
+field order. A `Bin`'s `op` is its operator's SMT-LIB name, which the
+constructor picks from the operand sort. No term is a dataclass, so building
+terms loads neither `dataclasses` nor `inspect`. `_DataclassView` only keeps
+`dataclasses.fields` working on terms for `bench/traced.py::_dag_counts`:
+delete it once that walks with `children` (ROADMAP item 11).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
 from typing import Tuple
 
 from .diagnostics import ToolError
@@ -40,51 +42,87 @@ def arr_sort(key_width: int, leaf):
     return ("arr", key_width, leaf)
 
 
-@dataclass(eq=False, repr=False)
+class _DataclassView:
+    """What `dataclasses` reads of a term class, taken from a dataclass with
+    its `_fields` made on first read: only then does `dataclasses` load."""
+
+    made: dict = {}  # term class -> the dataclass made for it
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, cls):
+        made = self.made.get(cls)
+        if made is None:
+            from dataclasses import make_dataclass
+            made = self.made[cls] = make_dataclass(cls.__name__, cls._fields)
+        return getattr(made, self.name)
+
+
 class Term:
     __slots__ = ("sort",)
-    sort: tuple
+    _fields: tuple = ("sort",)
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
+
+    def __init_subclass__(cls) -> None:
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = cls.__base__._fields + tuple(s for s in slots if s != "mark")
 
     def __repr__(self) -> str:
         # Bounded: a DAG printed as a tree grows exponentially with its depth
         # of sharing, so a compound child shows only as <ClassName>, and a
         # constant array shows its first few updates.
         parts = [repr(self.sort)]
-        for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if f.name == "mods":
+        for name in self._fields[1:]:
+            value = getattr(self, name)
+            if name == "mods":
                 shown = [f"({k}, {_brief(v)})" for k, v in value[:_MODS_SHOWN]]
                 if len(value) > _MODS_SHOWN:
                     shown.append(f"... {len(value) - _MODS_SHOWN} more")
                 text = f"({', '.join(shown)})"
             else:
                 text = _brief(value)
-            parts.append(f"{f.name}={text}")
+            parts.append(f"{name}={text}")
         return f"{type(self).__name__}({', '.join(parts)})"
 
 
-@dataclass(unsafe_hash=True, repr=False)
-class BoolC(Term):
+class _Scalar(Term):
+    """A scalar constant. Its `__eq__` and `__hash__`, which `SparseConst`
+    shares, compare the `_key` of two terms of one class."""
+
     __slots__ = ("value",)
-    value: bool
+    _key = operator.attrgetter("sort", "value")
+
+    def __init__(self, sort: tuple, value) -> None:
+        self.sort, self.value = sort, value
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
 
-@dataclass(unsafe_hash=True, repr=False)
-class BVC(Term):
-    __slots__ = ("value",)
-    value: int
+class BoolC(_Scalar):
+    __slots__ = ()
 
 
-@dataclass(unsafe_hash=True, repr=False)
-class IntC(Term):
-    __slots__ = ("value",)
-    value: int
+class BVC(_Scalar):
+    __slots__ = ()
 
 
-@dataclass(eq=False, repr=False)
+class IntC(_Scalar):
+    __slots__ = ()
+
+
 class Var(Term):
     __slots__ = ("vid",)
-    vid: str
+
+    def __init__(self, sort: tuple, vid: str) -> None:
+        self.sort, self.vid = sort, vid
 
     @property
     def name(self) -> str:
@@ -93,91 +131,82 @@ class Var(Term):
 
 class Compound(Term):
     """A term with subterms, which the emitter may let-bind. `mark` is the
-    emitter's scratch slot (see the module docstring): not a dataclass
-    field, so no repr, equality, hash or `fields` sees it."""
+    emitter's scratch slot (see the module docstring): not in `_fields`, so
+    no repr, equality, hash or `fields` sees it."""
 
     __slots__ = ("mark",)
 
-    def __post_init__(self) -> None:
-        self.mark = None
 
-
-@dataclass(eq=False, repr=False)
-class Not(Compound):
+class _Unary(Compound):
     __slots__ = ("arg",)
-    arg: Term
+
+    def __init__(self, sort: tuple, arg: Term) -> None:
+        self.sort, self.arg, self.mark = sort, arg, None
 
 
-@dataclass(eq=False, repr=False)
+class Not(_Unary):
+    __slots__ = ()
+
+
 class Bin(Compound):
+    # op, an SMT-LIB name: and or = bvult bvule < <= bvadd + bvsub - bvmul *
     __slots__ = ("op", "left", "right")
-    op: str  # SMT-LIB name: and or = bvult bvule < <= bvadd + bvsub - bvmul *
-    left: Term
-    right: Term
+
+    def __init__(self, sort: tuple, op: str, left: Term, right: Term) -> None:
+        self.sort, self.op, self.left, self.right, self.mark = sort, op, left, right, None
 
 
-@dataclass(eq=False, repr=False)
 class Ite(Compound):
     __slots__ = ("cond", "then", "other")
-    cond: Term
-    then: Term
-    other: Term
+
+    def __init__(self, sort: tuple, cond: Term, then: Term, other: Term) -> None:
+        self.sort, self.cond, self.then, self.other, self.mark = sort, cond, then, other, None
 
 
-@dataclass(eq=False, repr=False)
 class Extract(Compound):
     __slots__ = ("hi", "lo", "arg")
-    hi: int
-    lo: int
-    arg: Term
+
+    def __init__(self, sort: tuple, hi: int, lo: int, arg: Term) -> None:
+        self.sort, self.hi, self.lo, self.arg, self.mark = sort, hi, lo, arg, None
 
 
-@dataclass(eq=False, repr=False)
-class ZeroExt(Compound):
-    __slots__ = ("arg",)
-    arg: Term
+class ZeroExt(_Unary):
+    __slots__ = ()
 
 
-@dataclass(eq=False, repr=False)
-class Bv2Int(Compound):
-    __slots__ = ("arg",)
-    arg: Term
+class Bv2Int(_Unary):
+    __slots__ = ()
 
 
-@dataclass(eq=False, repr=False)
-class Int2Bv(Compound):
-    __slots__ = ("arg",)
-    arg: Term
+class Int2Bv(_Unary):
+    __slots__ = ()
 
 
-@dataclass(eq=False, repr=False)
 class ArrRead(Compound):
     __slots__ = ("arr", "key")
-    arr: Term
-    key: Term
+
+    def __init__(self, sort: tuple, arr: Term, key: Term) -> None:
+        self.sort, self.arr, self.key, self.mark = sort, arr, key, None
 
 
-@dataclass(eq=False, repr=False)
 class ArrWrite(Compound):
     __slots__ = ("arr", "key", "value")
-    arr: Term
-    key: Term
-    value: Term
+
+    def __init__(self, sort: tuple, arr: Term, key: Term, value: Term) -> None:
+        self.sort, self.arr, self.key, self.value, self.mark = sort, arr, key, value, None
 
 
-@dataclass(init=False, unsafe_hash=True, repr=False)
 class SparseConst(Compound):
     """Constant array: a default leaf plus (key, value) updates, at most one
     per key; capacity is enforced by the engine, not here."""
 
     __slots__ = ("default", "mods")
-    default: Term
-    mods: Tuple[Tuple[int, Term], ...]
+    _key = operator.attrgetter("sort", "default", "mods")
+    __eq__, __hash__ = _Scalar.__eq__, _Scalar.__hash__
 
     def __init__(self, sort: tuple, default: Term,
                  mods: Tuple[Tuple[int, Term], ...] = ()) -> None:
-        self.sort, self.default, self.mods = sort, default, mods
-        self.mark = None
+        self.sort, self.default, self.mods, self.mark = sort, default, mods, None
 
     @property
     def key_width(self) -> int:

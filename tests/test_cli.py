@@ -350,6 +350,25 @@ def test_front_end_commands_do_not_import_the_engine(command):
     assert proc.stderr.strip() == "0 []"
 
 
+# `run`, `trace` and `verify` build terms, which are no dataclasses, so
+# neither `dataclasses` nor the `inspect` it pulls in may load: every
+# answer's process would pay for their import.
+@pytest.mark.parametrize("command", ["run", "trace", "verify"])
+def test_engine_commands_do_not_import_dataclasses(tmp_path, command):
+    zero = tmp_path / "zero.smt2"
+    zero.write_text("()\n")
+    options, code = {"run": ([], 0), "trace": (["--model", str(zero)], 0),
+                     "verify": (["--solver", "sh -c 'echo unknown' {file}"], 3)}[command]
+    argv = [command, FIXED, "--scenario", "base_case", *options]
+    probe = ("import sys\n"
+             "from soclang import cli\n"
+             f"code = cli.main({argv!r})\n"
+             "print(code, [m for m in ('dataclasses', 'inspect') if m in sys.modules],\n"
+             "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stderr.strip() == f"{code} []"
+
+
 # `trace` parses a model and replays it; it starts no solver, so the solver
 # layer's `subprocess` and `shlex` must not load.
 def test_trace_does_not_import_the_solver_process_modules(tmp_path):

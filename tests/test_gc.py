@@ -170,8 +170,9 @@ def test_usage_errors_leave_no_cycles(argv, capsys):
     assert _cyclic_garbage(argv, capsys) == (1, [])
 
 
-# A class built twice (as `dataclass(slots=True)` does) leaves its first copy
-# as cyclic garbage at import; a fresh interpreter sees each import's own.
+# An import leaves no cyclic garbage, as a class built and then replaced would
+# (`dataclass(slots=True)` builds each class twice; no module uses it, and
+# terms are no dataclasses). A fresh interpreter sees each import's own.
 @pytest.mark.parametrize("module", ["soclang.terms", "soclang.engine", "soclang.smtlib"])
 def test_import_leaves_no_cycles(module):
     # The garbage list is complete after the collection; importing this

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pprint
 import sys
 import time
 import tracemalloc
@@ -355,8 +356,9 @@ def test_an_emission_cut_short_does_not_change_the_next():
         assert _sha256(emit_smtlib(vc)) == pin
 
 
-# Each term class's dataclass fields, which `Term.__repr__`, constant
-# equality and hashing, and the benchmark's DAG counts read.
+# Each term class's fields in constructor order: its `_fields`, which
+# `Term.__repr__` and `children` follow, and what `dataclasses.fields` reads
+# of a term (no term is a dataclass), which the benchmark's DAG counts read.
 TERM_FIELDS = {
     terms.Term: ("sort",),
     terms.BoolC: ("sort", "value"),
@@ -376,9 +378,27 @@ TERM_FIELDS = {
 }
 
 
+def _one_of_each() -> list:
+    """An instance of each term class but `Term`, in `TERM_FIELDS` order."""
+    b, bv4, bv2, arr = (terms.BOOL_SORT, terms.bv_sort(4), terms.bv_sort(2),
+                        terms.arr_sort(2, terms.bv_sort(4)))
+    p, x, n, a, k = (terms.Var(b, "1_0"), terms.Var(bv4, "2_0"),
+                     terms.Var(terms.INT_SORT, "3_0"), terms.Var(arr, "4_0"),
+                     terms.Var(bv2, "5_0"))
+    return [terms.TRUE, mk_bv(4, 5), terms.mk_int(7), x, terms.Not(b, p),
+            terms.Bin(bv4, "bvadd", x, mk_bv(4, 1)), terms.Ite(bv4, p, x, mk_bv(4, 0)),
+            terms.Extract(bv2, 2, 1, x), terms.ZeroExt(terms.bv_sort(8), x),
+            terms.Bv2Int(terms.INT_SORT, x), terms.Int2Bv(bv4, n), terms.ArrRead(bv4, a, k),
+            terms.ArrWrite(arr, a, k, x),
+            terms.SparseConst(arr, mk_bv(4, 0), ((1, mk_bv(4, 5)), (3, x)))]
+
+
 def test_the_emitters_mark_is_no_term_field():
     for cls, names in TERM_FIELDS.items():
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    # `_dag_counts` reads the fields of an instance.
+    for t in _one_of_each():
+        assert tuple(f.name for f in dataclasses.fields(t)) == TERM_FIELDS[type(t)]
     # Emission marks one of two equal constant arrays, which stay equal.
     sort = terms.arr_sort(2, terms.bv_sort(4))
     a = terms.SparseConst(sort, mk_bv(4, 0), ((1, mk_bv(4, 5)),))
@@ -386,6 +406,43 @@ def test_the_emitters_mark_is_no_term_field():
     emit_smtlib(_vc_of_root(Registry(), terms.Bin(terms.BOOL_SORT, "=", a, a)))
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
+
+
+def test_term_fields_are_the_constructor_arguments_and_hold_the_children():
+    instances = _one_of_each()
+    assert [type(t) for t in instances] == list(TERM_FIELDS)[1:]
+    for cls, names in TERM_FIELDS.items():
+        assert cls._fields == names
+    for t in instances:
+        # The Term-valued entries of the fields, looking one level into a
+        # tuple (a constant array's (key, value) updates), as `_dag_counts` does.
+        expected = []
+        for name in t._fields:
+            value = getattr(t, name)
+            for item in (value if isinstance(value, tuple) else (value,)):
+                pieces = item if isinstance(item, tuple) else (item,)
+                expected += [p for p in pieces if isinstance(p, terms.Term)]
+        assert list(terms.children(t)) == expected, type(t).__name__
+        # `pprint` asks a term longer than its width whether it is a dataclass.
+        assert pprint.pformat(t, width=8) == repr(t)
+        again = type(t)(*(getattr(t, name) for name in t._fields))
+        if terms.is_const(t):
+            assert again == t and hash(again) == hash(t)
+        else:
+            assert again != t and not again == t
+
+
+def test_constants_are_equal_by_class_and_fields_only():
+    sort = terms.arr_sort(2, terms.bv_sort(4))
+    assert terms.BoolC(terms.BOOL_SORT, False) == terms.FALSE
+    assert terms.BVC(terms.bv_sort(4), 5) == mk_bv(4, 21)
+    assert hash(terms.BVC(terms.bv_sort(4), 5)) == hash(mk_bv(4, 21))
+    assert terms.IntC(terms.INT_SORT, 3) != terms.BVC(terms.INT_SORT, 3)
+    assert mk_bv(4, 5) != mk_bv(8, 5) and mk_bv(4, 5) != mk_bv(4, 6)
+    assert terms.SparseConst(sort, mk_bv(4, 0)).write(1, mk_bv(4, 5)) \
+        == terms.SparseConst(sort, mk_bv(4, 0), ((1, mk_bv(4, 5)),))
+    assert terms.SparseConst(sort, mk_bv(4, 0)) != terms.SparseConst(sort, mk_bv(4, 1))
+    assert len({terms.TRUE, terms.BoolC(terms.BOOL_SORT, True), mk_bv(1, 1)}) == 2
 
 
 # -- model parsing ---------------------------------------------------------------
