@@ -50,7 +50,7 @@ from . import ast, terms
 from .diagnostics import CapacityError, EngineError
 from .elaborate import InstanceNode, StateLayout, resolve_instance
 from .terms import Term
-from .typecheck import EnumVariantRef, PrimCall, TypedProgram, UserCall
+from .typecheck import TypedProgram
 
 # ---------------------------------------------------------------------------
 # Value trees: records/vectors explode into per-leaf terms. A record is a dict
@@ -508,10 +508,10 @@ class Engine:
         return record
 
     def _compile_path(self, e: ast.PathExpr):
-        res = self.tp.resolutions[e.node_id]
-        if isinstance(res, EnumVariantRef):
-            return _const(terms.mk_bv(res.enum.width, res.index))
-        name, fields = res.name, res.fields
+        index = self.tp.variants.get(e.node_id)
+        if index is not None:
+            return _const(terms.mk_bv(self.tp.types[e.node_id].width, index))
+        name, fields = e.names[0], e.names[1:]
 
         def local(env, frame):
             v = env[name]
@@ -681,12 +681,12 @@ class Engine:
     # -- calls ----------------------------------------------------------------
 
     def _compile_call(self, e: ast.Call):
-        res = self.tp.resolutions[e.node_id]
+        key = self.tp.calls.get(e.node_id)
         args = [self.code(a) for a in e.args]
-        target = _target(res.inst_path)
-        if isinstance(res, PrimCall):
-            return self._compile_prim(e, res.op, target, args)
-        decl = self.tp.fns[(res.module, res.fn)]
+        target = _target(e.path[:-1])
+        if key is None:
+            return self._compile_prim(e, e.path[-1], target, args)
+        decl = self.tp.fns[key]
         body, names, site = self.code(decl.body), [p.name for p in decl.params], f"_{e.node_id}"
         if self.anys is not None and self.record_events:
             # one traced body per fn, kept by its identity
@@ -864,7 +864,7 @@ def replay(tp: TypedProgram, root: InstanceNode, layout: StateLayout,
     as digit strings, so a name of any length is rejected without int().
     """
     sites = set(map(str, tp.choice_sites))
-    calls = {str(n) for n, res in tp.resolutions.items() if isinstance(res, UserCall)}
+    calls = set(map(str, tp.calls))
     for vid in model:
         numbers = vid.split("_")
         if numbers[0] not in sites or not calls.issuperset(numbers[1:-1]):

@@ -128,8 +128,9 @@ def write_smtlib(vc: VerificationCondition, write: Callable[[str], object]) -> N
     Pass 1 (`_mark_refs`) stamps the compound nodes with this call's own
     stamps. Pass 2 writes the header, the declarations and each
     `(let ((tN ...))` as soon as it is made, then the root. A let-bound
-    node's mark holds its name; a node used once holds its text only until
-    its one parent takes it, so the whole query is never held.
+    node's mark holds its name until the end, when every mark is cleared;
+    a node used once holds its text only until its one parent takes it, so
+    the whole query is never held.
     """
     once, again = object(), object()
     root = vc.query_term()
@@ -161,6 +162,8 @@ def write_smtlib(vc: VerificationCondition, write: Callable[[str], object]) -> N
             node.mark = body
     write(text(root))
     write(")" * lets + ")\n(check-sat)\n(get-model)\n")
+    for node in order:
+        node.mark = None
 
 
 def emit_smtlib(vc: VerificationCondition) -> str:

@@ -1,8 +1,12 @@
 """Bidirectional type checking with exact bit-width tracking.
 
 Produces a TypedProgram: every expression annotated with a resolved type,
-every call resolved to its target, aliases expanded, and the call graph
-checked for cycles and purity violations.
+aliases expanded, and the call graph checked for cycles and purity
+violations. Paths and calls resolve into two tables keyed by node id:
+`variants` holds the index of each path that names an enum variant (any
+other path is the variable `names[0]` with record fields `names[1:]`), and
+`calls` the `(module, fn)` key of each call of a fn (any other call is the
+cell method or `havoc` named by `path[-1]` on the instance `path[:-1]`).
 """
 
 from __future__ import annotations
@@ -13,25 +17,6 @@ from . import ast
 from .ast import MAX_NESTING
 from .diagnostics import TypeCheckError, TypeErrors
 
-# ---------------------------------------------------------------------------
-# Resolutions attached to path/call nodes
-
-
-class LocalRef(ast.Node):
-    __slots__ = ("name", "fields")  # fields: record field chain after the variable
-
-    def __init__(self, name: str, fields: Tuple[str, ...]) -> None:
-        self.name, self.fields = name, fields  # built per path: faster than Node.__init__
-
-
-class EnumVariantRef(ast.Node):
-    __slots__ = ("enum", "index")
-
-
-class UserCall(ast.Node):
-    __slots__ = ("inst_path", "module", "fn")  # inst_path empty: the current module
-
-
 # What a position forbids in a type: a message for each class of part.
 _STATE_VALUE = {ast.ArrayType: "state values may not contain arrays",
                 ast.UnitType: "state values may not have unit type"}
@@ -39,13 +24,6 @@ _INDEXED = ("equality on indexed collections is not supported "
             "(compare elements at an any-chosen index instead)")
 _EQUALITY = {ast.VectorType: _INDEXED, ast.ArrayType: _INDEXED,
              ast.UnitType: "equality on unit values is not supported"}
-
-
-class PrimCall(ast.Node):
-    """Built-in operation on a state/array cell or instance subtree."""
-
-    # op: the method called, get set read write or havoc
-    __slots__ = ("op", "inst_path")
 
 
 class TypedProgram:
@@ -56,7 +34,8 @@ class TypedProgram:
         self.modules: Dict[str, ast.ModuleDecl] = checker.modules
         self.fns: Dict[Tuple[str, str], ast.FnDecl] = checker.fns
         self.types: Dict[int, ast.TypeExpr] = checker.types
-        self.resolutions: Dict[int, object] = checker.resolutions
+        self.variants: Dict[int, int] = checker.variants
+        self.calls: Dict[int, Tuple[str, str]] = checker.calls
         self.resolved: Dict[int, ast.TypeExpr] = checker.resolved
         self.choice_sites: Set[int] = checker.choice_sites
 
@@ -94,7 +73,8 @@ class Checker:
         self.modules: Dict[str, ast.ModuleDecl] = {}
         self.fns: Dict[Tuple[str, str], ast.FnDecl] = {}
         self.types: Dict[int, ast.TypeExpr] = {}
-        self.resolutions: Dict[int, object] = {}
+        self.variants: Dict[int, int] = {}  # enum variant paths: the index
+        self.calls: Dict[int, Tuple[str, str]] = {}  # calls of fns: the key
         self.resolved: Dict[int, ast.TypeExpr] = {}
         # How many levels deep each vector, record and array type the checker
         # builds nests, by id; the entry keeps the type, so its id stays its own.
@@ -485,7 +465,6 @@ class Checker:
             t = ctx.vars[head]
             for name in e.names[1:]:
                 t = self._field_type(t, name, e.span)
-            self.resolutions[e.node_id] = LocalRef(head, tuple(e.names[1:]))
             return t
         enum = self.enums.get(head)
         if enum is not None:
@@ -494,7 +473,7 @@ class Checker:
             variant = e.names[1]
             if variant not in enum.variants:
                 raise self.fail(e.span, f"enum {head} has no variant {variant!r}")
-            self.resolutions[e.node_id] = EnumVariantRef(enum, enum.variants.index(variant))
+            self.variants[e.node_id] = enum.variants.index(variant)
             return enum
         raise self.fail(e.span, f"unknown name {head!r}")
 
@@ -589,13 +568,13 @@ class Checker:
 
     def _call(self, ctx: TypingCtx, e: ast.Call) -> ast.TypeExpr:
         if len(e.path) == 1:
-            return self._check_user_call(ctx, e, ctx.module.name, e.path[0], ())
+            return self._check_user_call(ctx, e, ctx.module.name)
         prefix, last = e.path[:-1], e.path[-1]
         target = self._resolve_instance_path(ctx, prefix, e.span)
         if isinstance(target, ast.ModuleDecl):
             if last == "havoc":
-                return self._check_prim_call(ctx, e, PrimCall(last, tuple(prefix)), [])
-            return self._check_user_call(ctx, e, target.name, last, tuple(prefix))
+                return self._check_prim_call(ctx, e, [])
+            return self._check_user_call(ctx, e, target.name)
         kind, vt, kt = target
         snapshot = vt if kind == "state" else ast.ArrayType(kt, vt)
         # Each method of a cell: its parameter types and its result.
@@ -605,10 +584,10 @@ class Checker:
         if last not in ops:
             raise self.fail(e.span, f"unknown operation {last!r} on a {kind} cell")
         param_types, ret = ops[last]
-        self._check_prim_call(ctx, e, PrimCall(last, tuple(prefix)), param_types)
+        self._check_prim_call(ctx, e, param_types)
         return ret
 
-    def _check_prim_call(self, ctx, e: ast.Call, prim: PrimCall, param_types) -> ast.TypeExpr:
+    def _check_prim_call(self, ctx, e: ast.Call, param_types) -> ast.TypeExpr:
         if ctx.pure:
             raise self.fail(e.span, "state access is not allowed in a pure fn")
         if len(e.args) != len(param_types):
@@ -617,18 +596,17 @@ class Checker:
                             f"got {len(e.args)}")
         for arg, pt in zip(e.args, param_types):
             self.check_expr(ctx, arg, pt)
-        self.resolutions[e.node_id] = prim
-        if prim.op == "havoc":
+        if e.path[-1] == "havoc":
             self.choice_sites.add(e.node_id)
         return ast.UNIT
 
-    def _check_user_call(self, ctx: TypingCtx, e: ast.Call, module: str, fn: str,
-                         inst_path: tuple) -> ast.TypeExpr:
+    def _check_user_call(self, ctx: TypingCtx, e: ast.Call, module: str) -> ast.TypeExpr:
+        fn = e.path[-1]
         if ctx.init_expr:
             raise self.fail(e.span, "calls are not allowed in state initializers")
         decl = self.fns.get((module, fn))
         if decl is None:
-            where = f" in module {module}" if inst_path else ""
+            where = f" in module {module}" if len(e.path) > 1 else ""
             raise self.fail(e.span, f"unknown function {fn!r}{where}")
         if ctx.pure and decl.is_mut:
             raise self.fail(e.span, f"mut fn {fn!r} cannot be called from a pure fn")
@@ -637,12 +615,12 @@ class Checker:
                                     f"got {len(e.args)}")
         for arg, p in zip(e.args, decl.params):
             self.check_expr(ctx, arg, self.resolve_type(p.type, p.span))
-        self.resolutions[e.node_id] = UserCall(inst_path, module, fn)
+        key = self.calls[e.node_id] = (module, fn)
         if self._current_fn is not None:
             callees, level = self.call_edges[self._current_fn], self.depth - 1
-            deepest = callees.get((module, fn))
+            deepest = callees.get(key)
             if deepest is None or deepest[0] < level:
-                callees[(module, fn)] = (level, e.span)
+                callees[key] = (level, e.span)
         ret = decl.ret_type
         return self.resolve_type(ret, decl.span) if ret is not None else ast.UNIT
 

@@ -356,6 +356,23 @@ def test_an_emission_cut_short_does_not_change_the_next():
         assert _sha256(emit_smtlib(vc)) == pin
 
 
+def test_an_emission_leaves_no_mark_set():
+    # A let-bound node's name is held in its mark while the query is
+    # written, not for as long as the VC lives (through the solver run).
+    vc = _unrolled_vc("vulnerable", 8)
+    assert "(let ((t0 " in emit_smtlib(vc)
+    seen, stack, compounds = set(), [vc.query_term()], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(terms.children(t))
+            if isinstance(t, terms.Compound):
+                compounds += 1
+                assert t.mark is None, t
+    assert compounds > 100
+
+
 # Each term class's fields in constructor order: its `_fields`, which
 # `Term.__repr__` and `children` follow, and what `dataclasses.fields` reads
 # of a term (no term is a dataclass), which the benchmark's DAG counts read.

@@ -178,6 +178,39 @@ def test_operands_widths_always_equal_on_corpus():
                         assert lt == rt, (path.name, node.op, lt, rt)
 
 
+def test_paths_and_calls_resolve_into_the_two_tables_on_corpus():
+    # `calls` keys each call of a fn by node id; any other call is a cell
+    # method or `havoc`. `variants` holds the index of each path that names
+    # an enum variant; any other path is a variable with record fields.
+    fn_calls = prim_calls = variants = 0
+    for path in sorted(CORPUS.glob("*.soc")):
+        program = parse_program(path.read_text(), path.name)
+        tp = check_program(program)
+        enums = {en.name for en in program.enums}
+        roots = [fn.body for mod in program.modules for fn in mod.fns]
+        roots += [inst.ref.init for mod in program.modules for inst in mod.instances
+                  if isinstance(inst.ref, ast.StatePrim)]
+        for node in (n for root in roots for n in walk(root)):
+            if isinstance(node, ast.Call):
+                key = tp.calls.get(node.node_id)
+                if key is None:
+                    prim_calls += 1
+                    assert node.path[-1] in ("get", "set", "read", "write", "havoc")
+                else:
+                    fn_calls += 1
+                    assert tp.fns[key].name == key[1] == node.path[-1], (path.name, key)
+            elif isinstance(node, ast.PathExpr):
+                index = tp.variants.get(node.node_id)
+                if index is None:
+                    assert node.names[0] not in enums, (path.name, node.names)
+                else:
+                    variants += 1
+                    enum, variant = node.names
+                    t = tp.types[node.node_id]
+                    assert t.name == enum and t.variants.index(variant) == index
+    assert fn_calls and prim_calls and variants
+
+
 def test_infer_and_check_expr_api():
     program = parse_program("module Main { mut fn go() { () } }")
     chk = Checker(program)
